@@ -170,10 +170,11 @@ def generalized_bound_check(matroid, coefficients=None, order=None):
     cut at the h-fit cutoff) and the h-vector fit are evaluated and
     reported without asserting either.
     """
-    ideal = stanley_reisner_ideal(bc_complex(matroid, order))
+    bc = bc_complex(matroid, order)
+    ideal = stanley_reisner_ideal(bc)
     n, r = len(matroid.ground), matroid.rank
     q = n - r
-    h = f_h_vectors(bc_complex(matroid, order)).h
+    h = f_h_vectors(bc).h
     hfit = h_binomial_fit(h, q) if q >= 1 else {"c": None, "cutoff": None, "fits": False, "d": None}
     c = coefficients
     source = "explicit"
@@ -294,7 +295,8 @@ def cross_validate(matroid, order=None, characteristic=0, max_power=3):
     """
     order = normalize_order(matroid, order)
     report = {"n": len(matroid.ground), "rank": matroid.rank}
-    ideal = stanley_reisner_ideal(bc_complex(matroid, order))
+    bc = bc_complex(matroid, order)
+    ideal = stanley_reisner_ideal(bc)
     report["ideal"] = ideal.render()
 
     try:
@@ -329,7 +331,7 @@ def cross_validate(matroid, order=None, characteristic=0, max_power=3):
     report["linear_value_criterion"] = value_criterion
 
     q = len(matroid.ground) - matroid.rank
-    h_bc = f_h_vectors(bc_complex(matroid, order)).h
+    h_bc = f_h_vectors(bc).h
     hfit = h_binomial_fit(h_bc, q) if q >= 1 else None
     report["h_fit"] = hfit
 

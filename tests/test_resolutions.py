@@ -8,8 +8,12 @@ agreement over the squarefree corpus is the load-bearing oracle check.
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcres.complexes import bc_complex
+from bcres.corpus import standard_corpus
+from bcres.decomposition import cross_validate
 from bcres.errors import BoundError, InputError
 from bcres.ideals import (
     Monomial,
@@ -23,6 +27,7 @@ from bcres.ideals import (
 from bcres.matroid import uniform_matroid
 from bcres.resolutions import (
     BettiTable,
+    _polarized_componentwise_check,
     betti_hochster,
     betti_table,
     betti_taylor_oracle,
@@ -205,6 +210,89 @@ def test_componentwise_gap_case():
     ok, certs = componentwise_linear_check(i)
     assert ok in (True, False)
     assert set(certs) >= {2, 3, 4}
+
+
+@st.composite
+def squarefree_ideals(draw):
+    n = draw(st.integers(2, 7))
+    support = st.sets(st.integers(0, n - 1), min_size=1, max_size=4)
+    supports = draw(st.lists(support, min_size=2, max_size=6))
+    return ideal_from_supports(tuple("x%d" % i for i in range(1, n + 1)), supports)
+
+
+@settings(max_examples=100, deadline=None)
+@given(squarefree_ideals())
+def test_squarefree_route_matches_polarized_route(i):
+    old, _ = _polarized_componentwise_check(i)
+    new, certs = componentwise_linear_check(i)
+    assert new is not None
+    assert sorted(certs) == list(range(i.indeg(), i.indeg() + len(certs)))
+    if old is not None:
+        assert new == old, i.render()
+
+
+CORPUS = standard_corpus(0)
+
+# Conclusive only on the squarefree route: from degree 4 on, the polarized
+# I_<d> is past the Hochster variable limit and has too many generators for
+# the Taylor oracle.  name -> (componentwise, Betti class, rows)
+RELABELLED = {
+    "U_2_3+U_4_5": (False, "none", None),
+    "G5_13-14-15-24-25-35-45": (True, "graded-linear", (2, 3, 4)),
+    "G5_14-15-23-24-25-35-45": (True, "graded-linear", (2, 3, 4)),
+    "L4_8_17": (True, "graded-linear", (2, 3, 4)),
+}
+
+
+@pytest.mark.parametrize("name, matroid", CORPUS, ids=[name for name, _ in CORPUS])
+def test_squarefree_route_matches_polarized_route_on_corpus(name, matroid):
+    i = stanley_reisner_ideal(bc_complex(matroid))
+    new, _ = componentwise_linear_check(i)
+    if i.is_zero:
+        assert new is True
+        return
+    old, _ = _polarized_componentwise_check(i)
+    assert new is not None
+    if name in RELABELLED:
+        assert old is None
+    else:
+        assert old == new
+
+
+@pytest.mark.parametrize("name", sorted(RELABELLED))
+def test_relabelled_componentwise_verdicts(name):
+    matroid = dict(CORPUS)[name]
+    i = stanley_reisner_ideal(bc_complex(matroid))
+    want, kind, rows = RELABELLED[name]
+    assert componentwise_linear_check(i)[0] is want
+    v = classify_linearity(betti_table(i))
+    assert v.kind == kind
+    if rows is not None:
+        assert v.row_set == rows
+    report = cross_validate(matroid, max_power=2)
+    assert report["componentwise_linear"] is want
+    assert report["consistency"]["componentwise_implies_graded"] == "confirmed"
+
+
+def test_componentwise_nonsquarefree_uses_full_components():
+    # (x1^2, x1x2) = x1 (x1, x2) is 2-linear, so reg = maxdeg = 2 ends the degrees
+    i = ideal(("x1", "x2"), (2, 0), (1, 1))
+    assert componentwise_linear_check(i) == (True, {2: "2-linear"})
+    # (x1^2, x2^2): its Koszul syzygy sits in degree 4, off the 2-linear row
+    ci = ideal(("x1", "x2"), (2, 0), (0, 2))
+    assert componentwise_linear_check(ci)[0] is False
+
+
+def test_componentwise_unit_and_zero():
+    assert componentwise_linear_check(MonomialIdeal(V4, [])) == (True, {})
+    assert componentwise_linear_check(ideal(V4, (0, 0, 0, 0))) == (True, {0: "0-linear"})
+
+
+def test_componentwise_variable_bound_is_inconclusive():
+    names = tuple("x%d" % i for i in range(15))
+    i = ideal_from_supports(names, [{0, 1}])
+    ok, certs = componentwise_linear_check(i)
+    assert ok is None and "inconclusive" in certs["ideal"]
 
 
 def test_alternating_sum_matches_power_route():
