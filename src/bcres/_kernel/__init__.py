@@ -1,40 +1,10 @@
-"""Kernel backend selection.
+"""Exact kernels: matrix ranks, simplicial homology and the Hochster summation."""
 
-The compiled kernel is preferred when importable; BCRES_KERNEL=py forces
-the pure-Python reference implementation, BCRES_KERNEL=c insists on the
-compiled one (import error if it was not built).  Both expose the same
-four functions and are interchangeable everywhere.
-"""
-
-import os
-
-from . import pykernel
-
-_choice = os.environ.get("BCRES_KERNEL", "").strip().lower()
-
-if _choice == "py":
-    impl = pykernel
-elif _choice == "c":
-    from . import _ckernel as impl
-else:
-    try:
-        from . import _ckernel as impl
-    except ImportError:
-        impl = pykernel
-
-BACKEND = impl.BACKEND
-rank_int = impl.rank_int
-rank_mod_p = impl.rank_mod_p
-homology_ranks = impl.homology_ranks
-hochster_betti = impl.hochster_betti
-
-
-def backends():
-    """All importable kernel backends, for cross-checking and benchmarks."""
-    found = [pykernel]
-    try:
-        from . import _ckernel
-        found.append(_ckernel)
-    except ImportError:
-        pass
-    return found
+from .pykernel import (
+    BACKEND,
+    hochster_betti,
+    homology_ranks,
+    rank_int,
+    rank_mod_p,
+    rank_sparse,
+)

@@ -1,10 +1,9 @@
 """Pure-Python exact linear-algebra kernel.
 
-Reference implementation of the hot kernels: exact integer matrix rank
+The hot kernels of bcres: exact integer matrix rank
 (fraction-free Bareiss elimination), rank over GF(p), reduced simplicial
 homology ranks from bitmask face lists, and the Hochster summation over
-vertex subsets.  The compiled twin in _ckernel.pyx implements the same
-contract; either backend may be selected at import time.
+vertex subsets.
 """
 
 BACKEND = "python"

@@ -173,13 +173,8 @@ def f_h_vectors(complex_):
     """Face counts by dimension and the standard binomial transform h of f."""
     if complex_.is_void:
         raise InputError("void complex has no f-vector")
-    sizes = complex_.faces_by_size()
-    f = [len(level) for level in sizes]
-    d = complex_.dim
-    h = []
-    for k in range(d + 2):
-        h.append(sum((-1) ** (k - i) * binom(d + 1 - i, k - i) * f[i] for i in range(k + 1)))
-    return FHVectors(f, h, d)
+    f = [len(level) for level in complex_.faces_by_size()]
+    return FHVectors(f, f_to_h(f, complex_.dim), complex_.dim)
 
 
 def f_to_h(f, dim):

@@ -8,13 +8,11 @@ cross-check.  The series numerator lives over (1-t)^dim; rewriting it over
 plays the role of the Hilbert coefficients.
 """
 
-from fractions import Fraction
-
 from .complexes import f_h_vectors
 from .errors import InputError
 from .ideals import Monomial, complex_of_ideal
-from .linalg import rref
-from .util import binom, poly_mul, poly_shift_basis, poly_trim
+from .linalg import solve
+from .util import binom, poly_add, poly_divmod, poly_mul, poly_pow, poly_shift_basis, poly_trim
 
 
 class HilbertData:
@@ -96,9 +94,8 @@ def hilbert_function(ideal, horizon=None):
         f = f_h_vectors(complex_).f
         numerator = [0]
         for i, fi in enumerate(f):
-            term = poly_mul([0] * i + [fi], _one_minus_t_power(dim - i))
-            numerator = _poly_add(numerator, term)
-        numerator = poly_trim(numerator)
+            term = poly_mul([0] * i + [fi], poly_pow([1, -1], dim - i))
+            numerator = poly_add(numerator, term)
         values = series_values_from_numerator(numerator, dim, horizon)
     coefficients = None
     width = None
@@ -109,37 +106,19 @@ def hilbert_function(ideal, horizon=None):
     return HilbertData(values, dim, codim, numerator, coefficients, width)
 
 
-def _poly_add(p, q):
-    n = max(len(p), len(q))
-    return [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)]
-
-
-def _one_minus_t_power(k):
-    out = [1]
-    for _ in range(k):
-        out = poly_mul(out, [1, -1])
-    return out
-
-
 def _basis_coefficients(numerator, dim, q):
     """Coefficients c with series = sum c_i / (1-t)^(q-i), i.e. the numerator
     rewritten over (1-t)^q and expanded in the (1-t)-power basis."""
     if q >= dim:
-        over_q = poly_mul(list(numerator), _one_minus_t_power(q - dim))
+        over_q = poly_mul(list(numerator), poly_pow([1, -1], q - dim))
     else:
         # series has a pole of order dim; rewriting over (1-t)^q needs exact division
-        over_q, rem = _poly_divmod_unit(list(numerator), _one_minus_t_power(dim - q))
+        over_q, rem = poly_divmod(list(numerator), poly_pow([1, -1], dim - q))
         if any(rem):
             raise InputError("series denominator exponent exceeds q")
     c = poly_shift_basis(over_q)
     width = len(poly_trim(c))
     return poly_trim(c), width
-
-
-def _poly_divmod_unit(p, q):
-    from .util import poly_divmod
-
-    return poly_divmod(p, q)
 
 
 def binomial_form_fit(hdata, q=None):
@@ -210,31 +189,14 @@ def h_binomial_fit(h, q):
         return {"c": (), "cutoff": 0, "fits": True, "d": 0}
     target = h[:cutoff]
     for d in range(1, q + 1):
-        rows = [[Fraction(binom(k + q - l - 1, k)) for l in range(d)] for k in range(cutoff)]
-        solution = _solve_exact(rows, target)
+        rows = [[binom(k + q - l - 1, k) for l in range(d)] for k in range(cutoff)]
+        solution = solve(rows, target)
         if solution is not None:
             return {
-                "c": tuple(solution),
+                "c": tuple(int(v) if v.denominator == 1 else v for v in solution),
                 "cutoff": cutoff,
                 "fits": True,
                 "d": d,
             }
     return {"c": None, "cutoff": cutoff, "fits": False, "d": None}
 
-
-def _solve_exact(rows, rhs):
-    aug = [list(r) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    m, pivots = rref(aug)
-    ncols = len(rows[0])
-    for row in m:
-        if all(v == 0 for v in row[:ncols]) and row[ncols] != 0:
-            return None
-    if pivots and pivots[-1] == ncols:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r][ncols]
-    out = []
-    for v in x:
-        out.append(int(v) if v.denominator == 1 else v)
-    return out

@@ -6,6 +6,7 @@ small; exactness, not speed, is the point here.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from ._kernel import rank_int
 
@@ -14,18 +15,9 @@ def _clear_rows(rows):
     """Scale each row by its denominator lcm so integer-kernel rank applies."""
     out = []
     for row in rows:
-        den = 1
-        for v in row:
-            f = Fraction(v)
-            den = den * f.denominator // _gcd(den, f.denominator)
+        den = lcm(*(Fraction(v).denominator for v in row))
         out.append([int(Fraction(v) * den) for v in row])
     return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def rank_rational(rows):
@@ -110,13 +102,9 @@ def solve(rows, rhs):
 def integer_primitive(vec):
     """Scale a rational vector to coprime integers with positive first nonzero entry."""
     fracs = [Fraction(v) for v in vec]
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // _gcd(den, f.denominator)
+    den = lcm(*(f.denominator for f in fracs))
     ints = [int(f * den) for f in fracs]
-    g = 0
-    for v in ints:
-        g = _gcd(g, abs(v))
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     for v in ints:

@@ -1,6 +1,4 @@
-"""Shared combinatorics helpers: binomials, bitmask subsets, polynomial arithmetic."""
-
-from itertools import combinations
+"""Shared combinatorics helpers: binomials, set families, polynomial arithmetic."""
 
 
 def binom(a, b):
@@ -13,34 +11,6 @@ def binom(a, b):
     for i in range(b):
         num = num * (a - i) // (i + 1)
     return num
-
-
-def popcount(x):
-    return bin(x).count("1")
-
-
-def mask_of(items, pos):
-    """Bitmask of a collection of labels under a label -> bit position map."""
-    m = 0
-    for it in items:
-        m |= 1 << pos[it]
-    return m
-
-
-def bits(mask):
-    """Ascending bit positions set in mask."""
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
-
-
-def subsets_of(seq, size):
-    return combinations(seq, size)
 
 
 def antichain_minimal(sets):

@@ -1,8 +1,9 @@
-"""Kernel backends: exact rank routines and homology against a Fraction oracle.
+"""Exact kernel: rank routines, homology and Hochster sums against independent oracles.
 
-Every importable backend (pure Python, compiled when built) must agree
-with plain Gaussian elimination over Fractions on random matrices, and
-with each other on homology and Hochster summations.
+Ranks must agree with plain Gaussian elimination over Fractions on random
+matrices; homology ranks with the ranks of the uncollapsed boundary
+matrices; Hochster sums with the Taylor oracle on the Stanley-Reisner
+ideal.
 """
 
 import random
@@ -11,9 +12,13 @@ from itertools import combinations
 
 import pytest
 
-from bcres._kernel import backends
+from bcres import _kernel
+from bcres.complexes import SimplicialComplex
+from bcres.ideals import stanley_reisner_ideal
+from bcres.resolutions import TAYLOR_GENERATOR_LIMIT, betti_taylor_oracle
 
-BACKENDS = backends()
+# a single kernel; its id keeps the `[python]` suffix of the existing test names
+KERNEL = pytest.mark.parametrize("impl", [_kernel], ids=[_kernel.BACKEND])
 
 
 def fraction_rank(rows):
@@ -66,7 +71,7 @@ def random_matrix(rng, nr, nc, lo=-3, hi=3):
     return [[rng.randint(lo, hi) for _ in range(nc)] for _ in range(nr)]
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda b: b.BACKEND)
+@KERNEL
 def test_rank_int_random(impl):
     rng = random.Random(1)
     for _ in range(60):
@@ -75,7 +80,7 @@ def test_rank_int_random(impl):
         assert impl.rank_int(m) == fraction_rank(m)
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda b: b.BACKEND)
+@KERNEL
 def test_rank_int_singular_structured(impl):
     m = [[1, 2, 3], [2, 4, 6], [1, 1, 1]]
     assert impl.rank_int(m) == 2
@@ -83,9 +88,9 @@ def test_rank_int_singular_structured(impl):
     assert impl.rank_int([[5]]) == 1
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda b: b.BACKEND)
+@KERNEL
 def test_rank_int_big_values(impl):
-    # entries beyond the int64 fast-path guard must still be exact
+    # Bareiss minors of such entries overflow 64 bits; Python ints keep them exact
     big = 10**25
     m = [[big, 2 * big], [big, big]]
     assert impl.rank_int(m) == 2
@@ -93,7 +98,7 @@ def test_rank_int_big_values(impl):
     assert impl.rank_int(m2) == 1
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda b: b.BACKEND)
+@KERNEL
 @pytest.mark.parametrize("p", [2, 3, 5, 32003])
 def test_rank_mod_p_random(impl, p):
     rng = random.Random(p)
@@ -103,7 +108,7 @@ def test_rank_mod_p_random(impl, p):
         assert impl.rank_mod_p(m, p) == fraction_rank_mod_p(m, p)
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda b: b.BACKEND)
+@KERNEL
 def test_rank_characteristic_difference(impl):
     # rank drops mod 2 on a matrix whose determinant is even
     m = [[1, 1], [1, -1]]
@@ -111,7 +116,7 @@ def test_rank_characteristic_difference(impl):
     assert impl.rank_mod_p(m, 2) == 1
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda b: b.BACKEND)
+@KERNEL
 def test_rank_sparse_matches_dense(impl):
     rng = random.Random(9)
     for _ in range(40):
@@ -147,7 +152,7 @@ HOMOLOGY_CASES = [
 ]
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda b: b.BACKEND)
+@KERNEL
 @pytest.mark.parametrize("facets,expected", HOMOLOGY_CASES)
 def test_homology_known(impl, facets, expected):
     faces = simplex_faces(set().union(*[set(f) for f in facets]) or {0}, facets)
@@ -155,25 +160,68 @@ def test_homology_known(impl, facets, expected):
     assert impl.homology_ranks(faces, 2) == expected
 
 
-def test_backends_agree_on_random_complexes():
-    if len(BACKENDS) < 2:
-        pytest.skip("compiled kernel not built")
-    rng = random.Random(3)
-    for _ in range(15):
-        nverts = rng.randint(3, 7)
+def random_complexes(seed, count, max_verts, max_facet):
+    """(nverts, facets) of seeded random complexes on 3..max_verts vertices."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        nverts = rng.randint(3, max_verts)
         nfacets = rng.randint(1, 6)
         facets = [
-            tuple(sorted(rng.sample(range(nverts), rng.randint(1, nverts))))
+            tuple(sorted(rng.sample(range(nverts), rng.randint(1, min(max_facet, nverts)))))
             for _ in range(nfacets)
         ]
+        yield nverts, facets
+
+
+def dense_two_complexes(seed, count):
+    """Random 2-complexes on 9 vertices whose triangle level exceeds the dense boundary limit."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        facets = [t for t in combinations(range(9), 3) if rng.random() < 0.85]
+        yield 9, facets
+
+
+# facets of any size (mostly simplices), then at most three vertices (nontrivial homology)
+COMPLEXES = list(random_complexes(3, 15, 7, 7)) + list(random_complexes(4, 40, 6, 3))
+
+
+def boundary_homology_oracle(faces, rank):
+    """Reduced homology ranks from the full boundary matrices, with no collapse."""
+    top = len(faces)
+    ranks = [0] * (top + 1)
+    for c in range(1, top):
+        index = {f: i for i, f in enumerate(faces[c - 1])}
+        rows = [[0] * len(faces[c]) for _ in faces[c - 1]]
+        for col, f in enumerate(faces[c]):
+            verts = [v for v in range(f.bit_length()) if f >> v & 1]
+            for pos, v in enumerate(verts):
+                rows[index[f & ~(1 << v)]][col] = (-1) ** pos
+        ranks[c] = rank(rows)
+    return [len(faces[c]) - ranks[c] - ranks[c + 1] for c in range(top)]
+
+
+def test_homology_ranks_match_boundary_matrix_oracle():
+    for nverts, facets in COMPLEXES + list(dense_two_complexes(5, 3)):
+        faces = simplex_faces(range(nverts), facets)
+        assert _kernel.homology_ranks(faces, 0) == boundary_homology_oracle(faces, fraction_rank)
+        for p in (2, 5):
+            assert _kernel.homology_ranks(faces, p) == boundary_homology_oracle(
+                faces, lambda rows: fraction_rank_mod_p(rows, p)
+            )
+
+
+def test_hochster_betti_matches_taylor_oracle():
+    compared = 0
+    for nverts, facets in COMPLEXES:
+        ideal = stanley_reisner_ideal(SimplicialComplex(range(nverts), facets))
+        if len(ideal.gens) > TAYLOR_GENERATOR_LIMIT:
+            continue
         faces = simplex_faces(range(nverts), facets)
         sigmas = list(range(1, 1 << nverts))
-        results = []
-        for impl in BACKENDS:
-            hr = [impl.homology_ranks(faces, p) for p in (0, 2, 5)]
-            hb = impl.hochster_betti(nverts, faces, sigmas, 0)
-            results.append((hr, hb))
-        assert all(r == results[0] for r in results[1:])
+        for p in (0, 2):
+            assert _kernel.hochster_betti(nverts, faces, sigmas, p) == betti_taylor_oracle(ideal, p).entries
+        compared += 1
+    assert compared >= 50
 
 
 def test_projective_plane_characteristic_dependence():
@@ -183,6 +231,5 @@ def test_projective_plane_characteristic_dependence():
         (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
     ]
     faces = simplex_faces(range(6), facets)
-    for impl in BACKENDS:
-        assert impl.homology_ranks(faces, 0) == [0, 0, 0, 0]
-        assert impl.homology_ranks(faces, 2) == [0, 0, 1, 1]
+    assert _kernel.homology_ranks(faces, 0) == [0, 0, 0, 0]
+    assert _kernel.homology_ranks(faces, 2) == [0, 0, 1, 1]
