@@ -4,6 +4,12 @@ The hot kernels of bcres: exact integer matrix rank
 (fraction-free Bareiss elimination), rank over GF(p), reduced simplicial
 homology ranks from bitmask face lists, and the Hochster summation over
 vertex subsets.
+
+Homology collapses free faces first and ranks every remaining boundary
+matrix with `rank_sparse`.  Its pivot rule: a shortest live row holding a
+usable entry (any nonzero over GF(p), +-1 in characteristic 0), at that
+row's column with the fewest live entries.  Characteristic 0 falls back to
+Bareiss only on a core with no unit entry left.
 """
 
 BACKEND = "python"
@@ -88,37 +94,45 @@ def rank_mod_p(rows, p):
 def rank_sparse(entries, characteristic):
     """Exact rank of a sparse integer matrix given as {(row, col): value}.
 
-    Elimination prefers unit pivots with a Markowitz-style fill estimate,
-    which keeps all arithmetic in the integers; if no unit entry remains
-    (impossible over GF(p) after rescaling) the leftover core is handed to
-    dense fraction-free elimination.
+    Pivot rule: live rows sit in buckets by length, and each step pivots on
+    a shortest row holding a usable entry (any nonzero over GF(p), +-1 in
+    characteristic 0), at that row's column with the fewest live entries.
+    Choosing a pivot thus costs one row scan, not a pass over every entry.
+    Elimination by unit pivots keeps all arithmetic in the integers; if no
+    unit entry remains (impossible over GF(p)) the leftover core is handed
+    to dense fraction-free elimination.
     """
+    p = characteristic
     rows = {}
     cols = {}
     for (r, c), v in entries.items():
-        if characteristic:
-            v %= characteristic
+        if p:
+            v %= p
         if v:
             rows.setdefault(r, {})[c] = v
             cols.setdefault(c, set()).add(r)
+    buckets = {}
+    for r, row in rows.items():
+        buckets.setdefault(len(row), set()).add(r)
+
+    def unbucket(r, length):
+        bucket = buckets[length]
+        bucket.discard(r)
+        if not bucket:
+            del buckets[length]
+
     rank = 0
     while rows:
-        best = None
-        best_score = None
-        for r, row in rows.items():
-            rlen = len(row) - 1
-            for c, v in row.items():
-                if characteristic == 0 and v != 1 and v != -1:
-                    continue
-                score = rlen * (len(cols[c]) - 1)
-                if best_score is None or score < best_score:
-                    best = (r, c)
-                    best_score = score
-                    if score == 0:
-                        break
-            if best_score == 0:
+        r0 = None
+        for length in sorted(buckets):
+            for r in buckets[length]:
+                usable = rows[r] if p else [c for c, v in rows[r].items() if v == 1 or v == -1]
+                if usable:
+                    r0, c0 = r, min(usable, key=lambda c: len(cols[c]))
+                    break
+            if r0 is not None:
                 break
-        if best is None:
+        if r0 is None:
             # no unit pivot left: dense fraction-free pass on the remaining core
             live_rows = sorted(rows)
             live_cols = sorted({c for row in rows.values() for c in row})
@@ -128,39 +142,36 @@ def rank_sparse(entries, characteristic):
                 for c, v in rows[r].items():
                     dense[i][cix[c]] = v
             return rank + rank_int(dense)
-        r0, c0 = best
         piv_row = rows.pop(r0)
+        unbucket(r0, len(piv_row))
         piv = piv_row[c0]
-        if characteristic:
-            inv = pow(piv, characteristic - 2, characteristic)
-        else:
-            inv = piv  # piv is +-1
+        inv = pow(piv, p - 2, p) if p else piv  # in characteristic 0, piv is +-1
         for c in piv_row:
             cols[c].discard(r0)
-        for r in list(cols.get(c0, ())):
+        for r in cols.pop(c0):
             row = rows[r]
-            f = row[c0] * inv
-            if characteristic:
-                f %= characteristic
+            unbucket(r, len(row))
+            f = row.pop(c0) * inv
+            if p:
+                f %= p
             for c, v in piv_row.items():
+                if c == c0:
+                    continue
                 cur = row.get(c, 0) - f * v
-                if characteristic:
-                    cur %= characteristic
+                if p:
+                    cur %= p
                 if cur:
                     row[c] = cur
-                    cols.setdefault(c, set()).add(r)
-                else:
-                    if c in row:
-                        del row[c]
-                        cols[c].discard(r)
-            if not row:
+                    cols[c].add(r)
+                elif c in row:
+                    del row[c]
+                    cols[c].discard(r)
+            if row:
+                buckets.setdefault(len(row), set()).add(r)
+            else:
                 del rows[r]
-        cols.pop(c0, None)
         rank += 1
     return rank
-
-
-DENSE_BOUNDARY_LIMIT = 64  # side length above which the sparse path takes over
 
 
 def _boundary_rank(lower, upper, characteristic):
@@ -168,87 +179,66 @@ def _boundary_rank(lower, upper, characteristic):
     if not lower or not upper:
         return 0
     index = {f: i for i, f in enumerate(lower)}
-    if len(lower) > DENSE_BOUNDARY_LIMIT or len(upper) > DENSE_BOUNDARY_LIMIT:
-        entries = {}
-        for col, f in enumerate(upper):
-            sign = 1
-            rest = f
-            while rest:
-                low = rest & (-rest)
-                entries[(index[f ^ low], col)] = sign
-                sign = -sign
-                rest ^= low
-        return rank_sparse(entries, characteristic)
-    ncols = len(upper)
-    rows = [[0] * ncols for _ in lower]
+    entries = {}
     for col, f in enumerate(upper):
         sign = 1
         rest = f
         while rest:
             low = rest & (-rest)
-            rows[index[f ^ low]][col] = sign
+            entries[(index[f ^ low], col)] = sign
             sign = -sign
             rest ^= low
-    if characteristic:
-        return rank_mod_p(rows, characteristic)
-    return rank_int(rows)
+    return rank_sparse(entries, characteristic)
 
 
 def _collapse(faces_by_size):
     """Remove free face pairs (elementary collapses); homotopy type is preserved.
 
     A face f with exactly one one-level-up coface g, where g itself has
-    none, is collapsed together with g.  The surviving face sets stay
-    closed under taking subsets, so boundary ranks on the remainder give
-    the reduced homology of the original complex.
+    none, is collapsed together with g.  Each live face maps to [count, xor]
+    of its live one-level-up cofaces; when the count is 1 the XOR of their
+    masks is the coface itself.  The surviving face sets stay closed under
+    taking subsets, so boundary ranks on the remainder give the reduced
+    homology of the original complex.
     """
     top = len(faces_by_size)
-    present = [set(level) for level in faces_by_size]
-    counts = [dict.fromkeys(level, 0) for level in faces_by_size]
-    nbits = 0
-    for level in faces_by_size:
-        for f in level:
-            nbits = max(nbits, f.bit_length())
+    live = [{f: [0, 0] for f in level} for level in faces_by_size]
     for c in range(1, top):
-        for g in present[c]:
+        below = live[c - 1]
+        for g in faces_by_size[c]:
             rest = g
             while rest:
                 low = rest & (-rest)
-                counts[c - 1][g ^ low] += 1
+                cof = below[g ^ low]
+                cof[0] += 1
+                cof[1] ^= g
                 rest ^= low
 
-    def unique_coface(f, c):
-        if c + 1 >= top:
-            return None
-        for b in range(nbits):
-            bit = 1 << b
-            if not f & bit and f | bit in present[c + 1]:
-                return f | bit
-        return None
-
-    queue = [(c, f) for c in range(top) for f in sorted(present[c]) if counts[c][f] == 1]
+    queue = [(c, f) for c in range(top) for f in sorted(live[c]) if live[c][f][0] == 1]
     while queue:
         c, f = queue.pop()
-        if f not in present[c] or counts[c][f] != 1:
+        cof = live[c].get(f)
+        if cof is None or cof[0] != 1 or live[c + 1][cof[1]][0] != 0:
             continue
-        g = unique_coface(f, c)
-        if g is None or counts[c + 1][g] != 0:
-            continue
-        present[c].remove(f)
-        present[c + 1].remove(g)
+        g = cof[1]
+        del live[c][f]
+        del live[c + 1][g]
         for level, face in ((c, f), (c + 1, g)):
             if level == 0:
                 continue
+            below = live[level - 1]
             rest = face
             while rest:
                 low = rest & (-rest)
                 sub = face ^ low
-                if sub in present[level - 1]:
-                    counts[level - 1][sub] -= 1
-                    if counts[level - 1][sub] == 1:
+                cof = below.get(sub)
+                if cof is not None:
+                    cof[0] -= 1
+                    cof[1] ^= face
+                    if cof[0] == 1:
                         queue.append((level - 1, sub))
                 rest ^= low
-    return [sorted(level) for level in present]
+    return [sorted(level) for level in live]
 
 
 def homology_ranks(faces_by_size, characteristic):

@@ -7,9 +7,10 @@ minimal broken circuits of the cycle matroid are pairwise disjoint.
 """
 
 from itertools import product
+from math import prod
 
 from .complexes import SimplicialComplex, bc_complex
-from .errors import InputError
+from .errors import BoundError, InputError
 from .ideals import facet_ideal, stanley_reisner_ideal
 from .matroid import Matroid, normalize_order, simple_cycle_edge_sets
 
@@ -109,8 +110,23 @@ def build_gnr(cycle_sizes, bridges=None):
     return Graph(edges)
 
 
+# facets of gnr_complex, one per choice of an edge in every cycle; the facet
+# ideal's minimalization is quadratic in their number
+GNR_FACET_LIMIT = 2048
+
+
 def gnr_complex(graph, cycles):
-    """Facet family from removing one edge of every cycle, over all choices."""
+    """Facet family from removing one edge of every cycle, over all choices.
+
+    The choices number the product of the cycle lengths; above
+    GNR_FACET_LIMIT this raises BoundError before enumerating any.
+    """
+    choices = prod(len(c) for c in cycles)
+    if choices > GNR_FACET_LIMIT:
+        raise BoundError(
+            "%d cycles give %d edge choices, above the limit %d"
+            % (len(cycles), choices, GNR_FACET_LIMIT)
+        )
     labels = graph.edge_labels
     all_edges = set(labels)
     facets = []

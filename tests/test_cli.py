@@ -1,6 +1,7 @@
 """CLI contract: schemas, dispatch, rendering, determinism, exit codes."""
 
 import json
+from itertools import combinations
 
 import pytest
 
@@ -118,6 +119,14 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["stratify", str(big)]) == 2
     err = capsys.readouterr().err
     assert "inconclusive" in err
+
+
+def test_graph_command_exits_2_on_k5(tmp_path, capsys):
+    k5 = tmp_path / "k5.json"
+    edges = [list(e) for e in combinations(range(5), 2)]
+    k5.write_text(json.dumps({"kind": "graph", "payload": {"edges": edges}}))
+    assert main(["graph", str(k5)]) == 2
+    assert "edge choices" in capsys.readouterr().err
 
 
 def test_main_order_flag(tmp_path, capsys):

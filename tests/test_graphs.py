@@ -1,9 +1,13 @@
 """Cycle matroids, r-cycle graph construction, complete-intersection reports."""
 
+import time
+from itertools import combinations
+
 import pytest
 
-from bcres.errors import InputError
-from bcres.graphs import Graph, build_gnr, cycle_matroid, gnr_report
+from bcres import graphs
+from bcres.errors import BoundError, InputError
+from bcres.graphs import Graph, build_gnr, cycle_matroid, gnr_complex, gnr_report
 from bcres.matroid import uniform_matroid
 
 
@@ -143,3 +147,22 @@ def test_gnr_pairwise_disjoint_implies_ci():
 def test_selfloop_report():
     rep = gnr_report(Graph([(1, 1), (1, 2)]))
     assert rep["verdict"].startswith("not applicable")
+
+
+def test_gnr_report_bounds_the_cycle_product():
+    # K5 has 37 cycles; one facet per edge choice would be about 1.5e22 facets
+    k5 = Graph(list(combinations(range(5), 2)))
+    start = time.perf_counter()
+    with pytest.raises(BoundError, match="edge choices"):
+        gnr_report(k5)
+    assert time.perf_counter() - start < 5.0
+
+
+def test_gnr_complex_limit_is_inclusive(monkeypatch):
+    g = build_gnr([3, 3])
+    cycles = cycle_matroid(g).circuits
+    monkeypatch.setattr(graphs, "GNR_FACET_LIMIT", 9)
+    assert len(gnr_complex(g, cycles).facets) == 9
+    monkeypatch.setattr(graphs, "GNR_FACET_LIMIT", 8)
+    with pytest.raises(BoundError):
+        gnr_complex(g, cycles)

@@ -11,6 +11,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcres import _kernel
 from bcres.complexes import SimplicialComplex
@@ -127,6 +129,56 @@ def test_rank_sparse_matches_dense(impl):
         assert impl.rank_sparse(entries, 3) == fraction_rank_mod_p(m, 3)
 
 
+@st.composite
+def sparse_matrices(draw, values, coefficients):
+    """(dense rows, sparse entries) of a random matrix up to 40 x 40.
+
+    Sparse base rows get entries from `values`; every row of the matrix is
+    ca * base_a + cb * base_b for (ca, cb) in `coefficients`.  The rows thus
+    depend on each other, and an elimination step with a wrong multiplier
+    changes the rank.
+    """
+    nr = draw(st.integers(1, 40))
+    nc = draw(st.integers(1, 40))
+    cell = st.tuples(st.integers(0, nc - 1), st.sampled_from(values))
+    base = []
+    for _ in range(draw(st.integers(1, nr))):
+        row = [0] * nc
+        for c, v in draw(st.lists(cell, min_size=1, max_size=8)):
+            row[c] = v
+        base.append(row)
+    index = st.integers(0, len(base) - 1)
+    pick = st.tuples(index, index, st.sampled_from(coefficients))
+    picks = draw(st.lists(pick, min_size=nr, max_size=nr))
+    rows = [[ca * x + cb * y for x, y in zip(base[a], base[b])] for a, b, (ca, cb) in picks]
+    entries = {(r, c): v for r, vs in enumerate(rows) for c, v in enumerate(vs) if v}
+    return rows, entries
+
+
+# entries vanishing mod 2, 3 or 32003 (6, 32003) exercise the reduction to GF(p)
+@settings(max_examples=100, deadline=None)
+@given(
+    sparse_matrices(
+        [1, -1, 1, -1, 2, -2, 3, 5, 6, 32003],
+        [(1, 0), (1, 1), (1, -1), (1, 2), (2, 0), (3, 0)],
+    ),
+    st.sampled_from([0, 2, 3, 32003]),
+)
+def test_rank_sparse_property(matrix, p):
+    rows, entries = matrix
+    expected = fraction_rank_mod_p(rows, p) if p else fraction_rank(rows)
+    assert _kernel.rank_sparse(entries, p) == expected
+
+
+# no +-1 entry, so in characteristic 0 the whole matrix goes to the rank_int fallback
+@settings(max_examples=50, deadline=None)
+@given(sparse_matrices([2, -2, 3], [(1, 0), (-1, 0), (2, 2)]))
+def test_rank_sparse_no_unit_fallback(matrix):
+    rows, entries = matrix
+    assert not any(v in (1, -1) for v in entries.values())
+    assert _kernel.rank_sparse(entries, 0) == fraction_rank(rows)
+
+
 def simplex_faces(vertices, facets):
     levels = {}
     for facet in facets:
@@ -174,7 +226,7 @@ def random_complexes(seed, count, max_verts, max_facet):
 
 
 def dense_two_complexes(seed, count):
-    """Random 2-complexes on 9 vertices whose triangle level exceeds the dense boundary limit."""
+    """Random 2-complexes on 9 vertices: about 71 of the 84 triangles, so large boundary matrices."""
     rng = random.Random(seed)
     for _ in range(count):
         facets = [t for t in combinations(range(9), 3) if rng.random() < 0.85]
