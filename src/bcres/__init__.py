@@ -40,6 +40,7 @@ from .hilbert import (
 from .ideals import (
     Monomial,
     MonomialIdeal,
+    broken_circuit_ideal,
     colon_ideal,
     complete_intersection_check,
     complex_of_ideal,

@@ -3,7 +3,11 @@
 The hot kernels of bcres: exact integer matrix rank
 (fraction-free Bareiss elimination), rank over GF(p), reduced simplicial
 homology ranks from bitmask face lists, and the Hochster summation over
-vertex subsets.
+the lcm lattice.
+
+The Hochster summation takes the dual form of the formula: for each vertex
+subset sigma it ranks the link of sigma's complement in the Alexander dual,
+one cell per nonface inside sigma, never the induced subcomplex.
 
 Homology collapses free faces first and ranks every remaining boundary
 matrix with `rank_sparse`.  Its pivot rule: a shortest live row holding a
@@ -265,35 +269,28 @@ def homology_ranks(faces_by_size, characteristic):
 def hochster_betti(nvars, faces_by_size, sigmas, characteristic):
     """Graded Betti numbers of a squarefree monomial ideal from its Stanley-Reisner complex.
 
-    faces_by_size describes the full complex on `nvars` vertices (bit i =
-    variable i); sigmas lists the vertex-subset masks to visit (the caller
-    restricts to the lcm lattice, where all Betti multidegrees live).  For
-    each sigma the reduced homology of the induced subcomplex in dimension
-    |sigma| - i - 2 contributes to beta_{i, |sigma|}.
+    faces_by_size describes the full, non-void complex on `nvars` vertices
+    (bit i = variable i); sigmas lists the vertex-subset masks to visit (the
+    caller restricts to the lcm lattice, where all Betti multidegrees live).
+    Each sigma is ranked by the dual Hochster formula (Miller-Sturmfels):
+    the link L = {sigma - N : N a nonface inside sigma} of sigma's
+    complement in the Alexander dual has reduced homology in dimension
+    i - 1 equal to beta_{i, sigma}.  L has one cell per nonface inside
+    sigma, and a sigma that is a face contributes nothing.
     """
+    faces = set().union(*faces_by_size)
     betti = {}
-    top = len(faces_by_size)
     for sigma in sigmas:
-        size = bin(sigma).count("1")
-        if size == 0:
-            continue
-        if size == 1:
-            # a single vertex reaches i = 0 only as a ghost (degree-1 generator)
-            if faces_by_size[0] and (top <= 1 or sigma not in faces_by_size[1]):
-                betti[(0, 1)] = betti.get((0, 1), 0) + 1
-            continue
-        induced = []
-        for c in range(min(size + 1, top)):
-            induced.append([f for f in faces_by_size[c] if f & ~sigma == 0])
-        while induced and not induced[-1]:
-            induced.pop()
-        if not induced:
-            continue
-        hr = homology_ranks(induced, characteristic)
-        for c, rk in enumerate(hr):
+        if sigma in faces:
+            continue  # the induced subcomplex is a simplex
+        size = sigma.bit_count()
+        link = [[] for _ in range(size)]
+        sub = sigma
+        while sub:  # the empty set is a face, so it never yields a cell
+            if sub not in faces:
+                link[size - sub.bit_count()].append(sigma ^ sub)
+            sub = (sub - 1) & sigma
+        for i, rk in enumerate(homology_ranks(link, characteristic)):
             if rk:
-                i = size - c - 1
-                if i >= 0:
-                    key = (i, size)
-                    betti[key] = betti.get(key, 0) + rk
+                betti[(i, size)] = betti.get((i, size), 0) + rk
     return betti

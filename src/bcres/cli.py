@@ -31,9 +31,9 @@ from .hilbert import binomial_form_fit, h_binomial_fit, hilbert_function, linear
 from .ideals import (
     MonomialIdeal,
     Monomial,
+    broken_circuit_ideal,
     complete_intersection_check,
     quotients_analysis,
-    stanley_reisner_ideal,
 )
 from .matroid import build_matroid, normalize_order
 from .resolutions import betti_table, classify_linearity
@@ -135,9 +135,7 @@ def _matroid_of(doc, options):
 def _bc_ideal(doc, options):
     if doc.kind == "ideal":
         return materialize(doc)
-    matroid = _matroid_of(doc, options)
-    order = normalize_order(matroid, doc.order)
-    return stanley_reisner_ideal(bc_complex(matroid, order))
+    return broken_circuit_ideal(_matroid_of(doc, options), doc.order)
 
 
 # -- command handlers -------------------------------------------------------

@@ -11,10 +11,10 @@ from .complexes import bc_complex, f_h_vectors, independence_complex
 from .errors import BoundError, LoopError
 from .hilbert import h_binomial_fit, hilbert_function, linear_value_criterion
 from .ideals import (
+    broken_circuit_ideal,
     ordered_colon_ideals,
     power_ideal,
     quotients_analysis,
-    stanley_reisner_ideal,
 )
 from .matroid import normalize_order
 from .resolutions import (
@@ -171,7 +171,7 @@ def generalized_bound_check(matroid, coefficients=None, order=None):
     reported without asserting either.
     """
     bc = bc_complex(matroid, order)
-    ideal = stanley_reisner_ideal(bc)
+    ideal = broken_circuit_ideal(matroid, order)
     n, r = len(matroid.ground), matroid.rank
     q = n - r
     h = f_h_vectors(bc).h
@@ -296,7 +296,7 @@ def cross_validate(matroid, order=None, characteristic=0, max_power=3):
     order = normalize_order(matroid, order)
     report = {"n": len(matroid.ground), "rank": matroid.rank}
     bc = bc_complex(matroid, order)
-    ideal = stanley_reisner_ideal(bc)
+    ideal = broken_circuit_ideal(matroid, order)
     report["ideal"] = ideal.render()
 
     try:

@@ -9,10 +9,10 @@ minimal broken circuits of the cycle matroid are pairwise disjoint.
 from itertools import product
 from math import prod
 
-from .complexes import SimplicialComplex, bc_complex
+from .complexes import SimplicialComplex
 from .errors import BoundError, InputError
-from .ideals import facet_ideal, stanley_reisner_ideal
-from .matroid import Matroid, normalize_order, simple_cycle_edge_sets
+from .ideals import broken_circuit_ideal, facet_ideal
+from .matroid import Matroid, simple_cycle_edge_sets
 
 
 class Graph:
@@ -157,8 +157,7 @@ def gnr_report(graph, order=None):
     if not matroid.is_loopless:
         report["verdict"] = "not applicable: graph has a self-loop"
         return report
-    order = normalize_order(matroid, order)
-    ideal = stanley_reisner_ideal(bc_complex(matroid, order))
+    ideal = broken_circuit_ideal(matroid, order)
     report["broken_circuit_ideal"] = ideal.render()
     ci = complete_intersection_check(ideal)
     report["complete_intersection"] = ci

@@ -1,6 +1,6 @@
-"""Monomial ideals: Stanley-Reisner and facet ideals, colon ideals, quotient
-linearity search, complete-intersection test, polarization, degree components
-and powers.
+"""Monomial ideals: Stanley-Reisner, broken-circuit and facet ideals, colon
+ideals, quotient linearity search, complete-intersection test, polarization,
+degree components and powers.
 
 Monomials are dense exponent tuples over the ideal's named variables;
 generator lists are kept minimal (no generator divides another) under
@@ -91,8 +91,12 @@ def minimalize(monomials):
     """Minimal generators: drop every monomial divisible by another."""
     by_degree = sorted(set(monomials), key=lambda m: (m.degree, _word(m)))
     keep = []
+    lower = 0  # keep[:lower] are the kept monomials of lower degree than m
     for m in by_degree:
-        if not any(k.divides(m) for k in keep):
+        while lower < len(keep) and keep[lower].degree < m.degree:
+            lower += 1
+        # a distinct monomial of the same degree never divides m
+        if not any(k.divides(m) for k in keep[:lower]):
             keep.append(m)
     return tuple(keep)
 
@@ -227,6 +231,16 @@ def stanley_reisner_ideal(complex_):
                 nonfaces.append(s)
     index = {v: i for i, v in enumerate(verts)}
     return ideal_from_supports(names, [{index[v] for v in nf} for nf in nonfaces])
+
+
+def broken_circuit_ideal(matroid, order=None):
+    """Stanley-Reisner ideal of the broken-circuit complex, straight from the
+    minimal broken circuits (its minimal nonfaces), one variable per element."""
+    index = {e: i for i, e in enumerate(matroid.ground)}
+    return ideal_from_supports(
+        [var_name(e) for e in matroid.ground],
+        [{index[e] for e in b} for b in matroid.broken_circuits(order)],
+    )
 
 
 def facet_ideal(complex_):

@@ -2,9 +2,10 @@
 
 Two independent routes are kept side by side and are never merged:
 
-* betti_hochster   - squarefree ideals; sums reduced homology ranks of
-                     induced subcomplexes of the Stanley-Reisner complex
-                     over all vertex subsets (the hot path, kernel-backed).
+* betti_hochster   - squarefree ideals; sums, over the lcm lattice, the
+                     reduced homology ranks of the links of the Alexander
+                     dual of the Stanley-Reisner complex (the dual form of
+                     Hochster's formula; the hot path, kernel-backed).
 * betti_taylor_oracle - any monomial ideal with few generators; homology
                      of the Taylor complex tensored down to the residue
                      field, split by multidegree.
@@ -139,13 +140,33 @@ def rows_consecutive_only(table):
 # -- Hochster route ------------------------------------------------------------
 
 
+def _nonface_sieve(nvars, support_masks):
+    """One byte per vertex mask: 1 if the mask contains a generator support
+    (a nonface of the Stanley-Reisner complex), else 0.
+
+    The supports are marked, then closed upwards one variable at a time.
+    With the bytes packed into one integer, a single shift moves every mask
+    without variable i onto the mask with it.
+    """
+    size = 1 << nvars
+    marks = bytearray(size)
+    for g in support_masks:
+        marks[g] = 1
+    sieve = int.from_bytes(marks, "little")
+    for i in range(nvars):
+        step = 1 << i
+        without_i = int.from_bytes((b"\x01" * step + b"\x00" * step) * (size >> (i + 1)), "little")
+        sieve |= (sieve & without_i) << 8 * step
+    return sieve.to_bytes(size, "little")
+
+
 def _faces_by_size_from_supports(nvars, support_masks):
     """Bitmask face lists of the Stanley-Reisner complex of a squarefree ideal."""
+    nonface = _nonface_sieve(nvars, support_masks)
     faces = [[] for _ in range(nvars + 1)]
     for mask in range(1 << nvars):
-        if any(g & mask == g for g in support_masks):
-            continue
-        faces[bin(mask).count("1")].append(mask)
+        if not nonface[mask]:
+            faces[mask.bit_count()].append(mask)
     while len(faces) > 1 and not faces[-1]:
         faces.pop()
     return faces
@@ -168,7 +189,7 @@ def _lcm_lattice_masks(support_masks):
 
 
 def betti_hochster(ideal, characteristic=0):
-    """Graded Betti table of a squarefree monomial ideal via induced-subcomplex homology.
+    """Graded Betti table of a squarefree monomial ideal via Hochster's formula.
 
     The summation runs over the lcm lattice of the generators only; every
     other vertex subset contributes zero.
@@ -295,11 +316,11 @@ def _squarefree_components(ideal):
     support mask of some generator.
     """
     n = ideal.nvars
-    supports = ideal.support_masks()
+    nonface = _nonface_sieve(n, ideal.support_masks())
     comps = {d: [] for d in range(ideal.indeg(), ideal.maxdeg() + 1)}
     for mask in range(1 << n):
-        comp = comps.get(bin(mask).count("1"))
-        if comp is not None and any(g & mask == g for g in supports):
+        comp = comps.get(mask.bit_count())
+        if comp is not None and nonface[mask]:
             comp.append([i for i in range(n) if mask >> i & 1])
     return comps
 

@@ -131,6 +131,7 @@ def test_gnr_bc_ideal_matches_broken_circuits():
             frozenset(ideal.names[i] for i in g.support) for g in ideal.gens
         }
         assert got == supports
+        assert gnr_report(g)["broken_circuit_ideal"] == ideal.render()
 
 
 def test_gnr_pairwise_disjoint_implies_ci():
@@ -156,6 +157,16 @@ def test_gnr_report_bounds_the_cycle_product():
     with pytest.raises(BoundError, match="edge choices"):
         gnr_report(k5)
     assert time.perf_counter() - start < 5.0
+
+
+def test_gnr_report_many_edges_few_cycles():
+    # five edge-disjoint 4-cycles: 20 edges, so the ideal must not come from
+    # a pass over all 2^20 edge subsets
+    start = time.perf_counter()
+    rep = gnr_report(build_gnr([4] * 5))
+    assert time.perf_counter() - start < 2.0
+    assert rep["edges"] == 20
+    assert rep["complete_intersection"] is True
 
 
 def test_gnr_complex_limit_is_inclusive(monkeypatch):

@@ -3,18 +3,23 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcres.complexes import SimplicialComplex, bc_complex
+from bcres.corpus import standard_corpus
 from bcres.errors import InputError
 from bcres.ideals import (
     Monomial,
     MonomialIdeal,
+    broken_circuit_ideal,
     colon_ideal,
     complete_intersection_check,
     complex_of_ideal,
     component_ideal,
     facet_ideal,
     ideal_from_supports,
+    minimalize,
     ordered_colon_ideals,
     polarize,
     power_ideal,
@@ -52,6 +57,21 @@ def test_minimal_generators_maintained():
     assert len(i.gens) == 2
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=12)
+    )
+)
+def test_minimalize_matches_brute_force(exps):
+    monomials = [Monomial(e) for e in exps]
+    kept = minimalize(monomials)
+    brute = {m for m in monomials if not any(n != m and n.divides(m) for n in monomials)}
+    assert set(kept) == brute and len(kept) == len(brute)
+    word = lambda m: tuple(i for i, e in enumerate(m.exps) for _ in range(e))
+    assert list(kept) == sorted(kept, key=lambda m: (m.degree, word(m)))
+
+
 def test_stanley_reisner_u24(u24):
     i = stanley_reisner_ideal(bc_complex(u24))
     assert i == ideal(V4, (0, 1, 1, 0), (0, 1, 0, 1), (0, 0, 1, 1))
@@ -68,6 +88,12 @@ def test_stanley_reisner_golden(golden_ideal):
 def test_stanley_reisner_full_simplex():
     c = SimplicialComplex((1, 2, 3), [{1, 2, 3}])
     assert stanley_reisner_ideal(c).is_zero
+
+
+def test_broken_circuit_ideal_matches_stanley_reisner_route():
+    for name, m in standard_corpus(0):
+        for order in (None, tuple(reversed(m.ground))):
+            assert broken_circuit_ideal(m, order) == stanley_reisner_ideal(bc_complex(m, order)), name
 
 
 def test_facet_ideal():

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from bcres import _kernel
 from bcres.complexes import SimplicialComplex
-from bcres.ideals import stanley_reisner_ideal
-from bcres.resolutions import TAYLOR_GENERATOR_LIMIT, betti_taylor_oracle
+from bcres.ideals import ideal_from_supports, stanley_reisner_ideal
+from bcres.resolutions import TAYLOR_GENERATOR_LIMIT, betti_hochster, betti_taylor_oracle
+from test_resolutions import squarefree_ideals
 
 # a single kernel; its id keeps the `[python]` suffix of the existing test names
 KERNEL = pytest.mark.parametrize("impl", [_kernel], ids=[_kernel.BACKEND])
@@ -276,12 +277,40 @@ def test_hochster_betti_matches_taylor_oracle():
     assert compared >= 50
 
 
+@settings(max_examples=100, deadline=None)
+@given(squarefree_ideals())
+def test_betti_hochster_matches_taylor_property(ideal):
+    for p in (0, 2):
+        assert betti_hochster(ideal, p) == betti_taylor_oracle(ideal, p), ideal.render()
+
+
+# minimal RP^2 triangulation: H~_1 has 2-torsion, so GF(2) ranks differ from Q
+RP2_FACETS = [
+    (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
+    (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
+]
+
+
 def test_projective_plane_characteristic_dependence():
-    # minimal RP^2 triangulation: H~_1 has 2-torsion, so GF(2) ranks differ from Q
-    facets = [
-        (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
-        (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
-    ]
-    faces = simplex_faces(range(6), facets)
+    faces = simplex_faces(range(6), RP2_FACETS)
     assert _kernel.homology_ranks(faces, 0) == [0, 0, 0, 0]
     assert _kernel.homology_ranks(faces, 2) == [0, 0, 1, 1]
+
+
+def test_projective_plane_ideal_betti_depends_on_characteristic():
+    ideal = stanley_reisner_ideal(SimplicialComplex(range(6), RP2_FACETS))
+    assert len(ideal.gens) == 10  # the triangles that are not facets
+    faces = simplex_faces(range(6), RP2_FACETS)
+    sigmas = list(range(1, 1 << 6))
+    tables = {p: _kernel.hochster_betti(6, faces, sigmas, p) for p in (0, 2)}
+    assert tables[0] != tables[2]
+    for p, table in tables.items():
+        assert table == betti_taylor_oracle(ideal, p).entries
+
+
+def test_hochster_one_generator_of_degree_12():
+    # at sigma = the generator the induced subcomplex is the boundary of an
+    # 11-simplex (4,095 faces, none free); its dual link is {empty face}
+    ideal = ideal_from_supports(["x%d" % i for i in range(13)], [range(12)])
+    for p in (0, 2):
+        assert betti_hochster(ideal, p).entries == {(0, 12): 1}

@@ -27,6 +27,8 @@ from bcres.ideals import (
 from bcres.matroid import uniform_matroid
 from bcres.resolutions import (
     BettiTable,
+    _faces_by_size_from_supports,
+    _nonface_sieve,
     _polarized_componentwise_check,
     betti_hochster,
     betti_table,
@@ -218,6 +220,17 @@ def squarefree_ideals(draw):
     support = st.sets(st.integers(0, n - 1), min_size=1, max_size=4)
     supports = draw(st.lists(support, min_size=2, max_size=6))
     return ideal_from_supports(tuple("x%d" % i for i in range(1, n + 1)), supports)
+
+
+@settings(max_examples=100, deadline=None)
+@given(squarefree_ideals())
+def test_nonface_sieve_matches_support_containment(i):
+    supports = i.support_masks()
+    sieve = _nonface_sieve(i.nvars, supports)
+    nonfaces = [mask for mask in range(1 << i.nvars) if any(g & mask == g for g in supports)]
+    assert [mask for mask, bit in enumerate(sieve) if bit] == nonfaces
+    faces = [mask for level in _faces_by_size_from_supports(i.nvars, supports) for mask in level]
+    assert sorted(faces) == sorted(set(range(1 << i.nvars)) - set(nonfaces))
 
 
 @settings(max_examples=100, deadline=None)
