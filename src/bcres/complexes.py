@@ -1,64 +1,86 @@
 """Simplicial complexes: broken-circuit and independence complexes, f/h-vectors,
 induced subcomplexes and exact reduced homology ranks.
 
-Complexes are stored by their facet antichain over an ordered vertex list.
+A complex is its vertex tuple plus its facets as bitmasks over vertex
+positions; faces are the facets' submasks, so no 2^n table is built.
 Vertices missing from every facet are legal (ghost vertices); the empty
 complex {()} and the void complex (no faces at all) are distinguished
-because reduced homology in dimension -1 matters downstream.
+because reduced homology in dimension -1 matters downstream.  Both
+Stanley-Reisner directions are one Alexander-duality step through
+util.minimal_transversals: facets are the complements of the minimal
+transversals of the minimal nonfaces, and minimal nonfaces are the minimal
+transversals of the facet complements.  The Betti route keeps its own face
+lists (resolutions._nonface_sieve): it starts from generator supports, not
+facets, and is capped by HOCHSTER_VARIABLE_LIMIT.
 """
-
-from itertools import combinations
 
 from . import _kernel
 from .errors import InputError, LoopError
 from .matroid import normalize_order
-from .util import antichain_maximal, binom, minimal_transversals, sorted_sets
+from .util import binom, bits, minimal_transversals, sorted_sets
 
 
 class SimplicialComplex:
     """Facet-listed complex; facets=[frozenset()] is the empty complex, [] the void one."""
 
-    __slots__ = ("vertices", "facets", "_pos")
+    __slots__ = ("vertices", "facet_masks")
 
     def __init__(self, vertices, facets):
         vertices = tuple(vertices)
         if len(set(vertices)) != len(vertices):
             raise InputError("duplicate vertices")
-        known = set(vertices)
-        fam = []
+        pos = {v: i for i, v in enumerate(vertices)}
+        masks = []
         for f in facets:
-            fs = frozenset(f)
-            if not fs <= known:
+            f = frozenset(f)
+            if not f <= pos.keys():
                 raise InputError("facet %r uses unknown vertices" % (sorted(f),))
-            fam.append(fs)
-        fam = antichain_maximal(fam) if fam else []
+            masks.append(sum(1 << pos[v] for v in f))
+        self._init(vertices, masks)
+
+    @classmethod
+    def from_masks(cls, vertices, masks):
+        """Complex on the given vertices whose facets are the maximal given masks."""
+        complex_ = object.__new__(cls)
+        complex_._init(tuple(vertices), masks)
+        return complex_
+
+    def _init(self, vertices, masks):
+        keep = []
+        for m in sorted(set(masks), key=int.bit_count, reverse=True):
+            if not any(m & k == m for k in keep):
+                keep.append(m)
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "facets", sorted_sets(fam))
-        object.__setattr__(self, "_pos", {v: i for i, v in enumerate(vertices)})
+        object.__setattr__(self, "facet_masks", tuple(sorted(keep)))
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
 
     @property
+    def facets(self):
+        """Facets as vertex frozensets, smallest first, ties by repr-sorted labels."""
+        return sorted_sets(frozenset(self.vertices[i] for i in bits(m)) for m in self.facet_masks)
+
+    @property
     def is_void(self):
-        return not self.facets
+        return not self.facet_masks
 
     @property
     def dim(self):
         """Dimension: max facet size - 1; -1 for the empty complex, None for the void one."""
         if self.is_void:
             return None
-        return max(len(f) for f in self.facets) - 1
+        return max(m.bit_count() for m in self.facet_masks) - 1
 
     def __eq__(self, other):
         return (
             isinstance(other, SimplicialComplex)
             and self.vertices == other.vertices
-            and self.facets == other.facets
+            and self.facet_masks == other.facet_masks
         )
 
     def __hash__(self):
-        return hash((self.vertices, self.facets))
+        return hash((self.vertices, self.facet_masks))
 
     def __repr__(self):
         return "SimplicialComplex(vertices=%r, facets=%s)" % (
@@ -66,43 +88,27 @@ class SimplicialComplex:
             [sorted(f, key=repr) for f in self.facets],
         )
 
-    def has_face(self, subset):
-        subset = frozenset(subset)
-        return any(subset <= f for f in self.facets)
-
-    def faces_by_size(self):
-        """Faces grouped by vertex count, deduplicated per size (lazy per dimension)."""
+    def face_masks_by_size(self):
+        """Faces as bitmasks over vertex positions, grouped by vertex count and
+        sorted (kernel input): the submasks of the facets."""
         if self.is_void:
             return []
-        top = self.dim + 1
-        out = []
-        for size in range(top + 1):
-            level = set()
-            for f in self.facets:
-                if len(f) >= size:
-                    level.update(map(frozenset, combinations(sorted(f, key=repr), size)))
-            out.append(sorted_sets(level))
-        return out
-
-    def face_masks_by_size(self):
-        """Same as faces_by_size but as bitmasks over vertex positions (kernel input)."""
-        pos = self._pos
-        out = []
-        for level in self.faces_by_size():
-            masks = []
-            for f in level:
-                m = 0
-                for v in f:
-                    m |= 1 << pos[v]
-                masks.append(m)
-            out.append(sorted(masks))
+        faces = set()
+        for f in self.facet_masks:
+            sub = f
+            while sub:
+                faces.add(sub)
+                sub = (sub - 1) & f
+        out = [[0]] + [[] for _ in range(self.dim + 1)]
+        for m in sorted(faces):
+            out[m.bit_count()].append(m)
         return out
 
     def ghost_vertices(self):
-        covered = set()
-        for f in self.facets:
+        covered = 0
+        for f in self.facet_masks:
             covered |= f
-        return frozenset(v for v in self.vertices if v not in covered)
+        return frozenset(v for i, v in enumerate(self.vertices) if not covered >> i & 1)
 
 
 class FHVectors:
@@ -130,26 +136,19 @@ class FHVectors:
 
 
 def complex_from_nonfaces(vertices, nonfaces):
-    """Complex whose faces are the subsets containing none of the given sets.
-
-    Facets are the complements of the minimal transversals of the
-    (minimal) nonface family.
-    """
-    vertices = tuple(vertices)
-    vset = set(vertices)
-    nonfaces = [frozenset(nf) for nf in nonfaces]
-    if any(not nf for nf in nonfaces):
-        return SimplicialComplex(vertices, [])  # the empty set is a nonface: void
-    facets = [vset - t for t in minimal_transversals(nonfaces, vertices)]
-    return SimplicialComplex(vertices, facets)
+    """Complex whose faces contain none of the nonface masks (an empty nonface: void)."""
+    full = (1 << len(vertices)) - 1
+    facets = [full ^ t for t in minimal_transversals(nonfaces)]
+    return SimplicialComplex.from_masks(vertices, facets)
 
 
 def bc_complex(matroid, order=None):
     """Broken-circuit complex: all subsets containing no broken circuit."""
     if not matroid.is_loopless:
         raise LoopError("broken-circuit complex needs a loopless matroid")
+    pos = {e: i for i, e in enumerate(matroid.ground)}
     bcs = matroid.broken_circuits(normalize_order(matroid, order))
-    return complex_from_nonfaces(matroid.ground, bcs)
+    return complex_from_nonfaces(matroid.ground, [sum(1 << pos[e] for e in b) for b in bcs])
 
 
 def independence_complex(matroid):
@@ -173,7 +172,7 @@ def f_h_vectors(complex_):
     """Face counts by dimension and the standard binomial transform h of f."""
     if complex_.is_void:
         raise InputError("void complex has no f-vector")
-    f = [len(level) for level in complex_.faces_by_size()]
+    f = [len(level) for level in complex_.face_masks_by_size()]
     return FHVectors(f, f_to_h(f, complex_.dim), complex_.dim)
 
 

@@ -8,7 +8,7 @@ cross-check.  The series numerator lives over (1-t)^dim; rewriting it over
 plays the role of the Hilbert coefficients.
 """
 
-from .complexes import f_h_vectors
+from .complexes import complex_from_nonfaces, f_h_vectors
 from .errors import InputError
 from .ideals import Monomial, complex_of_ideal
 from .linalg import solve
@@ -151,25 +151,17 @@ def linear_value_criterion(ideal):
     """Single-value criterion at s = indeg: dim_k I_s == C(s + q - 1, s).
 
     q is the codimension (height) of the ideal, read from the complex of
-    its radical.
+    its radical, whose nonfaces are the generator supports.  At s = indeg
+    every degree-s monomial of I is a minimal generator, so dim_k I_s counts
+    those (ideal_monomial_count is the enumerating oracle).
     """
     if ideal.is_zero:
         return False
     if ideal.is_unit:
         return True
     s = ideal.indeg()
-    radical = _radical(ideal)
-    complex_ = complex_of_ideal(radical)
-    dim = (complex_.dim + 1) if not complex_.is_void else 0
-    q = ideal.nvars - dim
-    return ideal_monomial_count(ideal, s) == binom(s + q - 1, s)
-
-
-def _radical(ideal):
-    from .ideals import MonomialIdeal
-
-    gens = [Monomial(tuple(1 if e else 0 for e in g.exps)) for g in ideal.gens]
-    return MonomialIdeal(ideal.names, gens)
+    q = ideal.nvars - complex_from_nonfaces(ideal.names, ideal.support_masks()).dim - 1
+    return sum(1 for g in ideal.gens if g.degree == s) == binom(s + q - 1, s)
 
 
 def h_binomial_fit(h, q):

@@ -12,6 +12,7 @@ from itertools import combinations, combinations_with_replacement
 
 from .complexes import complex_from_nonfaces
 from .errors import InputError
+from .util import bits, minimal_transversals
 
 EXHAUSTIVE_QUOTIENT_LIMIT = 9
 _COPY_SUFFIX = "abcdefghijklmnopqrstuvwxyz"
@@ -216,21 +217,13 @@ def var_name(label):
 
 
 def stanley_reisner_ideal(complex_):
-    """Squarefree ideal of the minimal non-faces of a complex."""
-    names = tuple(var_name(v) for v in complex_.vertices)
-    verts = complex_.vertices
-    if complex_.is_void:
-        return MonomialIdeal(names, [Monomial((0,) * len(names))])  # unit ideal
-    nonfaces = []
-    for size in range(1, len(verts) + 1):
-        for sub in combinations(verts, size):
-            s = frozenset(sub)
-            if any(nf <= s for nf in nonfaces):
-                continue
-            if not complex_.has_face(s):
-                nonfaces.append(s)
-    index = {v: i for i, v in enumerate(verts)}
-    return ideal_from_supports(names, [{index[v] for v in nf} for nf in nonfaces])
+    """Squarefree ideal of the minimal nonfaces of a complex: the minimal
+    transversals of the facet complements (a void complex gives the unit ideal)."""
+    full = (1 << len(complex_.vertices)) - 1
+    return ideal_from_supports(
+        [var_name(v) for v in complex_.vertices],
+        [bits(t) for t in minimal_transversals([full ^ f for f in complex_.facet_masks])],
+    )
 
 
 def broken_circuit_ideal(matroid, order=None):
@@ -245,19 +238,16 @@ def broken_circuit_ideal(matroid, order=None):
 
 def facet_ideal(complex_):
     """Squarefree ideal generated by the facets."""
-    names = tuple(var_name(v) for v in complex_.vertices)
-    index = {v: i for i, v in enumerate(complex_.vertices)}
-    return ideal_from_supports(names, [{index[v] for v in f} for f in complex_.facets])
+    return ideal_from_supports(
+        [var_name(v) for v in complex_.vertices], [bits(f) for f in complex_.facet_masks]
+    )
 
 
 def complex_of_ideal(ideal):
     """Stanley-Reisner correspondence inverse: faces are the squarefree monomials not in the ideal."""
     if not ideal.squarefree:
         raise InputError("Stanley-Reisner complexes need a squarefree ideal")
-    vertices = ideal.names
-    return complex_from_nonfaces(
-        vertices, [frozenset(ideal.names[i] for i in g.support) for g in ideal.gens]
-    )
+    return complex_from_nonfaces(ideal.names, ideal.support_masks())
 
 
 def colon_ideal(ideal, monomial):
@@ -331,13 +321,25 @@ def power_ideal(ideal, k):
 
 
 def _colon_generated_linearly(prefix, nxt, graded):
-    """True when ((prefix) : nxt) is generated in degree 1 (graded: has indeg 1)."""
+    """True when ((prefix) : nxt) is generated in degree 1 (graded: has indeg 1).
+
+    The colon is generated by q_g = max(g - nxt, 0), never 1 for minimal
+    generators.  Its minimal generators are linear iff every q_g is divisible
+    by a linear one x_i; it has indeg 1 iff some q_g is linear.
+    """
     if not prefix:
         return True
-    quotients = minimalize([g.div(g.gcd(nxt)) for g in prefix])
+    b = nxt.exps
+    supports = []
+    linear = set()
+    for g in prefix:
+        support = [i for i, (a, c) in enumerate(zip(g.exps, b)) if a > c]
+        if len(support) == 1 and g.exps[support[0]] - b[support[0]] == 1:
+            linear.add(support[0])
+        supports.append(support)
     if graded:
-        return quotients[0].degree == 1
-    return all(q.degree == 1 for q in quotients)
+        return bool(linear)
+    return all(not linear.isdisjoint(support) for support in supports)
 
 
 def _exhaustive_quotient_order(gens, graded):

@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .errors import BoundError, CircuitAxiomError, InputError, LoopError
 from .linalg import column_rank
-from .util import antichain_minimal, minimal_transversals, sorted_sets
+from .util import antichain_minimal, bits, minimal_transversals, sorted_sets
 
 ELIMINATION_EXHAUSTIVE_LIMIT = 12
 ELIMINATION_SAMPLES = 1000
@@ -296,7 +296,8 @@ class Matroid:
         """Dual matroid: bases are the complements of bases; involutive."""
         # a set is dependent in the dual iff it meets every basis, so the
         # dual circuits are the minimal transversals of the basis family
-        cocircuits = minimal_transversals(self.bases(), self.ground)
+        cocircuits = minimal_transversals([self._mask(b) for b in self.bases()])
+        cocircuits = [[self.ground[i] for i in bits(t)] for t in cocircuits]
         return Matroid(self.ground, cocircuits, origin="dual", validate=False)
 
     def components_and_coloops(self):

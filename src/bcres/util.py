@@ -23,41 +23,36 @@ def antichain_minimal(sets):
     return keep
 
 
-def antichain_maximal(sets):
-    """Maximal elements (by inclusion) of a collection of frozensets, deduplicated."""
-    uniq = sorted(set(sets), key=len, reverse=True)
-    keep = []
-    for s in uniq:
-        if not any(s <= t for t in keep):
-            keep.append(s)
-    return keep
-
-
 def sorted_sets(sets):
     """Canonical deterministic ordering for a family of element sets."""
     return tuple(sorted(sets, key=lambda s: (len(s), tuple(sorted(s, key=repr)))))
 
 
-def minimal_transversals(sets, universe):
-    """Inclusion-minimal subsets of the universe meeting every set in the family.
+def minimal_transversals(masks):
+    """Inclusion-minimal bitmasks meeting every bitmask of the family.
 
     Berge expansion: fold the family in, extending each partial transversal
-    that misses the new set by each of its elements and re-minimalizing.
+    that misses the new mask by each of its bits and re-minimalizing.
     Exponential in the worst case; inputs here are small.
     """
-    pos = {e: i for i, e in enumerate(universe)}
-    trans = [frozenset()]
-    for s in sets:
-        s = frozenset(s)
-        new = []
+    trans = [0]
+    for s in masks:
+        new = set()
         for t in trans:
             if t & s:
-                new.append(t)
+                new.add(t)
             else:
-                for x in sorted(s, key=pos.get):
-                    new.append(t | {x})
-        trans = antichain_minimal(new)
-    return sorted_sets(trans)
+                new.update(t | 1 << i for i in bits(s))
+        trans = []
+        for t in sorted(new, key=int.bit_count):
+            if not any(k & t == k for k in trans):
+                trans.append(t)
+    return trans
+
+
+def bits(mask):
+    """Indices of the set bits of a mask, lowest first."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 # -- dense integer polynomials in one variable, lowest degree first ------------

@@ -138,6 +138,35 @@ def test_main_order_flag(tmp_path, capsys):
     assert out["result"]["broken_circuits_minimal"] == [[1, 2], [1, 3], [2, 3]]
 
 
+def test_bc_json_golden_with_ten_elements(tmp_path, capsys):
+    # two triangles and a 4-cycle; labels 1..10, where repr order puts 10 before 2
+    edges = [[0, 1], [1, 2], [2, 0], [2, 3], [3, 4], [4, 5], [5, 2], [5, 6], [6, 7], [7, 5]]
+    doc = tmp_path / "graph.json"
+    doc.write_text(json.dumps({"kind": "graph", "payload": {"edges": edges}}))
+    assert main(["bc", str(doc), "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)["result"]
+    assert out["broken_circuits_minimal"] == [[2, 3], [10, 9], [5, 6, 7]]
+    assert out["facets"] == [
+        [1, 2, 4, 5, 6, 8, 9],
+        [1, 2, 4, 5, 7, 8, 9],
+        [1, 2, 4, 6, 7, 8, 9],
+        [1, 3, 4, 5, 6, 8, 9],
+        [1, 3, 4, 5, 7, 8, 9],
+        [1, 3, 4, 6, 7, 8, 9],
+        [1, 10, 2, 4, 5, 6, 8],
+        [1, 10, 2, 4, 5, 7, 8],
+        [1, 10, 2, 4, 6, 7, 8],
+        [1, 10, 3, 4, 5, 6, 8],
+        [1, 10, 3, 4, 5, 7, 8],
+        [1, 10, 3, 4, 6, 7, 8],
+    ]
+    assert out["dim"] == 6
+    assert out["f_vector_bc"] == [1, 10, 43, 103, 148, 127, 60, 12]
+    assert out["h_vector_bc"] == [1, 3, 4, 3, 1, 0, 0, 0]
+    assert out["f_vector_independence"] == [1, 10, 45, 118, 195, 204, 126, 36]
+    assert out["h_vector_independence"] == [1, 3, 6, 8, 8, 6, 3, 1]
+
+
 def test_main_char_flag(tmp_path, capsys):
     good = tmp_path / "u24.json"
     good.write_text(U24_DOC)

@@ -8,6 +8,8 @@ whose answers are classical.
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bcres.complexes import (
     SimplicialComplex,
@@ -20,6 +22,7 @@ from bcres.complexes import (
     reduced_homology_ranks,
 )
 from bcres.errors import InputError, LoopError
+from bcres.ideals import Monomial, MonomialIdeal, complex_of_ideal, stanley_reisner_ideal, var_name
 from bcres.matroid import uniform_matroid
 
 
@@ -198,3 +201,63 @@ def test_tutte_h_identity(golden, u24):
         for i, v in enumerate(h):
             expected[r - i] += v
         assert poly == expected
+
+
+def brute_stanley_reisner_ideal(complex_):
+    """Walk all vertex subsets by size, keeping the nonfaces that contain no
+    smaller nonface."""
+    verts = complex_.vertices
+    names = tuple(var_name(v) for v in verts)
+    if complex_.is_void:
+        return MonomialIdeal(names, [Monomial((0,) * len(names))])  # unit ideal
+    facets = complex_.facets
+    nonfaces = []
+    for size in range(1, len(verts) + 1):
+        for sub in combinations(verts, size):
+            s = frozenset(sub)
+            if not any(nf <= s for nf in nonfaces) and not any(s <= f for f in facets):
+                nonfaces.append(s)
+    return MonomialIdeal(
+        names, [Monomial([1 if v in nf else 0 for v in verts]) for nf in nonfaces]
+    )
+
+
+# string labels whose repr order differs from their position order
+LABELS = ("v10", "b", "v2", "a", "v1", "c", "v9")
+
+
+@st.composite
+def facet_families(draw):
+    n = draw(st.integers(0, len(LABELS)))
+    vertices = draw(st.permutations(LABELS[:n]))
+    facets = draw(
+        st.lists(st.sets(st.sampled_from(vertices)) if vertices else st.just(set()), max_size=6)
+    )
+    return vertices, facets
+
+
+@given(facet_families())
+@example((LABELS[:3], []))  # the void complex
+@example((LABELS[:3], [set()]))  # {()}, every vertex a ghost
+@example((LABELS, [{"v10", "v2"}, {"a"}, {"v2", "a", "v9"}]))
+def test_mask_complex_matches_brute_force(family):
+    vertices, facets = family
+    c = SimplicialComplex(vertices, facets)
+    assert set(c.facets) == {
+        frozenset(f) for f in facets if not any(frozenset(f) < frozenset(g) for g in facets)
+    }
+    assert c.ghost_vertices() == frozenset(vertices) - frozenset().union(*facets)
+    if c.is_void:
+        assert c.face_masks_by_size() == []
+    else:
+        faces = [
+            frozenset(s)
+            for k in range(len(vertices) + 1)
+            for s in combinations(vertices, k)
+            if any(set(s) <= f for f in facets)
+        ]
+        f = [sum(1 for face in faces if len(face) == k) for k in range(c.dim + 2)]
+        assert f_h_vectors(c).f == tuple(f)
+    ideal = stanley_reisner_ideal(c)
+    assert ideal == brute_stanley_reisner_ideal(c)
+    assert complex_of_ideal(ideal) == c

@@ -3,6 +3,7 @@
 import pytest
 
 from bcres.complexes import bc_complex, f_h_vectors
+from bcres.corpus import standard_corpus
 from bcres.errors import InputError
 from bcres.hilbert import (
     binomial_form_fit,
@@ -12,7 +13,15 @@ from bcres.hilbert import (
     linear_value_criterion,
     standard_monomial_count,
 )
-from bcres.ideals import Monomial, MonomialIdeal, stanley_reisner_ideal
+from bcres.ideals import (
+    Monomial,
+    MonomialIdeal,
+    broken_circuit_ideal,
+    complex_of_ideal,
+    ideal_from_supports,
+    power_ideal,
+    stanley_reisner_ideal,
+)
 from bcres.matroid import uniform_matroid
 from bcres.util import binom
 
@@ -95,6 +104,25 @@ def test_linear_value_criterion(u24_ideal):
     cross = ideal(V4, (1, 1, 0, 0), (0, 0, 1, 1))
     assert ideal_monomial_count(cross, 2) == 2
     assert linear_value_criterion(cross) is False
+
+
+def test_indeg_generator_count_matches_enumeration():
+    # linear_value_criterion reads dim_k I_s at s = indeg off the generators.
+    # Squares stop at 7 variables: enumerating the 38 squares on 8 takes ~30 s.
+    ideals = set()
+    for _, m in standard_corpus(0):
+        base = broken_circuit_ideal(m)
+        if not base.is_zero:
+            ideals.add(base)
+            if base.nvars <= 7:
+                ideals.add(power_ideal(base, 2))
+    for i in ideals:
+        s = i.indeg()
+        count = ideal_monomial_count(i, s)
+        assert count == sum(1 for g in i.gens if g.degree == s), i
+        radical = ideal_from_supports(i.names, [g.support for g in i.gens])
+        q = i.nvars - complex_of_ideal(radical).dim - 1
+        assert linear_value_criterion(i) == (count == binom(s + q - 1, s)), i
 
 
 def test_linear_value_criterion_power_of_max():

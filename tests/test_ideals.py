@@ -12,6 +12,7 @@ from bcres.errors import InputError
 from bcres.ideals import (
     Monomial,
     MonomialIdeal,
+    _colon_generated_linearly,
     broken_circuit_ideal,
     colon_ideal,
     complete_intersection_check,
@@ -70,6 +71,32 @@ def test_minimalize_matches_brute_force(exps):
     assert set(kept) == brute and len(kept) == len(brute)
     word = lambda m: tuple(i for i, e in enumerate(m.exps) for _ in range(e))
     assert list(kept) == sorted(kept, key=lambda m: (m.degree, word(m)))
+
+
+def colon_generated_linearly_oracle(prefix, nxt, graded):
+    """Minimalize the colon generators g / gcd(g, nxt) and read their degrees."""
+    if not prefix:
+        return True
+    quotients = minimalize([g.div(g.gcd(nxt)) for g in prefix])
+    if graded:
+        return quotients[0].degree == 1
+    return all(q.degree == 1 for q in quotients)
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=10)
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_colon_linearity_matches_minimalize_route(exps, rng):
+    gens = list(MonomialIdeal(["x%d" % i for i in range(len(exps[0]))], exps).gens)
+    rng.shuffle(gens)
+    for l in range(len(gens)):
+        for graded in (False, True):
+            assert _colon_generated_linearly(gens[:l], gens[l], graded) == (
+                colon_generated_linearly_oracle(gens[:l], gens[l], graded)
+            )
 
 
 def test_stanley_reisner_u24(u24):
