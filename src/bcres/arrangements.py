@@ -12,7 +12,7 @@ from fractions import Fraction
 from .decomposition import stratify, two_term_decomposition
 from .errors import BoundError, InputError
 from .linalg import column_rank, integer_primitive, nullspace, solve
-from .matroid import Matroid, linear_matroid
+from .matroid import linear_matroid
 
 
 class Arrangement:
@@ -58,8 +58,7 @@ class Arrangement:
 
 def matroid_of_arrangement(arrangement):
     """Linear matroid of the normal columns."""
-    m = linear_matroid(arrangement.normals, labels=arrangement.labels)
-    return Matroid(m.ground, m.circuits, origin="arrangement", validate=False)
+    return linear_matroid(arrangement.normals, labels=arrangement.labels)
 
 
 def cone_arrangement(arrangement):
@@ -166,10 +165,8 @@ def koszul_report(arrangement, order=None):
     if not matroid.is_loopless:
         report["verdict"] = "not applicable: matroid has loops"
         return report
-    bcs = matroid.broken_circuits(order)
-    ci_broken = all(
-        a.isdisjoint(b) for i, a in enumerate(bcs) for b in bcs[i + 1 :]
-    )
+    bcs = matroid.broken_circuit_masks(order)
+    ci_broken = all(not a & b for i, a in enumerate(bcs) for b in bcs[i + 1 :])
     report["ci_broken_circuits"] = ci_broken
     cert = two_term_decomposition(matroid)
     two_term_s2 = cert is not None and cert.s == 2
@@ -184,7 +181,7 @@ def koszul_report(arrangement, order=None):
         strat_found = None
     # the broken-circuit CI test is a labeled proxy, reported alongside the
     # verdict rather than gating it
-    if not matroid.circuits:
+    if not matroid.circuit_masks:
         report["verdict"] = "Koszul (zero ideals)"
     elif two_term_s2:
         report["verdict"] = "Koszul (s=2 uniform decomposition)"

@@ -236,7 +236,7 @@ def _cmd_hilbert(doc, options):
 def _cmd_decompose(doc, options):
     m = _matroid_of(doc, options)
     cert = two_term_decomposition(m)
-    min_circuit = min((len(c) for c in m.circuits), default=None)
+    min_circuit = min((c.bit_count() for c in m.circuit_masks), default=None)
     s = (min_circuit - 1) if min_circuit else m.rank
     out = {
         "two_term_decomposition": cert.as_dict() if cert else None,

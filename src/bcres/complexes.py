@@ -16,7 +16,6 @@ facets, and is capped by HOCHSTER_VARIABLE_LIMIT.
 
 from . import _kernel
 from .errors import InputError, LoopError
-from .matroid import normalize_order
 from .util import binom, bits, minimal_transversals, sorted_sets
 
 
@@ -146,14 +145,12 @@ def bc_complex(matroid, order=None):
     """Broken-circuit complex: all subsets containing no broken circuit."""
     if not matroid.is_loopless:
         raise LoopError("broken-circuit complex needs a loopless matroid")
-    pos = {e: i for i, e in enumerate(matroid.ground)}
-    bcs = matroid.broken_circuits(normalize_order(matroid, order))
-    return complex_from_nonfaces(matroid.ground, [sum(1 << pos[e] for e in b) for b in bcs])
+    return complex_from_nonfaces(matroid.ground, matroid.broken_circuit_masks(order))
 
 
 def independence_complex(matroid):
     """Complex of independent sets: facets are the bases."""
-    return SimplicialComplex(matroid.ground, matroid.bases())
+    return SimplicialComplex.from_masks(matroid.ground, matroid.basis_masks())
 
 
 def induced_subcomplex(complex_, sigma):

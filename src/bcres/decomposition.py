@@ -119,9 +119,9 @@ def two_term_decomposition(matroid):
     if m == 0:
         return StratumCertificate(matroid.ground, 0, matroid.rank, len(matroid.ground), (), free)
     # uniform iff every circuit has s+1 elements and all of them occur
-    if any(len(c) != s + 1 for c in matroid.circuits):
+    if any(c.bit_count() != s + 1 for c in matroid.circuit_masks):
         return None
-    if len(matroid.circuits) != binom(m, s + 1):
+    if len(matroid.circuit_masks) != binom(m, s + 1):
         return None
     return StratumCertificate(
         matroid.ground, s, matroid.rank, len(matroid.ground), core, free
@@ -221,7 +221,6 @@ def stratify(matroid):
     if n > STRATIFY_SIZE_LIMIT:
         raise BoundError("stratification search limited to %d elements" % STRATIFY_SIZE_LIMIT)
     ground = list(matroid.ground)
-    pos = {e: i for i, e in enumerate(ground)}
     dead = set()
 
     def subsets_desc(mask):
@@ -322,7 +321,7 @@ def cross_validate(matroid, order=None, characteristic=0, max_power=3):
     cert = two_term_decomposition(matroid)
     report["two_term_decomposition"] = cert.as_dict() if cert else None
 
-    min_circuit = min((len(c) for c in matroid.circuits), default=None)
+    min_circuit = min((c.bit_count() for c in matroid.circuit_masks), default=None)
     s_expected = (min_circuit - 1) if min_circuit else matroid.rank
     extremal = extremal_h_check(matroid, s_expected)
     report["extremal_h"] = {"s": s_expected, "holds": extremal}

@@ -12,7 +12,7 @@ from math import prod
 from .complexes import SimplicialComplex
 from .errors import BoundError, InputError
 from .ideals import broken_circuit_ideal, facet_ideal
-from .matroid import Matroid, simple_cycle_edge_sets
+from .matroid import graphic_matroid
 
 
 class Graph:
@@ -72,8 +72,7 @@ class Graph:
 
 def cycle_matroid(graph):
     """Matroid on the edge labels whose circuits are the simple cycles."""
-    cycles = simple_cycle_edge_sets(list(graph.edges))
-    return Matroid(graph.edge_labels, cycles, origin="graphic", validate=False)
+    return graphic_matroid([(u, v) for _, u, v in graph.edges], graph.edge_labels)
 
 
 def build_gnr(cycle_sizes, bridges=None):

@@ -1,7 +1,7 @@
 """Hilbert functions and series of Stanley-Reisner quotients, and the
 binomial-coefficient normal forms behind the linearity value criteria.
 
-The Hilbert function of A/I for squarefree I comes from the f-vector of
+The Hilbert function of A/I for squarefree I comes from the h-vector of
 the associated complex; a brute-force standard-monomial count provides the
 cross-check.  The series numerator lives over (1-t)^dim; rewriting it over
 (1-t)^codim, when possible, yields the integer coefficient vector that
@@ -12,7 +12,7 @@ from .complexes import complex_from_nonfaces, f_h_vectors
 from .errors import InputError
 from .ideals import Monomial, complex_of_ideal
 from .linalg import solve
-from .util import binom, poly_add, poly_divmod, poly_mul, poly_pow, poly_shift_basis, poly_trim
+from .util import binom, poly_divmod, poly_mul, poly_pow, poly_shift_basis, poly_trim
 
 
 class HilbertData:
@@ -72,9 +72,8 @@ def series_values_from_numerator(numerator, dim, horizon):
 def hilbert_function(ideal, horizon=None):
     """HilbertData of A/I for a squarefree monomial ideal.
 
-    Values come from the f-vector of the Stanley-Reisner complex; the
-    numerator N(t) satisfies series = N(t) / (1-t)^dim and is certified by
-    the series identity, not by sampling.
+    The numerator N(t) of series = N(t) / (1-t)^dim is the h-vector of the
+    Stanley-Reisner complex, and the values are read off that series.
     """
     if not ideal.squarefree:
         raise InputError("hilbert_function needs a squarefree ideal")
@@ -86,17 +85,9 @@ def hilbert_function(ideal, horizon=None):
     codim = n - dim
     if horizon is None:
         horizon = n + (ideal.maxdeg() or 0) + 2
-    if dim == 0:
-        # only the empty face: the quotient is the base field
-        numerator = [1]
-        values = [1] + [0] * horizon
-    else:
-        f = f_h_vectors(complex_).f
-        numerator = [0]
-        for i, fi in enumerate(f):
-            term = poly_mul([0] * i + [fi], poly_pow([1, -1], dim - i))
-            numerator = poly_add(numerator, term)
-        values = series_values_from_numerator(numerator, dim, horizon)
+    # Stanley: the Hilbert series of k[complex] is h(t) / (1-t)^dim
+    numerator = poly_trim(list(f_h_vectors(complex_).h))
+    values = series_values_from_numerator(numerator, dim, horizon)
     coefficients = None
     width = None
     try:

@@ -229,10 +229,9 @@ def stanley_reisner_ideal(complex_):
 def broken_circuit_ideal(matroid, order=None):
     """Stanley-Reisner ideal of the broken-circuit complex, straight from the
     minimal broken circuits (its minimal nonfaces), one variable per element."""
-    index = {e: i for i, e in enumerate(matroid.ground)}
     return ideal_from_supports(
         [var_name(e) for e in matroid.ground],
-        [{index[e] for e in b} for b in matroid.broken_circuits(order)],
+        [bits(b) for b in matroid.broken_circuit_masks(order)],
     )
 
 

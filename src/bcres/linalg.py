@@ -1,8 +1,12 @@
-"""Exact linear algebra over the rationals (Fraction matrices).
+"""Exact linear algebra over the rationals.
 
-Used for linear matroid construction, arrangement essentiality, circuit
-dependency coefficients and small exact solves.  Everything is dense and
-small; exactness, not speed, is the point here.
+Ranks go through the integer kernel: each column is scaled once to
+coprime integers (integer_primitive), which keeps its span, and
+_kernel.rank_int eliminates fraction-free.  linear_matroid ranks its
+column subsets that way; column_rank serves arrangement essentiality and
+column-space bases.  rref, nullspace and solve still work on Fraction
+matrices, for circuit dependency coefficients and small exact solves.
+Everything is dense and small.
 """
 
 from fractions import Fraction
@@ -11,28 +15,13 @@ from math import gcd, lcm
 from ._kernel import rank_int
 
 
-def _clear_rows(rows):
-    """Scale each row by its denominator lcm so integer-kernel rank applies."""
-    out = []
-    for row in rows:
-        den = lcm(*(Fraction(v).denominator for v in row))
-        out.append([int(Fraction(v) * den) for v in row])
-    return out
-
-
-def rank_rational(rows):
-    """Rank of a matrix given as rows of rationals (Fraction/int)."""
-    if not rows or not rows[0]:
-        return 0
-    return rank_int(_clear_rows(rows))
-
-
 def column_rank(cols):
-    """Rank of a collection of column vectors."""
-    if not cols:
-        return 0
-    rows = [[col[i] for col in cols] for i in range(len(cols[0]))]
-    return rank_rational(rows)
+    """Rank of a collection of rational column vectors.
+
+    Scaling a column to coprime integers keeps the rank, and the rank of
+    the columns taken as rows is their column rank.
+    """
+    return rank_int([integer_primitive(col) for col in cols])
 
 
 def rref(rows):

@@ -1,10 +1,14 @@
-"""Matroids in circuit normal form.
+"""Matroids stored as circuit bitmasks.
 
-A matroid is stored as an ordered ground tuple plus the antichain of its
-circuits (minimal dependent sets).  Every construction route (uniform,
-explicit circuits, graphic, linear over the rationals, direct sums)
-normalizes to this form; rank, minors, duality, connectivity, Tutte
-polynomials and independence counts are all computed from it.
+A matroid is an ordered ground tuple plus the antichain of its circuits
+(minimal dependent sets) as bitmasks over ground positions, kept in the
+canonical order of their label sets (util.sorted_masks).  Every
+construction route (uniform, explicit circuits, graphic, linear over the
+rationals, direct sums) and every minor builds the masks directly; rank,
+minors, duality, connectivity, broken circuits, Tutte polynomials and
+independence counts are all computed from them.  Labels enter only through
+Matroid(ground, circuits) and leave only through the label views
+(circuits, broken_circuits, bases).
 """
 
 import random
@@ -12,8 +16,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import BoundError, CircuitAxiomError, InputError, LoopError
-from .linalg import column_rank
-from .util import antichain_minimal, bits, minimal_transversals, sorted_sets
+from ._kernel import rank_int
+from .linalg import integer_primitive
+from .util import bits, minimal_masks, minimal_transversals, sorted_masks, sorted_sets
 
 ELIMINATION_EXHAUSTIVE_LIMIT = 12
 ELIMINATION_SAMPLES = 1000
@@ -83,69 +88,79 @@ class TuttePolynomial:
 
 
 class Matroid:
-    """Immutable matroid on an ordered ground set, normalized to its circuit list."""
+    """Immutable matroid on an ordered ground set, stored as its circuit bitmasks."""
 
-    __slots__ = ("ground", "circuits", "rank", "origin", "_pos", "_masks", "_by_elem")
+    __slots__ = ("ground", "circuit_masks", "rank", "_pos", "_by_elem")
 
-    def __init__(self, ground, circuits, origin="circuits", validate=True):
+    def __init__(self, ground, circuits, validate=True):
         ground = tuple(ground)
-        if len(set(ground)) != len(ground):
-            raise InputError("duplicate element labels in %r" % (ground,))
-        known = set(ground)
-        normalized = []
+        pos = _positions(ground)
+        masks = set()
         for c in circuits:
             cs = frozenset(c)
             if not cs:
                 raise InputError("empty circuit")
-            if not cs <= known:
+            if not cs <= pos.keys():
                 raise InputError("circuit %r uses unknown labels" % (sorted(c),))
-            normalized.append(cs)
-        normalized = list(set(normalized))
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "circuits", sorted_sets(normalized))
-        object.__setattr__(self, "origin", origin)
-        pos = {e: i for i, e in enumerate(ground)}
-        object.__setattr__(self, "_pos", pos)
-        masks = tuple(self._mask(c) for c in self.circuits)
-        object.__setattr__(self, "_masks", masks)
-        by_elem = {e: [] for e in ground}
-        for c, m in zip(self.circuits, masks):
-            for e in c:
-                by_elem[e].append(m)
-        object.__setattr__(self, "_by_elem", by_elem)
+            masks.add(sum(1 << pos[e] for e in cs))
+        self._init(ground, pos, sorted_masks(ground, masks))
         if validate:
             self._check_antichain()
             self._check_elimination()
-        object.__setattr__(self, "rank", self._greedy_rank(ground))
-        if validate and self._greedy_rank(tuple(reversed(ground))) != self.rank:
-            raise InputError("greedy ranks disagree; circuit family is not a matroid")
+            if self._greedy_rank(reversed(range(len(ground)))) != self.rank:
+                raise InputError("greedy ranks disagree; circuit family is not a matroid")
+
+    @classmethod
+    def from_masks(cls, ground, masks):
+        """Matroid whose circuits are the given bitmasks over ground positions (trusted)."""
+        ground = tuple(ground)
+        return cls._from_sorted(ground, sorted_masks(ground, set(masks)))
+
+    @classmethod
+    def _from_sorted(cls, ground, masks):
+        matroid = object.__new__(cls)
+        matroid._init(ground, _positions(ground), masks)
+        return matroid
+
+    def _init(self, ground, pos, masks):
+        by_elem = [[m for m in masks if m >> i & 1] for i in range(len(ground))]
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "circuit_masks", tuple(masks))
+        object.__setattr__(self, "_pos", pos)
+        object.__setattr__(self, "_by_elem", by_elem)
+        object.__setattr__(self, "rank", self._greedy_rank(range(len(ground))))
 
     def __setattr__(self, name, value):
         raise AttributeError("Matroid is immutable")
 
+    @property
+    def circuits(self):
+        """Circuits as label frozensets, smallest first, ties by repr-sorted labels."""
+        return tuple(self._labels(m) for m in self.circuit_masks)
+
+    def _labels(self, mask):
+        return frozenset(self.ground[i] for i in bits(mask))
+
     # -- construction checks ---------------------------------------------
 
     def _check_antichain(self):
-        for a, b in combinations(self.circuits, 2):
-            if a <= b or b <= a:
-                raise InputError("circuits %r and %r are nested" % (sorted(a), sorted(b)))
+        for a, b in combinations(self.circuit_masks, 2):
+            if a & b in (a, b):
+                raise InputError(
+                    "circuits %r and %r are nested" % (sorted(self._labels(a)), sorted(self._labels(b)))
+                )
 
     def _check_elimination(self):
-        pairs = [
-            (a, b)
-            for a, b in combinations(range(len(self.circuits)), 2)
-            if self.circuits[a] & self.circuits[b]
-        ]
+        masks = self.circuit_masks
+        pairs = [(a, b) for a, b in combinations(masks, 2) if a & b]
         if len(self.ground) > ELIMINATION_EXHAUSTIVE_LIMIT and len(pairs) > ELIMINATION_SAMPLES:
             rng = random.Random(0)
             pairs = rng.sample(pairs, ELIMINATION_SAMPLES)
-        for ia, ib in pairs:
-            c1, c2 = self.circuits[ia], self.circuits[ib]
-            for e in c1 & c2:
-                target = (c1 | c2) - {e}
-                tm = self._mask(target)
-                if not any(m & tm == m for m in self._masks):
-                    raise CircuitAxiomError(c1, c2, e)
+        for a, b in pairs:
+            for i in bits(a & b):
+                target = (a | b) ^ (1 << i)
+                if not any(m & target == m for m in masks):
+                    raise CircuitAxiomError(self._labels(a), self._labels(b), self.ground[i])
 
     # -- basic queries -----------------------------------------------------
 
@@ -155,11 +170,9 @@ class Matroid:
             m |= 1 << self._pos[e]
         return m
 
-    def _independent_mask(self, mask):
-        return not any(c & mask == c for c in self._masks)
-
     def is_independent(self, subset):
-        return self._independent_mask(self._mask(self._validated(subset)))
+        mask = self._mask(self._validated(subset))
+        return not any(c & mask == c for c in self.circuit_masks)
 
     def _validated(self, subset):
         subset = set(subset)
@@ -168,24 +181,19 @@ class Matroid:
                 raise InputError("unknown element label %r" % (e,))
         return subset
 
-    def _greedy_rank(self, order, subset=None):
-        allowed = self._mask(subset) if subset is not None else (1 << len(self.ground)) - 1
+    def _greedy_rank(self, positions):
         mask = 0
         count = 0
-        for e in order:
-            bit = 1 << self._pos[e]
-            if not allowed & bit:
-                continue
-            cand = mask | bit
-            if not any(m & cand == m for m in self._by_elem[e]):
+        for i in positions:
+            cand = mask | 1 << i
+            if not any(m & cand == m for m in self._by_elem[i]):
                 mask = cand
                 count += 1
         return count
 
     def rank_of(self, subset):
         """Rank of a subset: size of any maximal independent subset of it."""
-        subset = self._validated(subset)
-        return self._greedy_rank(self.ground, subset)
+        return self._greedy_rank(bits(self._mask(self._validated(subset))))
 
     @property
     def size(self):
@@ -193,73 +201,77 @@ class Matroid:
 
     @property
     def is_loopless(self):
-        return all(len(c) >= 2 for c in self.circuits)
+        return all(m.bit_count() >= 2 for m in self.circuit_masks)
 
     @property
     def is_simple(self):
-        return all(len(c) >= 3 for c in self.circuits)
+        return all(m.bit_count() >= 3 for m in self.circuit_masks)
 
     def loops(self):
-        return frozenset(e for c in self.circuits if len(c) == 1 for e in c)
+        return frozenset(self.ground[bits(m)[0]] for m in self.circuit_masks if m.bit_count() == 1)
 
     def coloops(self):
-        return frozenset(e for e in self.ground if not self._by_elem[e])
+        return frozenset(e for e, through in zip(self.ground, self._by_elem) if not through)
 
     def __eq__(self, other):
         return (
             isinstance(other, Matroid)
             and self.ground == other.ground
-            and self.circuits == other.circuits
+            and self.circuit_masks == other.circuit_masks
         )
 
     def __hash__(self):
-        return hash((self.ground, self.circuits))
+        return hash((self.ground, self.circuit_masks))
 
     def __repr__(self):
-        return "Matroid(n=%d, r=%d, circuits=%s, origin=%s)" % (
+        return "Matroid(n=%d, r=%d, circuits=%s)" % (
             len(self.ground),
             self.rank,
             [sorted(c) for c in self.circuits],
-            self.origin,
         )
 
     # -- broken circuits ---------------------------------------------------
 
-    def broken_circuits(self, order=None, minimal=True):
-        """Broken circuits C - min(C) under the given element order.
+    def broken_circuit_masks(self, order=None, minimal=True):
+        """Broken circuits C - min(C) under the given element order, as ground-position masks.
 
         With minimal=True (the default used for ideal generation) only the
         inclusion-minimal broken circuits are returned; otherwise the full
         deduplicated family.
         """
-        order = normalize_order(self, order)
+        by_order = [self._pos[e] for e in normalize_order(self, order)]
         if not self.is_loopless:
             raise LoopError("broken circuits need a loopless matroid")
-        rank_in_order = {e: i for i, e in enumerate(order)}
-        bcs = [c - {min(c, key=rank_in_order.get)} for c in self.circuits]
-        if minimal:
-            return sorted_sets(antichain_minimal(bcs))
-        return sorted_sets(set(bcs))
+        bcs = {m ^ next(1 << i for i in by_order if m >> i & 1) for m in self.circuit_masks}
+        return minimal_masks(bcs) if minimal else sorted(bcs)
+
+    def broken_circuits(self, order=None, minimal=True):
+        """Broken circuits as label frozensets, in the canonical set order."""
+        return sorted_sets(self._labels(b) for b in self.broken_circuit_masks(order, minimal))
 
     # -- minors, duals, sums ------------------------------------------------
 
     def restrict(self, subset):
         """Restriction X|S: circuits of X contained in S, ground order inherited."""
-        subset = self._validated(subset)
-        ground = tuple(e for e in self.ground if e in subset)
-        circuits = [c for c in self.circuits if c <= subset]
-        return Matroid(ground, circuits, origin=self.origin, validate=False)
+        keep = self._mask(self._validated(subset))
+        pack = _packer(len(self.ground), keep)
+        # the canonical circuit order depends on labels only, so filtering keeps it
+        return Matroid._from_sorted(
+            tuple(self.ground[i] for i in bits(keep)),
+            [pack(m) for m in self.circuit_masks if m & keep == m],
+        )
 
     def delete(self, subset):
-        subset = self._validated(subset)
-        return self.restrict(set(self.ground) - subset)
+        gone = self._mask(self._validated(subset))
+        return self.restrict(e for i, e in enumerate(self.ground) if not gone >> i & 1)
 
     def contract(self, subset):
         """Contraction X/T: minimal nonempty traces C - T of circuits of X."""
-        subset = self._validated(subset)
-        ground = tuple(e for e in self.ground if e not in subset)
-        traces = [c - subset for c in self.circuits if c - subset]
-        return Matroid(ground, antichain_minimal(traces), origin=self.origin, validate=False)
+        n = len(self.ground)
+        keep = ((1 << n) - 1) ^ self._mask(self._validated(subset))
+        pack = _packer(n, keep)
+        traces = [pack(m) for m in self.circuit_masks if m & keep]
+        return Matroid.from_masks([self.ground[i] for i in bits(keep)], minimal_masks(traces))
 
     def minor(self, deleted=(), contracted=()):
         deleted = self._validated(deleted)
@@ -268,41 +280,37 @@ class Matroid:
             raise InputError("deletion and contraction sets overlap: %r" % sorted(deleted & contracted))
         return self.delete(deleted).contract(contracted)
 
-    def bases(self):
-        """All maximal independent sets, as frozensets."""
+    def basis_masks(self):
+        """All maximal independent sets, as ground-position masks."""
         out = []
         n = len(self.ground)
         r = self.rank
 
-        def extend(start, mask, chosen):
-            if len(chosen) == r:
-                out.append(frozenset(chosen))
+        def extend(start, mask, size):
+            if size == r:
+                out.append(mask)
                 return
-            for i in range(start, n):
-                if n - i < r - len(chosen):
-                    break
-                e = self.ground[i]
-                bit = 1 << i
-                cand = mask | bit
-                if not any(m & cand == m for m in self._by_elem[e]):
-                    chosen.append(e)
-                    extend(i + 1, cand, chosen)
-                    chosen.pop()
+            for i in range(start, n - (r - size) + 1):
+                cand = mask | 1 << i
+                if not any(m & cand == m for m in self._by_elem[i]):
+                    extend(i + 1, cand, size + 1)
 
-        extend(0, 0, [])
-        return sorted_sets(out)
+        extend(0, 0, 0)
+        return out
+
+    def bases(self):
+        """All maximal independent sets, as frozensets."""
+        return sorted_sets(self._labels(b) for b in self.basis_masks())
 
     def dual(self):
         """Dual matroid: bases are the complements of bases; involutive."""
         # a set is dependent in the dual iff it meets every basis, so the
         # dual circuits are the minimal transversals of the basis family
-        cocircuits = minimal_transversals([self._mask(b) for b in self.bases()])
-        cocircuits = [[self.ground[i] for i in bits(t)] for t in cocircuits]
-        return Matroid(self.ground, cocircuits, origin="dual", validate=False)
+        return Matroid.from_masks(self.ground, minimal_transversals(self.basis_masks()))
 
     def components_and_coloops(self):
         """Connected components (transitive closure of circuit co-membership) and coloops."""
-        parent = {e: e for e in self.ground}
+        parent = list(range(len(self.ground)))
 
         def find(a):
             while parent[a] != a:
@@ -310,14 +318,14 @@ class Matroid:
                 a = parent[a]
             return a
 
-        for c in self.circuits:
-            it = iter(c)
-            first = find(next(it))
-            for e in it:
-                parent[find(e)] = first
+        for m in self.circuit_masks:
+            first, *rest = bits(m)
+            first = find(first)
+            for i in rest:
+                parent[find(i)] = first
         comps = {}
-        for e in self.ground:
-            comps.setdefault(find(e), []).append(e)
+        for i, e in enumerate(self.ground):
+            comps.setdefault(find(i), []).append(e)
         partition = sorted_sets(frozenset(v) for v in comps.values())
         return partition, self.coloops()
 
@@ -329,44 +337,58 @@ class Matroid:
         def extend(start, mask, depth):
             counts[depth] += 1
             for i in range(start, n):
-                e = self.ground[i]
-                bit = 1 << i
-                cand = mask | bit
-                if not any(m & cand == m for m in self._by_elem[e]):
+                cand = mask | 1 << i
+                if not any(m & cand == m for m in self._by_elem[i]):
                     extend(i + 1, cand, depth + 1)
 
         extend(0, 0, 0)
         return tuple(counts)
 
     def tutte_polynomial(self):
-        """Tutte polynomial by deletion-contraction with memoization on canonical circuit form."""
+        """Tutte polynomial by deletion-contraction of position 0, memoized on (size, circuit masks)."""
         memo = {}
 
-        def key(m):
-            pos = {e: i for i, e in enumerate(m.ground)}
-            return (
-                len(m.ground),
-                tuple(sorted(tuple(sorted(pos[e] for e in c)) for c in m.circuits)),
-            )
-
-        def rec(m):
-            if not m.ground:
+        def rec(n, masks):
+            if not n:
                 return TuttePolynomial.one()
-            k = key(m)
-            got = memo.get(k)
+            got = memo.get((n, masks))
             if got is not None:
                 return got
-            e = m.ground[0]
-            if frozenset((e,)) in m.circuits:
-                result = rec(m.delete({e})).shifted(0, 1)
-            elif not m._by_elem[e]:
-                result = rec(m.delete({e})).shifted(1, 0)
+            deleted = frozenset(m >> 1 for m in masks if not m & 1)
+            if 1 in masks:
+                result = rec(n - 1, deleted).shifted(0, 1)
+            elif not any(m & 1 for m in masks):
+                result = rec(n - 1, deleted).shifted(1, 0)
             else:
-                result = rec(m.delete({e})) + rec(m.contract({e}))
-            memo[k] = result
+                contracted = frozenset(minimal_masks(m >> 1 for m in masks))
+                result = rec(n - 1, deleted) + rec(n - 1, contracted)
+            memo[n, masks] = result
             return result
 
-        return rec(self)
+        return rec(len(self.ground), frozenset(self.circuit_masks))
+
+
+def _positions(ground):
+    pos = {e: i for i, e in enumerate(ground)}
+    if len(pos) != len(ground):
+        raise InputError("duplicate element labels in %r" % (ground,))
+    return pos
+
+
+def _packer(n, keep):
+    """Function moving a mask's bits at the positions in keep to 0, 1, ... in order.
+
+    The gaps are closed from the top down, so lower gaps keep their
+    positions; a bit in a gap drops out.
+    """
+    lows = [(1 << i) - 1 for i in reversed(range(n)) if not keep >> i & 1]
+
+    def pack(mask):
+        for low in lows:
+            mask = mask & low | mask >> 1 & ~low
+        return mask
+
+    return pack
 
 
 def normalize_order(matroid, order):
@@ -391,14 +413,13 @@ def uniform_matroid(p, n, labels=None):
     ground = tuple(labels) if labels is not None else tuple(range(1, n + 1))
     if len(ground) != n:
         raise InputError("label count does not match n")
-    circuits = [] if p == n else list(combinations(ground, p + 1))
-    return Matroid(ground, circuits, origin="uniform", validate=False)
+    return Matroid.from_masks(ground, [sum(1 << i for i in c) for c in combinations(range(n), p + 1)])
 
 
 def circuit_matroid(n, circuits, labels=None):
     """Matroid from an explicit circuit family on labels 1..n (validated)."""
     ground = tuple(labels) if labels is not None else tuple(range(1, n + 1))
-    return Matroid(ground, circuits, origin="circuits", validate=True)
+    return Matroid(ground, circuits, validate=True)
 
 
 def graphic_matroid(edges, labels=None):
@@ -409,46 +430,44 @@ def graphic_matroid(edges, labels=None):
     labels = tuple(labels)
     if len(labels) != len(edges):
         raise InputError("edge label count mismatch")
-    cycles = simple_cycle_edge_sets([(lab, u, v) for lab, (u, v) in zip(labels, edges)])
-    return Matroid(labels, cycles, origin="graphic", validate=False)
+    return Matroid.from_masks(labels, simple_cycle_edge_sets(edges))
 
 
 def linear_matroid(columns, labels=None):
-    """Matroid of rational column vectors: circuits are minimal dependent column sets."""
-    cols = [tuple(Fraction(v) for v in col) for col in columns]
-    if not cols:
-        return Matroid((), (), origin="linear", validate=False)
-    height = len(cols[0])
-    if any(len(c) != height for c in cols):
+    """Matroid of rational column vectors: circuits are minimal dependent column sets.
+
+    Each column is scaled to coprime integers once, which leaves the
+    matroid unchanged.  A circuit C has rank |C| - 1 <= r, so only subsets
+    of at most r + 1 columns are ranked.
+    """
+    cols = [integer_primitive(col) for col in columns]
+    if any(len(c) != len(cols[0]) for c in cols):
         raise InputError("non-rectangular matrix")
     ground = tuple(labels) if labels is not None else tuple(range(1, len(cols) + 1))
     if len(ground) != len(cols):
         raise InputError("label count does not match column count")
-    by_label = dict(zip(ground, cols))
+    # the rank of the columns taken as rows is their column rank
     circuits = []
-    for size in range(1, len(ground) + 1):
-        for sub in combinations(ground, size):
-            ss = set(sub)
-            if any(c <= ss for c in circuits):
+    for size in range(1, rank_int(cols) + 2):
+        for sub in combinations(range(len(cols)), size):
+            mask = sum(1 << i for i in sub)
+            if any(c & mask == c for c in circuits):
                 continue
-            if column_rank([by_label[e] for e in sub]) < size:
-                circuits.append(frozenset(sub))
-    return Matroid(ground, circuits, origin="linear", validate=False)
+            if rank_int([cols[i] for i in sub]) < size:
+                circuits.append(mask)
+    return Matroid.from_masks(ground, circuits)
 
 
 def direct_sum(parts):
     """Direct sum; ground sets are relabeled 1..n in block order to stay disjoint."""
-    ground = []
-    circuits = []
+    masks = []
     offset = 0
     ranks = 0
     for part in parts:
-        relabel = {e: offset + i + 1 for i, e in enumerate(part.ground)}
-        ground.extend(relabel[e] for e in part.ground)
-        circuits.extend(frozenset(relabel[e] for e in c) for c in part.circuits)
+        masks.extend(m << offset for m in part.circuit_masks)
         offset += len(part.ground)
         ranks += part.rank
-    m = Matroid(tuple(ground), circuits, origin="direct-sum", validate=False)
+    m = Matroid.from_masks(range(1, offset + 1), masks)
     assert m.rank == ranks
     return m
 
@@ -482,16 +501,14 @@ def build_matroid(spec):
 # -- graph cycle enumeration --------------------------------------------------
 
 
-def simple_cycle_edge_sets(labeled_edges):
-    """Edge sets of all simple cycles of a multigraph.
+def simple_cycle_edge_sets(edges):
+    """Edge sets of all simple cycles of a multigraph, as masks over edge positions.
 
-    labeled_edges is a list of (label, u, v).  Every simple cycle is an
-    XOR combination of fundamental cycles of a spanning forest, so the
-    combinations are enumerated and filtered down to connected 2-regular
-    edge sets.  Self-loops and parallel edges yield 1- and 2-element
-    circuits.
+    edges is a list of (u, v).  Every simple cycle is an XOR combination of
+    fundamental cycles of a spanning forest, so the combinations are
+    enumerated and filtered down to connected 2-regular edge sets.
+    Self-loops and parallel edges yield 1- and 2-element circuits.
     """
-    index = {lab: i for i, (lab, _, _) in enumerate(labeled_edges)}
     parent = {}
 
     def find(a):
@@ -501,98 +518,66 @@ def simple_cycle_edge_sets(labeled_edges):
             a = parent[a]
         return a
 
-    tree = []
     nontree = []
     adjacency = {}
-    for lab, u, v in labeled_edges:
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
+    for i, (u, v) in enumerate(edges):
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
-            tree.append((lab, u, v))
-            adjacency.setdefault(u, []).append((v, lab))
-            adjacency.setdefault(v, []).append((u, lab))
+            adjacency.setdefault(u, []).append((v, i))
+            adjacency.setdefault(v, []).append((u, i))
         else:
-            nontree.append((lab, u, v))
+            nontree.append(i)
     if len(nontree) > CYCLE_SPACE_LIMIT:
         raise BoundError(
             "cycle space dimension %d exceeds limit %d" % (len(nontree), CYCLE_SPACE_LIMIT)
         )
 
     def tree_path(u, v):
+        """Mask of the forest edges on the path from u to v."""
         if u == v:
-            return []
+            return 0
         seen = {u: None}
         queue = [u]
         while queue:
             cur = queue.pop(0)
-            for nxt, lab in adjacency.get(cur, ()):
+            for nxt, i in adjacency.get(cur, ()):
                 if nxt not in seen:
-                    seen[nxt] = (cur, lab)
+                    seen[nxt] = (cur, i)
                     if nxt == v:
-                        path = []
+                        path = 0
                         node = v
                         while seen[node] is not None:
-                            prev, lab2 = seen[node]
-                            path.append(lab2)
-                            node = prev
+                            node, j = seen[node]
+                            path |= 1 << j
                         return path
                     queue.append(nxt)
         raise AssertionError("spanning forest misses a path")
 
-    fundamentals = []
-    for lab, u, v in nontree:
-        mask = 1 << index[lab]
-        for plab in tree_path(u, v):
-            mask |= 1 << index[plab]
-        fundamentals.append(mask)
-
-    ends = {index[lab]: (u, v) for lab, u, v in labeled_edges}
-    label_of = {index[lab]: lab for lab, _, _ in labeled_edges}
+    fundamentals = [1 << i | tree_path(*edges[i]) for i in nontree]
     cycles = set()
     for combo in range(1, 1 << len(fundamentals)):
         mask = 0
-        c = combo
-        i = 0
-        while c:
-            if c & 1:
-                mask ^= fundamentals[i]
-            c >>= 1
-            i += 1
+        for k in bits(combo):
+            mask ^= fundamentals[k]
         if not mask or mask in cycles:
             continue
+        chosen = [edges[i] for i in bits(mask)]
         degree = {}
-        verts = set()
-        bit = mask
-        pos = 0
-        ok = True
-        while bit:
-            if bit & 1:
-                u, v = ends[pos]
-                degree[u] = degree.get(u, 0) + 1
-                degree[v] = degree.get(v, 0) + 1
-                verts.add(u)
-                verts.add(v)
-            bit >>= 1
-            pos += 1
+        for u, v in chosen:
+            degree[u] = degree.get(u, 0) + 1
+            degree[v] = degree.get(v, 0) + 1
         if any(d != 2 for d in degree.values()):
-            ok = False
-        if ok:
-            # connectivity over the chosen edges
-            chosen = [ends[p] for p in range(len(labeled_edges)) if mask >> p & 1]
-            seen = {chosen[0][0]}
-            changed = True
-            while changed:
-                changed = False
-                for u, v in chosen:
-                    if (u in seen) != (v in seen):
-                        seen.update((u, v))
-                        changed = True
-            ok = verts <= seen
-        if ok:
+            continue
+        # connectivity over the chosen edges
+        seen = {chosen[0][0]}
+        changed = True
+        while changed:
+            changed = False
+            for u, v in chosen:
+                if (u in seen) != (v in seen):
+                    seen.update((u, v))
+                    changed = True
+        if degree.keys() <= seen:
             cycles.add(mask)
-    out = []
-    for mask in cycles:
-        out.append(frozenset(label_of[p] for p in range(len(labeled_edges)) if mask >> p & 1))
-    return sorted_sets(out)
+    return sorted(cycles)

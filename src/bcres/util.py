@@ -13,19 +13,27 @@ def binom(a, b):
     return num
 
 
-def antichain_minimal(sets):
-    """Minimal elements (by inclusion) of a collection of frozensets, deduplicated."""
-    uniq = sorted(set(sets), key=len)
+def minimal_masks(masks):
+    """Inclusion-minimal bitmasks of a family, deduplicated, fewest bits first."""
     keep = []
-    for s in uniq:
-        if not any(t <= s for t in keep):
-            keep.append(s)
+    for m in sorted(set(masks), key=int.bit_count):
+        if not any(k & m == k for k in keep):
+            keep.append(m)
     return keep
+
+
+def _set_key(labels):
+    return (len(labels), tuple(sorted(labels, key=repr)))
 
 
 def sorted_sets(sets):
     """Canonical deterministic ordering for a family of element sets."""
-    return tuple(sorted(sets, key=lambda s: (len(s), tuple(sorted(s, key=repr)))))
+    return tuple(sorted(sets, key=_set_key))
+
+
+def sorted_masks(labels, masks):
+    """Bitmasks over label positions, in the sorted_sets order of their label sets."""
+    return sorted(masks, key=lambda m: _set_key([labels[i] for i in bits(m)]))
 
 
 def minimal_transversals(masks):
@@ -43,16 +51,18 @@ def minimal_transversals(masks):
                 new.add(t)
             else:
                 new.update(t | 1 << i for i in bits(s))
-        trans = []
-        for t in sorted(new, key=int.bit_count):
-            if not any(k & t == k for k in trans):
-                trans.append(t)
+        trans = minimal_masks(new)
     return trans
 
 
 def bits(mask):
     """Indices of the set bits of a mask, lowest first."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 # -- dense integer polynomials in one variable, lowest degree first ------------
@@ -61,11 +71,6 @@ def poly_trim(p):
     while len(p) > 1 and p[-1] == 0:
         p = p[:-1]
     return list(p)
-
-
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    return poly_trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
 
 
 def poly_mul(p, q):

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from bcres.matroid import circuit_matroid, direct_sum, uniform_matroid
+
+# property tests enumerate subsets, so an example's time depends on its size
+# and on the host's speed rather than on a fault: no per-example deadline
+settings.register_profile("bcres", deadline=None)
+settings.load_profile("bcres")
 
 
 @pytest.fixture

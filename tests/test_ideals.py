@@ -58,7 +58,7 @@ def test_minimal_generators_maintained():
     assert len(i.gens) == 2
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     st.integers(1, 4).flatmap(
         lambda n: st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=12)

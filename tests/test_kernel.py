@@ -157,7 +157,7 @@ def sparse_matrices(draw, values, coefficients):
 
 
 # entries vanishing mod 2, 3 or 32003 (6, 32003) exercise the reduction to GF(p)
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     sparse_matrices(
         [1, -1, 1, -1, 2, -2, 3, 5, 6, 32003],
@@ -172,7 +172,7 @@ def test_rank_sparse_property(matrix, p):
 
 
 # no +-1 entry, so in characteristic 0 the whole matrix goes to the rank_int fallback
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(sparse_matrices([2, -2, 3], [(1, 0), (-1, 0), (2, 2)]))
 def test_rank_sparse_no_unit_fallback(matrix):
     rows, entries = matrix
@@ -277,7 +277,7 @@ def test_hochster_betti_matches_taylor_oracle():
     assert compared >= 50
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(squarefree_ideals())
 def test_betti_hochster_matches_taylor_property(ideal):
     for p in (0, 2):

@@ -9,6 +9,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcres.errors import CircuitAxiomError, InputError, LoopError
 from bcres.matroid import (
@@ -395,3 +397,199 @@ def test_tutte_direct_sum_multiplicative(u24):
 def test_tutte_coefficients_nonnegative(golden, u24):
     for m in (golden, u24):
         assert all(c > 0 for c in m.tutte_polynomial().coeffs.values())
+
+
+# -- the mask route against the frozenset route ---------------------------------
+#
+# The oracle below is the label-set route the masks replaced: circuits as
+# frozensets, minors and broken circuits by set algebra, the dual and the
+# bases by enumeration, and the canonical order written out again.  The
+# circuits it starts from come from brute force over every subset (Fraction
+# rank for matrices, connected 2-regular edge sets for graphs), never from
+# the library.
+
+# labels whose repr order differs from their numeric order (10 < 2 as text)
+LABEL_POOL = (2, 10, 1, 12, 3, 20, 5)
+
+
+def canonical(sets):
+    return tuple(sorted(sets, key=lambda s: (len(s), tuple(sorted(s, key=repr)))))
+
+
+def minimal_sets(sets):
+    out = []
+    for s in sorted(set(sets), key=len):
+        if not any(t <= s for t in out):
+            out.append(s)
+    return out
+
+
+def fraction_rank(vectors):
+    """Rank by Gaussian elimination over Fraction; a vector list and its transpose agree."""
+    rows = [[Fraction(v) for v in vec] for vec in vectors]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c] / rows[rank][c]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def brute_linear_circuits(cols, labels):
+    dependent = [
+        frozenset(labels[i] for i in sub)
+        for k in range(1, len(cols) + 1)
+        for sub in combinations(range(len(cols)), k)
+        if fraction_rank([cols[i] for i in sub]) < k
+    ]
+    return canonical(minimal_sets(dependent))
+
+
+def brute_cycles(edges, labels):
+    out = []
+    for k in range(1, len(edges) + 1):
+        for sub in combinations(range(len(edges)), k):
+            degree = {}
+            for i in sub:
+                for w in edges[i]:
+                    degree[w] = degree.get(w, 0) + 1
+            if any(d != 2 for d in degree.values()):
+                continue
+            seen = {edges[sub[0]][0]}
+            for _ in sub:
+                seen |= {w for i in sub if seen & set(edges[i]) for w in edges[i]}
+            if seen == degree.keys():
+                out.append(frozenset(labels[i] for i in sub))
+    return canonical(out)
+
+
+def oracle_rank(ground, circuits, subset):
+    chosen = set()
+    for e in ground:
+        if e in subset and not any(c <= chosen | {e} for c in circuits):
+            chosen.add(e)
+    return len(chosen)
+
+
+def oracle_bases(ground, circuits):
+    r = oracle_rank(ground, circuits, set(ground))
+    return canonical(
+        frozenset(b) for b in combinations(ground, r) if not any(c <= set(b) for c in circuits)
+    )
+
+
+def oracle_dual(ground, circuits):
+    bases = oracle_bases(ground, circuits)
+    meets_all = [
+        frozenset(s)
+        for k in range(1, len(ground) + 1)
+        for s in combinations(ground, k)
+        if all(b & set(s) for b in bases)
+    ]
+    return canonical(minimal_sets(meets_all))
+
+
+def oracle_broken(circuits, order, minimal):
+    rank_in_order = {e: i for i, e in enumerate(order)}
+    bcs = {c - {min(c, key=rank_in_order.get)} for c in circuits}
+    return canonical(minimal_sets(bcs) if minimal else bcs)
+
+
+def oracle_tutte(ground, circuits):
+    r = oracle_rank(ground, circuits, set(ground))
+    coeffs = {}
+    for k in range(len(ground) + 1):
+        for sub in combinations(ground, k):
+            ra = oracle_rank(ground, circuits, set(sub))
+            for key, c in _binomial_expand(r - ra, k - ra).items():
+                coeffs[key] = coeffs.get(key, 0) + c
+    return TuttePolynomial(coeffs)
+
+
+small_ints = st.integers(-2, 2)
+
+
+@st.composite
+def linear_cases(draw, max_cols=7):
+    height = draw(st.integers(1, 3))
+    n = draw(st.integers(1, max_cols))
+    cols = [tuple(draw(small_ints) for _ in range(height)) for _ in range(n)]
+    labels = draw(st.permutations(LABEL_POOL))[:n]
+    return linear_matroid(cols, labels), labels, brute_linear_circuits(cols, labels)
+
+
+@st.composite
+def graphic_cases(draw, max_edges=7):
+    vertex = st.integers(1, 4)
+    edges = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=max_edges))
+    labels = draw(st.permutations(LABEL_POOL))[: len(edges)]
+    return graphic_matroid(edges, labels), labels, brute_cycles(edges, labels)
+
+
+@st.composite
+def sum_cases(draw):
+    parts = draw(
+        st.lists(st.one_of(linear_cases(max_cols=4), graphic_cases(max_edges=4)), min_size=2, max_size=3)
+    )
+    circuits = []
+    offset = 0
+    for _, labels, part_circuits in parts:
+        relabel = {e: offset + i + 1 for i, e in enumerate(labels)}
+        circuits.extend(frozenset(relabel[e] for e in c) for c in part_circuits)
+        offset += len(labels)
+    ground = tuple(range(1, offset + 1))
+    return direct_sum([m for m, _, _ in parts]), ground, canonical(circuits)
+
+
+@settings(max_examples=150)
+@given(st.one_of(linear_cases(), graphic_cases(), sum_cases()), st.data())
+def test_mask_route_matches_frozenset_oracle(case, data):
+    m, ground, circuits = case
+    ground = tuple(ground)
+    assert m.ground == ground
+    assert m.circuits == circuits
+    assert all(m.rank_of(s) == oracle_rank(ground, circuits, set(s)) for s in _some_subsets(ground))
+    order = data.draw(st.permutations(ground))
+    if any(len(c) == 1 for c in circuits):
+        with pytest.raises(LoopError):
+            m.broken_circuits(order)
+    else:
+        for minimal in (True, False):
+            assert m.broken_circuits(order, minimal) == oracle_broken(circuits, order, minimal)
+    subset = set(data.draw(st.sets(st.sampled_from(ground))))
+    inside = [e for e in ground if e in subset]
+    assert m.restrict(subset).ground == tuple(inside)
+    assert m.restrict(subset).circuits == canonical(c for c in circuits if c <= subset)
+    traces = [c - subset for c in circuits if c - subset]
+    assert m.contract(subset).circuits == canonical(minimal_sets(traces))
+    assert m.dual().circuits == oracle_dual(ground, circuits)
+    assert m.bases() == oracle_bases(ground, circuits)
+    if len(ground) <= 8:
+        assert m.tutte_polynomial() == oracle_tutte(ground, circuits)
+
+
+def _some_subsets(ground):
+    """Every subset of a ground set up to 8 elements, else those of size <= 3 or >= n - 1."""
+    n = len(ground)
+    sizes = range(n + 1) if n <= 8 else [*range(4), n - 1, n]
+    return [s for k in sizes for s in combinations(ground, k)]
+
+
+rationals = st.sampled_from([Fraction(v) for v in (0, 1, -1, 2)] + [Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)])
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 3).flatmap(lambda h: st.lists(st.tuples(*[rationals] * h), min_size=1, max_size=7)))
+def test_linear_matroid_matches_fraction_rank(cols):
+    """Every column subset: matroid rank equals Fraction rank; circuits are the minimal dependent sets."""
+    m = linear_matroid(cols)
+    labels = m.ground
+    for k in range(len(cols) + 1):
+        for sub in combinations(range(len(cols)), k):
+            assert m.rank_of(labels[i] for i in sub) == fraction_rank([cols[i] for i in sub])
+    assert m.circuits == brute_linear_circuits(cols, labels)

@@ -222,7 +222,7 @@ def squarefree_ideals(draw):
     return ideal_from_supports(tuple("x%d" % i for i in range(1, n + 1)), supports)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(squarefree_ideals())
 def test_nonface_sieve_matches_support_containment(i):
     supports = i.support_masks()
@@ -233,7 +233,7 @@ def test_nonface_sieve_matches_support_containment(i):
     assert sorted(faces) == sorted(set(range(1 << i.nvars)) - set(nonfaces))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(squarefree_ideals())
 def test_squarefree_route_matches_polarized_route(i):
     old, _ = _polarized_componentwise_check(i)
