@@ -3,15 +3,15 @@ detection, circuit-boundary generator emission, and the Koszul-style
 characterization reports driven by matroid decomposition.
 
 An arrangement is a rational matrix of normal columns; everything
-downstream (independence, circuits, dependency coefficients) is exact
-linear algebra over the rationals.
+downstream (independence, circuits, dependency coefficients, factor
+coordinates) is exact, eliminated fraction-free over the integers.
 """
 
 from fractions import Fraction
 
 from .decomposition import stratify, two_term_decomposition
 from .errors import BoundError, InputError
-from .linalg import column_rank, integer_primitive, nullspace, solve
+from .linalg import column_rank, echelon, integer_primitive, nullspace
 from .matroid import linear_matroid
 
 
@@ -81,7 +81,8 @@ def _next_label(labels):
 def detect_product(arrangement):
     """Factor the arrangement along the connected components of its matroid.
 
-    Each factor is re-expressed in a rational basis of its own span, so
+    Each factor is re-expressed in the basis of its own span formed by its
+    first independent normals, read off one integer echelon form, so
     factors are genuine lower-dimensional arrangements whose matroid
     direct sum reproduces the whole.
     """
@@ -94,22 +95,12 @@ def detect_product(arrangement):
     for comp in components:
         labels = tuple(lab for lab in arrangement.labels if lab in comp)
         cols = [by_label[lab] for lab in labels]
-        basis = _column_space_basis(cols)
-        coords = []
-        for col in cols:
-            x = solve([[b[i] for b in basis] for i in range(len(col))], list(col))
-            assert x is not None
-            coords.append(tuple(x))
+        # the pivot columns are the greedy basis of the span; column j of
+        # the reduced matrix, over d, holds its coordinates in that basis
+        m, pivots, d = echelon([[col[i] for col in cols] for i in range(len(cols[0]))])
+        coords = [[Fraction(m[t][j], d) for t in range(len(pivots))] for j in range(len(cols))]
         factors.append(Arrangement(coords, labels))
     return factors
-
-
-def _column_space_basis(cols):
-    basis = []
-    for col in cols:
-        if column_rank(basis + [col]) > len(basis):
-            basis.append(col)
-    return basis
 
 
 def os_ot_generators(arrangement, order=None):

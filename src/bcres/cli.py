@@ -35,7 +35,7 @@ from .ideals import (
     complete_intersection_check,
     quotients_analysis,
 )
-from .matroid import build_matroid, normalize_order
+from .matroid import build_matroid, normalize_order, parse_rational
 from .resolutions import betti_table, classify_linearity
 
 COMMANDS = (
@@ -86,13 +86,6 @@ def parse_input(text):
     return InputDocument(kind, payload, tuple(order) if order else None, doc)
 
 
-def _fraction(text, field):
-    try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError):
-        raise InputError("field %r: %r is not an exact rational (use 'p/q')" % (field, text))
-
-
 def materialize(doc):
     """Turn an InputDocument into the corresponding toolkit object."""
     if doc.kind == "matroid":
@@ -102,16 +95,16 @@ def materialize(doc):
             raise InputError("matroid payload missing field %s" % exc)
     if doc.kind == "arrangement":
         normals = doc.payload.get("normals")
-        if not isinstance(normals, list) or not normals:
-            raise InputError("arrangement payload needs a nonempty 'normals' list")
+        if not isinstance(normals, list) or not normals or not all(isinstance(c, list) for c in normals):
+            raise InputError("arrangement payload needs a nonempty 'normals' list of lists")
         cols = [
-            [_fraction(v, "normals[%d]" % i) for v in col] for i, col in enumerate(normals)
+            [parse_rational(v, "normals[%d]" % i) for v in col] for i, col in enumerate(normals)
         ]
         return Arrangement(cols, labels=doc.payload.get("labels"))
     if doc.kind == "graph":
         edges = doc.payload.get("edges")
-        if not isinstance(edges, list) or not edges:
-            raise InputError("graph payload needs a nonempty 'edges' list")
+        if not isinstance(edges, list) or not edges or not all(isinstance(e, list) for e in edges):
+            raise InputError("graph payload needs a nonempty 'edges' list of lists")
         return Graph([tuple(e) for e in edges])
     if doc.kind == "ideal":
         names = doc.payload.get("variables")
@@ -209,7 +202,8 @@ def _cmd_betti(doc, options):
 
 
 def _cmd_hilbert(doc, options):
-    ideal = _bc_ideal(doc, options)
+    m = _matroid_of(doc, options) if doc.kind != "ideal" else None
+    ideal = materialize(doc) if m is None else broken_circuit_ideal(m, doc.order)
     hd = hilbert_function(ideal)
     out = {
         "ideal": ideal.render(),
@@ -225,8 +219,7 @@ def _cmd_hilbert(doc, options):
         out["binomial_fit"] = binomial_form_fit(hd)
     except InputError as exc:
         out["binomial_fit"] = "unavailable: %s" % exc
-    if doc.kind != "ideal":
-        m = _matroid_of(doc, options)
+    if m is not None:
         order = normalize_order(m, doc.order)
         h = f_h_vectors(bc_complex(m, order)).h
         out["h_fit"] = h_binomial_fit(h, len(m.ground) - m.rank)

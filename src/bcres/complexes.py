@@ -9,8 +9,8 @@ because reduced homology in dimension -1 matters downstream.  Both
 Stanley-Reisner directions are one Alexander-duality step through
 util.minimal_transversals: facets are the complements of the minimal
 transversals of the minimal nonfaces, and minimal nonfaces are the minimal
-transversals of the facet complements.  The Betti route keeps its own face
-lists (resolutions._nonface_sieve): it starts from generator supports, not
+transversals of the facet complements.  The Betti route builds its own
+face lists with util.nonface_sieve: it starts from generator supports, not
 facets, and is capped by HOCHSTER_VARIABLE_LIMIT.
 """
 

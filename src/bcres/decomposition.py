@@ -4,7 +4,11 @@ criteria together.
 
 Stratification semantics: each step removes a stratum by restriction, the
 stratum being the restriction of the current matroid to the removed
-elements; a stratum qualifies when it splits as uniform-plus-free.
+elements; a stratum qualifies when it splits as uniform-plus-free.  Both
+the two-term decomposition and every stratum are tested on circuit masks
+alone (_uniform_plus_free): the circuits of X|S are the circuits of X
+inside S, so no restricted matroid is built.  StratumCertificate.verify
+re-checks through Matroid.restrict, independently.
 """
 
 from .complexes import bc_complex, f_h_vectors, independence_complex
@@ -104,6 +108,28 @@ class Stratification:
         return out
 
 
+def _uniform_plus_free(matroid, mask):
+    """Certificate that X|S, S the ground positions in mask, is U_{s,m} + U_{f,f}, or None.
+
+    The circuits of X|S are the circuits of X inside S.  Their union is the
+    core and the rest of S is free (the coloops of X|S).  The core is
+    uniform iff every circuit inside has the same size k = s + 1 and all
+    C(|core|, k) of them occur; then the rank is s + |free|.
+    """
+    inside = [c for c in matroid.circuit_masks if c & mask == c]
+    core = 0
+    for c in inside:
+        core |= c
+    free = mask ^ core
+    s = inside[0].bit_count() - 1 if inside else 0
+    if len(inside) != binom(core.bit_count(), s + 1) or any(c.bit_count() != s + 1 for c in inside):
+        return None
+    labels = matroid._labels
+    return StratumCertificate(
+        labels(mask), s, s + free.bit_count(), mask.bit_count(), labels(core), labels(free)
+    )
+
+
 def two_term_decomposition(matroid):
     """Certificate that X is U_{s, n-r+s} + U_{r-s, r-s}, or None.
 
@@ -112,20 +138,7 @@ def two_term_decomposition(matroid):
     """
     if not matroid.is_loopless:
         raise LoopError("two-term decomposition needs a loopless matroid")
-    free = matroid.coloops()
-    core = [e for e in matroid.ground if e not in free]
-    s = matroid.rank - len(free)
-    m = len(core)
-    if m == 0:
-        return StratumCertificate(matroid.ground, 0, matroid.rank, len(matroid.ground), (), free)
-    # uniform iff every circuit has s+1 elements and all of them occur
-    if any(c.bit_count() != s + 1 for c in matroid.circuit_masks):
-        return None
-    if len(matroid.circuit_masks) != binom(m, s + 1):
-        return None
-    return StratumCertificate(
-        matroid.ground, s, matroid.rank, len(matroid.ground), core, free
-    )
+    return _uniform_plus_free(matroid, (1 << len(matroid.ground)) - 1)
 
 
 def fvector_bound_check(matroid, s):
@@ -220,7 +233,6 @@ def stratify(matroid):
     n = len(matroid.ground)
     if n > STRATIFY_SIZE_LIMIT:
         raise BoundError("stratification search limited to %d elements" % STRATIFY_SIZE_LIMIT)
-    ground = list(matroid.ground)
     dead = set()
 
     def subsets_desc(mask):
@@ -235,32 +247,18 @@ def stratify(matroid):
         subs.sort(key=lambda s: bin(s).count("1"))
         return subs
 
-    def unmask(mask):
-        return frozenset(ground[i] for i in range(n) if mask >> i & 1)
-
     def search(mask):
         if mask == 0:
             return []
         if mask in dead:
             return None
         for nxt in subsets_desc(mask):
-            stratum_elems = unmask(mask ^ nxt)
-            stratum = matroid.restrict(stratum_elems)
-            cert = two_term_decomposition(stratum)
+            cert = _uniform_plus_free(matroid, mask ^ nxt)
             if cert is None:
                 continue
             tail = search(nxt)
             if tail is not None:
-                return [
-                    StratumCertificate(
-                        stratum_elems,
-                        cert.s,
-                        cert.rank,
-                        len(stratum_elems),
-                        cert.uniform_part,
-                        cert.free_part,
-                    )
-                ] + tail
+                return [cert] + tail
         dead.add(mask)
         return None
 

@@ -26,9 +26,11 @@ class Graph:
         for e in edges:
             if len(e) == 3:
                 lab, u, v = e
-            else:
+            elif len(e) == 2:
                 u, v = e
                 lab = len(norm) + 1
+            else:
+                raise InputError("edge %r must be [u, v] or [label, u, v]" % (list(e),))
             if lab in labels:
                 raise InputError("duplicate edge label %r" % (lab,))
             labels.add(lab)

@@ -11,7 +11,6 @@ plays the role of the Hilbert coefficients.
 from .complexes import complex_from_nonfaces, f_h_vectors
 from .errors import InputError
 from .ideals import Monomial, complex_of_ideal
-from .linalg import solve
 from .util import binom, poly_divmod, poly_mul, poly_pow, poly_shift_basis, poly_trim
 
 
@@ -159,27 +158,17 @@ def h_binomial_fit(h, q):
     """Least-width fit h_k = sum_l c_l * C(k + q - l - 1, k) below the zero tail.
 
     The cutoff is where the trailing zeros of h begin; the fit must be
-    exact on every earlier value with width d <= q.  Returns the rational
-    coefficient vector (integral in all verified cases), the cutoff, and
-    the fit verdict.
+    exact on every earlier value with width d <= q.  C(k + q - l - 1, k) is
+    the t^k coefficient of 1/(1-t)^(q-l), so the fit asks that h(t)(1-t)^q
+    and sum c_l (1-t)^l agree below t^cutoff: c is the (1-t)-basis
+    expansion of that truncated product, unique and always integral, and
+    d is its length.  Returns c, the cutoff, and the fit verdict.
     """
     h = list(h)
-    cutoff = 0
-    for k, v in enumerate(h):
-        if v:
-            cutoff = k + 1
+    cutoff = max((k + 1 for k, v in enumerate(h) if v), default=0)
     if cutoff == 0:
         return {"c": (), "cutoff": 0, "fits": True, "d": 0}
-    target = h[:cutoff]
-    for d in range(1, q + 1):
-        rows = [[binom(k + q - l - 1, k) for l in range(d)] for k in range(cutoff)]
-        solution = solve(rows, target)
-        if solution is not None:
-            return {
-                "c": tuple(int(v) if v.denominator == 1 else v for v in solution),
-                "cutoff": cutoff,
-                "fits": True,
-                "d": d,
-            }
-    return {"c": None, "cutoff": cutoff, "fits": False, "d": None}
-
+    c = poly_shift_basis(poly_mul(h[:cutoff], poly_pow([1, -1], q))[:cutoff])
+    if len(c) > q:
+        return {"c": None, "cutoff": cutoff, "fits": False, "d": None}
+    return {"c": tuple(c), "cutoff": cutoff, "fits": True, "d": len(c)}

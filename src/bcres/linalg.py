@@ -1,12 +1,14 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, eliminated over the integers.
 
-Ranks go through the integer kernel: each column is scaled once to
-coprime integers (integer_primitive), which keeps its span, and
-_kernel.rank_int eliminates fraction-free.  linear_matroid ranks its
-column subsets that way; column_rank serves arrangement essentiality and
-column-space bases.  rref, nullspace and solve still work on Fraction
-matrices, for circuit dependency coefficients and small exact solves.
-Everything is dense and small.
+Each rational vector is scaled once to coprime integers
+(integer_primitive), which keeps its span.  Ranks go through the
+fraction-free kernel _kernel.rank_int: linear_matroid ranks its column
+subsets that way, and column_rank serves arrangement essentiality.
+echelon is the one reduced form, an integer Gauss-Jordan elimination
+whose every division is exact (Bareiss); nullspace reads integer kernel
+vectors off it, and detect_product reads a column basis and coordinates.
+No elimination runs over Fraction: Fraction appears only in parsed input
+and in the coordinates of product factors.  Everything is dense and small.
 """
 
 from fractions import Fraction
@@ -24,68 +26,55 @@ def column_rank(cols):
     return rank_int([integer_primitive(col) for col in cols])
 
 
-def rref(rows):
-    """Reduced row echelon form over the rationals; returns (matrix, pivot columns)."""
-    m = [[Fraction(v) for v in row] for row in rows]
+def echelon(rows):
+    """Integer reduced row echelon form of a rational matrix: (matrix, pivot columns, d).
+
+    The rows are scaled to integers, then each Gauss-Jordan step
+    multiplies by the new pivot and divides exactly by the previous one,
+    so entries stay minors of the scaled matrix.  Every pivot ends equal
+    to d, and matrix / d is the reduced row echelon form over the
+    rationals.
+    """
+    m = [integer_primitive(row) for row in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
     pivots = []
-    pr = 0
+    d = 1
     for pc in range(nc):
-        piv = None
-        for i in range(pr, nr):
-            if m[i][pc]:
-                piv = i
-                break
+        r = len(pivots)
+        piv = next((i for i in range(r, nr) if m[i][pc]), None)
         if piv is None:
             continue
-        m[pr], m[piv] = m[piv], m[pr]
-        pv = m[pr][pc]
-        m[pr] = [v / pv for v in m[pr]]
+        m[r], m[piv] = m[piv], m[r]
+        p = m[r][pc]
         for i in range(nr):
-            if i != pr and m[i][pc]:
+            if i != r:
                 f = m[i][pc]
-                m[i] = [a - f * b for a, b in zip(m[i], m[pr])]
+                m[i] = [(p * a - f * b) // d for a, b in zip(m[i], m[r])]
+        d = p
         pivots.append(pc)
-        pr += 1
-        if pr == nr:
-            break
-    return m, pivots
+    return m, pivots, d
 
 
 def nullspace(rows):
-    """Basis of the right kernel of a rational matrix, as Fraction column vectors."""
+    """Basis of the right kernel of a rational matrix, as integer column vectors.
+
+    The vector of a free column has d there and minus that column of the
+    reduced matrix at the pivot columns.
+    """
     if not rows:
         return []
-    nc = len(rows[0])
-    m, pivots = rref(rows)
-    free = [c for c in range(nc) if c not in pivots]
+    m, pivots, d = echelon(rows)
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * nc
-        vec[fc] = Fraction(1)
+    for fc in range(len(m[0])):
+        if fc in pivots:
+            continue
+        vec = [0] * len(m[0])
+        vec[fc] = d
         for r, pc in enumerate(pivots):
             vec[pc] = -m[r][fc]
         basis.append(vec)
     return basis
-
-
-def solve(rows, rhs):
-    """One exact solution x of rows * x = rhs, or None if inconsistent."""
-    if not rows:
-        return [] if not any(rhs) else None
-    nc = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    m, pivots = rref(aug)
-    for r in range(len(m)):
-        if all(v == 0 for v in m[r][:nc]) and m[r][nc] != 0:
-            return None
-    x = [Fraction(0)] * nc
-    for r, pc in enumerate(pivots):
-        if pc == nc:
-            return None
-        x[pc] = m[r][nc]
-    return x
 
 
 def integer_primitive(vec):

@@ -18,7 +18,7 @@ from itertools import combinations
 from .errors import BoundError, CircuitAxiomError, InputError, LoopError
 from ._kernel import rank_int
 from .linalg import integer_primitive
-from .util import bits, minimal_masks, minimal_transversals, sorted_masks, sorted_sets
+from .util import bits, minimal_masks, minimal_transversals, nonface_sieve, sorted_masks, sorted_sets
 
 ELIMINATION_EXHAUSTIVE_LIMIT = 12
 ELIMINATION_SAMPLES = 1000
@@ -152,14 +152,16 @@ class Matroid:
 
     def _check_elimination(self):
         masks = self.circuit_masks
+        n = len(self.ground)
         pairs = [(a, b) for a, b in combinations(masks, 2) if a & b]
-        if len(self.ground) > ELIMINATION_EXHAUSTIVE_LIMIT and len(pairs) > ELIMINATION_SAMPLES:
-            rng = random.Random(0)
-            pairs = rng.sample(pairs, ELIMINATION_SAMPLES)
+        # up to the limit, one byte per subset says whether it contains a circuit
+        sieve = nonface_sieve(n, masks) if n <= ELIMINATION_EXHAUSTIVE_LIMIT else None
+        if sieve is None and len(pairs) > ELIMINATION_SAMPLES:
+            pairs = random.Random(0).sample(pairs, ELIMINATION_SAMPLES)
         for a, b in pairs:
             for i in bits(a & b):
                 target = (a | b) ^ (1 << i)
-                if not any(m & target == m for m in masks):
+                if not (sieve[target] if sieve is not None else any(m & target == m for m in masks)):
                     raise CircuitAxiomError(self._labels(a), self._labels(b), self.ground[i])
 
     # -- basic queries -----------------------------------------------------
@@ -472,20 +474,51 @@ def direct_sum(parts):
     return m
 
 
+def parse_rational(value, field):
+    """Exact rational from a JSON number or a 'p/q' string; InputError names the field."""
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise InputError("field %r: %r is not an exact rational (use 'p/q')" % (field, value))
+
+
+def _int_field(spec, key):
+    value = spec[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError("field %r must be an integer, got %r" % (key, value))
+    return value
+
+
+def _rows_of_scalars(value, field):
+    """A JSON list of lists of scalars (numbers, strings), else InputError."""
+    if not isinstance(value, list) or not all(
+        isinstance(row, list) and not any(isinstance(v, (list, dict)) for v in row) for row in value
+    ):
+        raise InputError("field %r must be a list of lists of scalars" % field)
+    return value
+
+
 def build_matroid(spec):
     """Dispatch a construction description dict (the CLI payload schema)."""
     kind = spec.get("type")
     if kind == "uniform":
-        return uniform_matroid(spec["p"], spec["n"])
+        return uniform_matroid(_int_field(spec, "p"), _int_field(spec, "n"))
     if kind == "circuits":
-        return circuit_matroid(spec["n"], [frozenset(c) for c in spec["circuits"]])
+        circuits = _rows_of_scalars(spec["circuits"], "circuits")
+        return circuit_matroid(_int_field(spec, "n"), [frozenset(c) for c in circuits])
     if kind == "graphic":
-        edges = [tuple(e) for e in spec["edges"]]
-        if edges and len(edges[0]) == 3:
+        edges = [tuple(e) for e in _rows_of_scalars(spec["edges"], "edges")]
+        widths = {len(e) for e in edges}
+        if widths == {3}:
             return graphic_matroid([(u, v) for _, u, v in edges], [lab for lab, _, _ in edges])
+        if widths - {2}:
+            raise InputError("edges must all be [u, v] or all be [label, u, v]")
         return graphic_matroid(edges)
     if kind == "linear":
-        rows = [[Fraction(str(v)) for v in row] for row in spec["matrix"]]
+        rows = [
+            [parse_rational(v, "matrix[%d]" % i) for v in row]
+            for i, row in enumerate(_rows_of_scalars(spec["matrix"], "matrix"))
+        ]
         if not rows:
             raise InputError("empty matrix")
         width = len(rows[0])
@@ -494,7 +527,10 @@ def build_matroid(spec):
         cols = [[rows[i][j] for i in range(len(rows))] for j in range(width)]
         return linear_matroid(cols)
     if kind == "direct_sum":
-        return direct_sum([build_matroid(p) for p in spec["parts"]])
+        parts = spec["parts"]
+        if not isinstance(parts, list) or not all(isinstance(p, dict) for p in parts):
+            raise InputError("field 'parts' must be a list of matroid payloads")
+        return direct_sum([build_matroid(p) for p in parts])
     raise InputError("unknown matroid construction %r" % (kind,))
 
 

@@ -20,6 +20,7 @@ from . import _kernel
 from .complexes import _check_characteristic
 from .errors import BoundError, InputError
 from .ideals import component_ideal, ideal_from_supports, polarize
+from .util import nonface_sieve as _nonface_sieve
 
 TAYLOR_GENERATOR_LIMIT = 12
 HOCHSTER_VARIABLE_LIMIT = 14
@@ -138,26 +139,6 @@ def rows_consecutive_only(table):
 
 
 # -- Hochster route ------------------------------------------------------------
-
-
-def _nonface_sieve(nvars, support_masks):
-    """One byte per vertex mask: 1 if the mask contains a generator support
-    (a nonface of the Stanley-Reisner complex), else 0.
-
-    The supports are marked, then closed upwards one variable at a time.
-    With the bytes packed into one integer, a single shift moves every mask
-    without variable i onto the mask with it.
-    """
-    size = 1 << nvars
-    marks = bytearray(size)
-    for g in support_masks:
-        marks[g] = 1
-    sieve = int.from_bytes(marks, "little")
-    for i in range(nvars):
-        step = 1 << i
-        without_i = int.from_bytes((b"\x01" * step + b"\x00" * step) * (size >> (i + 1)), "little")
-        sieve |= (sieve & without_i) << 8 * step
-    return sieve.to_bytes(size, "little")
 
 
 def _faces_by_size_from_supports(nvars, support_masks):

@@ -55,6 +55,26 @@ def minimal_transversals(masks):
     return trans
 
 
+def nonface_sieve(nvars, masks):
+    """One byte per vertex mask: 1 if the mask contains one of the given
+    masks (a nonface, when they are generator supports), else 0.
+
+    The masks are marked, then closed upwards one variable at a time.
+    With the bytes packed into one integer, a single shift moves every mask
+    without variable i onto the mask with it.
+    """
+    size = 1 << nvars
+    marks = bytearray(size)
+    for g in masks:
+        marks[g] = 1
+    sieve = int.from_bytes(marks, "little")
+    for i in range(nvars):
+        step = 1 << i
+        without_i = int.from_bytes((b"\x01" * step + b"\x00" * step) * (size >> (i + 1)), "little")
+        sieve |= (sieve & without_i) << 8 * step
+    return sieve.to_bytes(size, "little")
+
+
 def bits(mask):
     """Indices of the set bits of a mask, lowest first."""
     out = []

@@ -3,6 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_linalg import fraction_solve
 
 from bcres.arrangements import (
     Arrangement,
@@ -13,6 +16,7 @@ from bcres.arrangements import (
     os_ot_generators,
 )
 from bcres.errors import InputError
+from bcres.linalg import column_rank
 from bcres.matroid import direct_sum, uniform_matroid
 
 GENERIC4 = Arrangement([(1, 0), (0, 1), (1, 1), (1, -1)])
@@ -87,6 +91,57 @@ def test_product_factors_multiply(u24):
     # same circuit structure up to the relabeling of the direct sum
     assert sorted(len(c) for c in product.circuits) == sorted(len(c) for c in whole.circuits)
     assert product.rank == whole.rank
+
+
+def solve_route_factors(arrangement):
+    """Factors as (labels, normals) by the greedy column basis and one solve per column."""
+    components, _ = matroid_of_arrangement(arrangement).components_and_coloops()
+    by_label = dict(zip(arrangement.labels, arrangement.normals))
+    factors = []
+    for comp in components:
+        labels = tuple(lab for lab in arrangement.labels if lab in comp)
+        cols = [by_label[lab] for lab in labels]
+        basis = []
+        for col in cols:
+            if column_rank(basis + [col]) > len(basis):
+                basis.append(col)
+        coords = [
+            tuple(fraction_solve([[b[i] for b in basis] for i in range(len(col))], list(col)))
+            for col in cols
+        ]
+        factors.append((labels, tuple(coords)))
+    return factors
+
+
+small = st.integers(-2, 2)
+
+
+@st.composite
+def essential_arrangements(draw):
+    """Block-diagonal normals (so products occur) seen through a random change of basis."""
+    blocks = draw(st.lists(st.tuples(st.integers(1, 2), st.integers(1, 4)), min_size=1, max_size=3))
+    dim = sum(d for d, _ in blocks)
+    cols = []
+    top = 0
+    for d, n in blocks:
+        for _ in range(n):
+            part = [draw(small) for _ in range(d)]
+            cols.append([0] * top + part + [0] * (dim - top - d))
+        top += d
+    change = [[draw(small) for _ in range(dim)] for _ in range(dim)]
+    assume(column_rank(change) == dim)
+    cols = [[sum(change[i][k] * col[k] for k in range(dim)) for i in range(dim)] for col in cols]
+    assume(all(any(col) for col in cols))
+    arrangement = Arrangement(cols)
+    assume(arrangement.is_essential)
+    return arrangement
+
+
+@settings(max_examples=150)
+@given(essential_arrangements())
+def test_detect_product_matches_solve_route(arrangement):
+    got = [(f.labels, f.normals) for f in detect_product(arrangement)]
+    assert got == solve_route_factors(arrangement)
 
 
 def test_os_ot_generators_triple():

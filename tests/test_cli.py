@@ -193,6 +193,36 @@ def test_hilbert_command():
     assert res["h_fit"]["c"] == [1] and res["h_fit"]["cutoff"] == 2
 
 
+MALFORMED = {
+    "matrix-entry": '{"kind":"matroid","payload":{"type":"linear","matrix":[["abc","1"],["1","2"]]}}',
+    "zero-denominator": '{"kind":"matroid","payload":{"type":"linear","matrix":[["1/0","1"],["1","2"]]}}',
+    "uniform-p-string": '{"kind":"matroid","payload":{"type":"uniform","p":"2","n":4}}',
+    "circuits-not-a-list": '{"kind":"matroid","payload":{"type":"circuits","n":3,"circuits":5}}',
+    "graphic-short-edge": '{"kind":"matroid","payload":{"type":"graphic","edges":[[1,2],[1]]}}',
+    "graph-short-edge": '{"kind":"graph","payload":{"edges":[[1,2],[1]]}}',
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_payload_exits_with_error(text, tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    assert main(["info", str(doc)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_hilbert_builds_the_matroid_once(monkeypatch):
+    import bcres.arrangements
+
+    calls = []
+    real = bcres.arrangements.linear_matroid
+    monkeypatch.setattr(bcres.arrangements, "linear_matroid", lambda *a, **k: calls.append(1) or real(*a, **k))
+    doc = parse_input('{"kind":"arrangement","payload":{"normals":[[1,0],[0,1],[1,1]]}}')
+    rep = run_command("hilbert", doc, Options())
+    assert rep["result"]["h_fit"]["fits"] is True
+    assert len(calls) == 1
+
+
 def test_ideal_kind_input():
     doc = parse_input(
         '{"kind":"ideal","payload":{"variables":["x1","x2","x3","x4"],'

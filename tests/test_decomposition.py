@@ -1,9 +1,16 @@
 """Two-term decomposition, f-vector bounds, stratification, cross-validation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_matroid import graphic_cases, linear_cases, sum_cases
 
+from bcres.corpus import standard_corpus
 from bcres.decomposition import (
+    STRATIFY_SIZE_LIMIT,
+    StratumCertificate,
     Stratification,
+    _uniform_plus_free,
     cross_validate,
     extremal_h_check,
     fvector_bound_check,
@@ -13,6 +20,7 @@ from bcres.decomposition import (
 )
 from bcres.errors import BoundError, LoopError
 from bcres.matroid import direct_sum, uniform_matroid
+from bcres.util import bits
 
 
 def test_two_term_u24(u24):
@@ -142,6 +150,86 @@ def test_stratify_none_exists():
     m = graphic_matroid([(1, 2), (2, 3), (1, 3), (2, 4), (3, 4)])
     s = stratify(m)
     assert s is None or s.verify(m)
+
+
+# -- the circuit-mask route against restricted matroids -------------------------
+#
+# The oracle builds the restricted matroid and decomposes it, as stratify
+# did before it tested strata on circuit masks.
+
+
+def _same_certificate(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return a.as_dict() == b.as_dict()
+
+
+@settings(max_examples=150)
+@given(st.one_of(linear_cases(), graphic_cases(), sum_cases()), st.data())
+def test_uniform_plus_free_matches_restricted_decomposition(case, data):
+    m = case[0]
+    loops = sum(1 << i for i, e in enumerate(m.ground) if e in m.loops())
+    mask = data.draw(st.integers(0, (1 << len(m.ground)) - 1)) & ~loops
+    stratum = m.restrict(m.ground[i] for i in bits(mask))
+    assert _same_certificate(_uniform_plus_free(m, mask), two_term_decomposition(stratum))
+
+
+def restrict_route_stratify(matroid):
+    """Stratification search testing every candidate stratum on its restricted matroid."""
+    n = len(matroid.ground)
+    ground = list(matroid.ground)
+    dead = set()
+
+    def subsets_desc(mask):
+        subs = []
+        sub = (mask - 1) & mask
+        while True:
+            subs.append(sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & mask
+        subs.sort(key=lambda s: bin(s).count("1"))
+        return subs
+
+    def search(mask):
+        if mask == 0:
+            return []
+        if mask in dead:
+            return None
+        for nxt in subsets_desc(mask):
+            elems = frozenset(ground[i] for i in range(n) if (mask ^ nxt) >> i & 1)
+            cert = two_term_decomposition(matroid.restrict(elems))
+            if cert is None:
+                continue
+            tail = search(nxt)
+            if tail is not None:
+                return [
+                    StratumCertificate(
+                        elems, cert.s, cert.rank, len(elems), cert.uniform_part, cert.free_part
+                    )
+                ] + tail
+        dead.add(mask)
+        return None
+
+    strata = search((1 << n) - 1)
+    if strata is None:
+        return None
+    chain = []
+    remaining = set(matroid.ground)
+    for s in strata:
+        chain.append(frozenset(remaining))
+        remaining -= s.elements
+    return Stratification(chain, strata)
+
+
+def test_stratify_matches_restrict_route_on_corpus():
+    for name, m in standard_corpus(0):
+        if not m.is_loopless or len(m.ground) > STRATIFY_SIZE_LIMIT:
+            continue
+        got, want = stratify(m), restrict_route_stratify(m)
+        assert (got is None) == (want is None), name
+        if got is not None:
+            assert got.as_dict(m) == want.as_dict(m), name
 
 
 def test_cross_validate_u24(u24):

@@ -1,6 +1,9 @@
 """Hilbert data: f-vector route vs brute-force monomial counting, binomial fits."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_linalg import fraction_solve
 
 from bcres.complexes import bc_complex, f_h_vectors
 from bcres.corpus import standard_corpus
@@ -167,6 +170,51 @@ def test_h_binomial_fit_reproduces_values():
         for k in range(fit["cutoff"]):
             val = sum(c * binom(k + q - l - 1, k) for l, c in enumerate(fit["c"]))
             assert val == h[k]
+
+
+def solve_fit(h, q):
+    """The fit by linear solves: the least d <= q whose binomial system has a solution."""
+    h = list(h)
+    cutoff = 0
+    for k, v in enumerate(h):
+        if v:
+            cutoff = k + 1
+    if cutoff == 0:
+        return {"c": (), "cutoff": 0, "fits": True, "d": 0}
+    target = h[:cutoff]
+    for d in range(1, q + 1):
+        rows = [[binom(k + q - l - 1, k) for l in range(d)] for k in range(cutoff)]
+        solution = fraction_solve(rows, target)
+        if solution is not None:
+            return {
+                "c": tuple(int(v) if v.denominator == 1 else v for v in solution),
+                "cutoff": cutoff,
+                "fits": True,
+                "d": d,
+            }
+    return {"c": None, "cutoff": cutoff, "fits": False, "d": None}
+
+
+@settings(max_examples=400)
+@given(
+    st.lists(st.integers(-4, 12), max_size=8),
+    st.integers(0, 3),
+    st.integers(0, 7),
+)
+def test_h_binomial_fit_matches_solve_route(head, zeros, q):
+    h = head + [0] * zeros
+    fit = h_binomial_fit(h, q)
+    assert fit == solve_fit(h, q)
+    assert fit["c"] is None or all(type(c) is int for c in fit["c"])
+
+
+def test_h_binomial_fit_matches_solve_route_on_corpus():
+    for _, m in standard_corpus(0):
+        if not m.is_loopless:
+            continue
+        q = len(m.ground) - m.rank
+        h = f_h_vectors(bc_complex(m)).h
+        assert h_binomial_fit(h, q) == solve_fit(h, q)
 
 
 def test_hilbert_betti_euler_consistency(golden, u24_ideal):

@@ -1,0 +1,119 @@
+"""Integer elimination: echelon and nullspace against Gauss-Jordan over Fraction.
+
+The oracle is the Fraction route the integer elimination replaced: a
+reduced row echelon form over the rationals, the kernel read off it, and
+one exact solution of a linear system.  test_hilbert and test_arrangements
+import it as the reference for the routes built on it before.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bcres.linalg import column_rank, echelon, integer_primitive, nullspace
+
+
+# -- the Fraction route ----------------------------------------------------------
+
+
+def fraction_rref(rows):
+    """Reduced row echelon form over the rationals; returns (matrix, pivot columns)."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    pivots = []
+    pr = 0
+    for pc in range(nc):
+        piv = next((i for i in range(pr, nr) if m[i][pc]), None)
+        if piv is None:
+            continue
+        m[pr], m[piv] = m[piv], m[pr]
+        pv = m[pr][pc]
+        m[pr] = [v / pv for v in m[pr]]
+        for i in range(nr):
+            if i != pr and m[i][pc]:
+                f = m[i][pc]
+                m[i] = [a - f * b for a, b in zip(m[i], m[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == nr:
+            break
+    return m, pivots
+
+
+def fraction_nullspace(rows):
+    nc = len(rows[0])
+    m, pivots = fraction_rref(rows)
+    basis = []
+    for fc in range(nc):
+        if fc in pivots:
+            continue
+        vec = [Fraction(0)] * nc
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -m[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def fraction_solve(rows, rhs):
+    """One exact solution x of rows * x = rhs, or None if inconsistent."""
+    if not rows:
+        return [] if not any(rhs) else None
+    nc = len(rows[0])
+    m, pivots = fraction_rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    if nc in pivots:
+        return None
+    x = [Fraction(0)] * nc
+    for r, pc in enumerate(pivots):
+        x[pc] = m[r][nc]
+    return x
+
+
+# -- integer route against it ------------------------------------------------------
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def rational_matrices(draw, max_rows=5, max_cols=6):
+    nr = draw(st.integers(1, max_rows))
+    nc = draw(st.integers(1, max_cols))
+    # small entries and repeated rows make rank deficiency common
+    pool = draw(st.lists(st.lists(rationals, min_size=nc, max_size=nc), min_size=1, max_size=3))
+    return [
+        draw(st.one_of(st.sampled_from(pool), st.lists(rationals, min_size=nc, max_size=nc)))
+        for _ in range(nr)
+    ]
+
+
+@settings(max_examples=150)
+@given(rational_matrices())
+def test_echelon_over_d_is_the_fraction_rref(rows):
+    m, pivots, d = echelon(rows)
+    ref, ref_pivots = fraction_rref(rows)
+    assert pivots == ref_pivots
+    assert all(isinstance(v, int) for row in m for v in row)
+    assert all(m[r][pc] == d for r, pc in enumerate(pivots))
+    for r in range(len(pivots)):
+        assert [Fraction(v, d) for v in m[r]] == ref[r]
+    assert not any(any(row) for row in m[len(pivots):])
+    assert len(pivots) == column_rank([list(col) for col in zip(*rows)])
+
+
+@settings(max_examples=150)
+@given(rational_matrices())
+def test_nullspace_matches_fraction_route(rows):
+    got = nullspace(rows)
+    want = fraction_nullspace(rows)
+    assert all(isinstance(v, int) for vec in got for v in vec)
+    assert [integer_primitive(v) for v in got] == [integer_primitive(v) for v in want]
+    for vec in got:
+        assert all(sum(Fraction(a) * b for a, b in zip(row, vec)) == 0 for row in rows)
+
+
+def test_echelon_empty_and_zero():
+    assert echelon([]) == ([], [], 1)
+    assert echelon([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], [], 1)
+    assert nullspace([[0, 0]]) == [[1, 0], [0, 1]]

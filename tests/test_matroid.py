@@ -593,3 +593,53 @@ def test_linear_matroid_matches_fraction_rank(cols):
         for sub in combinations(range(len(cols)), k):
             assert m.rank_of(labels[i] for i in sub) == fraction_rank([cols[i] for i in sub])
     assert m.circuits == brute_linear_circuits(cols, labels)
+
+
+# -- circuit elimination: the subset sieve against the circuit scan ------------
+
+
+def scanning_witness(ground, circuits):
+    """First (circuit, circuit, element) failing elimination, scanning every circuit per target."""
+    for a, b in combinations(circuits, 2):
+        for e in sorted(a & b, key=ground.index):
+            target = (a | b) - {e}
+            if not any(c <= target for c in circuits):
+                return sorted(a), sorted(b), e
+    return None
+
+
+@st.composite
+def circuit_families(draw):
+    """Antichains on at most 8 labels: random ones, and matroids' circuits with one dropped."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 8))
+        ground = tuple(range(1, n + 1))
+        sets = draw(st.lists(st.frozensets(st.sampled_from(ground), min_size=1), min_size=1, max_size=8))
+        return ground, canonical(minimal_sets(sets))
+    m, ground, circuits = draw(st.one_of(linear_cases(), graphic_cases()))
+    if circuits and draw(st.booleans()):
+        drop = draw(st.integers(0, len(circuits) - 1))
+        circuits = circuits[:drop] + circuits[drop + 1 :]
+    return tuple(ground), circuits
+
+
+@settings(max_examples=300)
+@given(circuit_families())
+def test_elimination_witness_matches_circuit_scan(family):
+    ground, circuits = family
+    expected = scanning_witness(ground, circuits)
+    try:
+        Matroid(ground, circuits, validate=True)
+    except CircuitAxiomError as exc:
+        assert exc.witness == expected
+    else:
+        assert expected is None
+
+
+def test_u5_12_validates_quickly():
+    import time
+
+    start = time.perf_counter()
+    m = circuit_matroid(12, [set(c) for c in combinations(range(1, 13), 6)])
+    assert m == uniform_matroid(5, 12)
+    assert time.perf_counter() - start < 10
