@@ -9,7 +9,6 @@ from .arrangements import (
     cone_arrangement,
     detect_product,
     koszul_report,
-    matroid_of_arrangement,
     os_ot_generators,
 )
 from .complexes import (

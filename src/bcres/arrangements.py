@@ -2,9 +2,10 @@
 detection, circuit-boundary generator emission, and the Koszul-style
 characterization reports driven by matroid decomposition.
 
-An arrangement is a rational matrix of normal columns; everything
-downstream (independence, circuits, dependency coefficients, factor
-coordinates) is exact, eliminated fraction-free over the integers.
+An arrangement is a rational matrix of normal columns together with its
+linear matroid, built once; everything downstream (circuits, dependency
+coefficients, factor coordinates) is exact, eliminated fraction-free over
+the integers.
 """
 
 from fractions import Fraction
@@ -16,9 +17,13 @@ from .matroid import linear_matroid
 
 
 class Arrangement:
-    """Central arrangement: one rational normal column per hyperplane."""
+    """Central arrangement: one rational normal column per hyperplane, and its matroid.
 
-    __slots__ = ("normals", "labels")
+    The linear matroid of the normals is built once, at construction, and
+    every report on the arrangement reads it from the matroid attribute.
+    """
+
+    __slots__ = ("normals", "labels", "matroid")
 
     def __init__(self, normals, labels=None):
         cols = [tuple(Fraction(v) for v in col) for col in normals]
@@ -34,8 +39,19 @@ class Arrangement:
         labels = tuple(labels)
         if len(labels) != len(cols) or len(set(labels)) != len(labels):
             raise InputError("hyperplane labels must be unique, one per column")
-        object.__setattr__(self, "normals", tuple(cols))
+        self._init(tuple(cols), labels, linear_matroid(cols, labels=labels))
+
+    @classmethod
+    def _from_matroid(cls, normals, labels, matroid):
+        """Arrangement with a known matroid on its labels (trusted, as Matroid._from_sorted)."""
+        arrangement = object.__new__(cls)
+        arrangement._init(normals, labels, matroid)
+        return arrangement
+
+    def _init(self, normals, labels, matroid):
+        object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "matroid", matroid)
 
     def __setattr__(self, name, value):
         raise AttributeError("Arrangement is immutable")
@@ -54,11 +70,6 @@ class Arrangement:
 
     def __repr__(self):
         return "Arrangement(n=%d, dim=%d)" % (self.size, self.dimension)
-
-
-def matroid_of_arrangement(arrangement):
-    """Linear matroid of the normal columns."""
-    return linear_matroid(arrangement.normals, labels=arrangement.labels)
 
 
 def cone_arrangement(arrangement):
@@ -84,11 +95,12 @@ def detect_product(arrangement):
     Each factor is re-expressed in the basis of its own span formed by its
     first independent normals, read off one integer echelon form, so
     factors are genuine lower-dimensional arrangements whose matroid
-    direct sum reproduces the whole.
+    direct sum reproduces the whole.  A change of basis keeps every
+    dependency, so a factor's matroid is the restriction to its labels.
     """
     if not arrangement.is_essential:
         raise InputError("product detection needs an essential arrangement")
-    matroid = matroid_of_arrangement(arrangement)
+    matroid = arrangement.matroid
     components, _ = matroid.components_and_coloops()
     by_label = dict(zip(arrangement.labels, arrangement.normals))
     factors = []
@@ -98,8 +110,8 @@ def detect_product(arrangement):
         # the pivot columns are the greedy basis of the span; column j of
         # the reduced matrix, over d, holds its coordinates in that basis
         m, pivots, d = echelon([[col[i] for col in cols] for i in range(len(cols[0]))])
-        coords = [[Fraction(m[t][j], d) for t in range(len(pivots))] for j in range(len(cols))]
-        factors.append(Arrangement(coords, labels))
+        coords = tuple(tuple(Fraction(m[t][j], d) for t in range(len(pivots))) for j in range(len(cols)))
+        factors.append(Arrangement._from_matroid(coords, labels, matroid.restrict(labels)))
     return factors
 
 
@@ -111,7 +123,7 @@ def os_ot_generators(arrangement, order=None):
     dependency of the normals, normalized to coprime integers whose
     leading coefficient (at the order-minimal element) is positive.
     """
-    matroid = matroid_of_arrangement(arrangement)
+    matroid = arrangement.matroid
     by_label = dict(zip(arrangement.labels, arrangement.normals))
     rank_in_order = {lab: i for i, lab in enumerate(order or arrangement.labels)}
     os_gens = []
@@ -147,7 +159,7 @@ def koszul_report(arrangement, order=None):
     """
     if not arrangement.is_essential:
         raise InputError("Koszul report needs an essential arrangement")
-    matroid = matroid_of_arrangement(arrangement)
+    matroid = arrangement.matroid
     report = {
         "n": arrangement.size,
         "dimension": arrangement.dimension,

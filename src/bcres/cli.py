@@ -2,19 +2,19 @@
 reports out.
 
 Exit codes: 0 completed with verdicts, 1 input error, 2 a size or oracle
-bound made the requested verdict inconclusive.  All numbers in JSON
-output are exact (integers, or rationals rendered as p/q strings); reports
-are deterministic byte-for-byte for a fixed input and option set.
+bound made the requested verdict inconclusive.  Handlers return plain
+JSON values (dicts, lists, tuples, strings, integers, booleans, None), so
+render_report encodes each report once, and reports are deterministic
+byte-for-byte for a fixed input and option set.
 """
 
 import argparse
 import hashlib
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
-from .arrangements import Arrangement, detect_product, koszul_report, matroid_of_arrangement, os_ot_generators
+from .arrangements import Arrangement, detect_product, koszul_report, os_ot_generators
 from .complexes import bc_complex, f_h_vectors, independence_complex
 from .corpus import standard_corpus
 from .decomposition import (
@@ -37,22 +37,6 @@ from .ideals import (
 )
 from .matroid import build_matroid, normalize_order, parse_rational
 from .resolutions import betti_table, classify_linearity
-
-COMMANDS = (
-    "info",
-    "bc",
-    "ideal",
-    "betti",
-    "hilbert",
-    "decompose",
-    "stratify",
-    "ci",
-    "cross-validate",
-    "arrangement",
-    "graph",
-    "gnr",
-)
-
 
 class InputDocument:
     """Validated input: kind, kind-specific payload, optional element order."""
@@ -100,7 +84,12 @@ def materialize(doc):
         cols = [
             [parse_rational(v, "normals[%d]" % i) for v in col] for i, col in enumerate(normals)
         ]
-        return Arrangement(cols, labels=doc.payload.get("labels"))
+        labels = doc.payload.get("labels")
+        if labels is not None and (
+            not isinstance(labels, list) or any(isinstance(v, (list, dict)) for v in labels)
+        ):
+            raise InputError("field 'labels' must be a list of scalars")
+        return Arrangement(cols, labels=labels)
     if doc.kind == "graph":
         edges = doc.payload.get("edges")
         if not isinstance(edges, list) or not edges or not all(isinstance(e, list) for e in edges):
@@ -109,8 +98,13 @@ def materialize(doc):
     if doc.kind == "ideal":
         names = doc.payload.get("variables")
         gens = doc.payload.get("generators")
-        if not isinstance(names, list) or not isinstance(gens, list):
-            raise InputError("ideal payload needs 'variables' and 'generators'")
+        if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+            raise InputError("ideal payload needs 'variables', a list of name strings")
+        if not isinstance(gens, list) or not all(
+            isinstance(g, list) and all(isinstance(e, int) and not isinstance(e, bool) for e in g)
+            for g in gens
+        ):
+            raise InputError("ideal payload needs 'generators', a list of integer exponent lists")
         return MonomialIdeal(tuple(names), [Monomial(tuple(g)) for g in gens])
     raise InputError("unsupported kind %r" % doc.kind)
 
@@ -119,7 +113,7 @@ def _matroid_of(doc, options):
     if doc.kind == "matroid":
         return materialize(doc)
     if doc.kind == "arrangement":
-        return matroid_of_arrangement(materialize(doc))
+        return materialize(doc).matroid
     if doc.kind == "graph":
         return cycle_matroid(materialize(doc))
     raise InputError("command needs a matroid-like input, got kind=%r" % doc.kind)
@@ -220,9 +214,8 @@ def _cmd_hilbert(doc, options):
     except InputError as exc:
         out["binomial_fit"] = "unavailable: %s" % exc
     if m is not None:
-        order = normalize_order(m, doc.order)
-        h = f_h_vectors(bc_complex(m, order)).h
-        out["h_fit"] = h_binomial_fit(h, len(m.ground) - m.rank)
+        # Stanley: the numerator is the h-vector of the broken-circuit complex
+        out["h_fit"] = h_binomial_fit(hd.numerator, len(m.ground) - m.rank)
     return out
 
 
@@ -286,7 +279,7 @@ def _cmd_arrangement(doc, options):
     if doc.kind != "arrangement":
         raise InputError("the arrangement command needs kind=arrangement input")
     arr = materialize(doc)
-    m = matroid_of_arrangement(arr)
+    m = arr.matroid
     out = {
         "hyperplanes": arr.size,
         "dimension": arr.dimension,
@@ -376,29 +369,8 @@ def run_command(command, doc, options):
             "seed": options.seed,
         },
         "input_sha256": digest,
-        "result": jsonable(result),
+        "result": result,
     }
-
-
-def jsonable(value):
-    """Normalize a report tree to deterministic JSON-ready values; rationals as strings."""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, dict):
-        return {_key(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return [jsonable(v) for v in sorted(value, key=repr)]
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
-    return repr(value)
-
-
-def _key(k):
-    if isinstance(k, tuple):
-        return ",".join(str(v) for v in k)
-    return str(k)
 
 
 # -- rendering ------------------------------------------------------------------
@@ -433,14 +405,14 @@ def _render_human(report, out):
                     out.write("%s%s:\n" % (pad, k))
                     for line in v:
                         out.write("%s  %s\n" % (pad, line))
-                elif isinstance(v, (dict, list)) and v and not _is_scalar_list(v):
+                elif isinstance(v, (dict, list, tuple)) and v and not _is_scalar_list(v):
                     out.write("%s%s:\n" % (pad, k))
                     walk(v, indent + 1)
                 else:
                     out.write("%s%s: %s\n" % (pad, k, _scalar(v)))
-        elif isinstance(node, list):
+        elif isinstance(node, (list, tuple)):
             for v in node:
-                if isinstance(v, (dict, list)) and v and not _is_scalar_list(v):
+                if isinstance(v, (dict, list, tuple)) and v and not _is_scalar_list(v):
                     out.write("%s-\n" % pad)
                     walk(v, indent + 1)
                 else:
@@ -450,7 +422,7 @@ def _render_human(report, out):
 
 
 def _is_scalar_list(v):
-    return isinstance(v, list) and all(
+    return isinstance(v, (list, tuple)) and all(
         x is None or isinstance(x, (bool, int, str, float)) for x in v
     )
 
@@ -458,7 +430,7 @@ def _is_scalar_list(v):
 def _is_line_block(v):
     # preformatted text blocks (Betti grids) print one line per entry
     return (
-        isinstance(v, list)
+        isinstance(v, (list, tuple))
         and v
         and all(isinstance(x, str) for x in v)
         and any(" " in x for x in v)
@@ -466,7 +438,7 @@ def _is_line_block(v):
 
 
 def _scalar(v):
-    if isinstance(v, list):
+    if isinstance(v, (list, tuple)):
         return "[" + ", ".join(str(x) for x in v) + "]"
     if v is None:
         return "none"
@@ -489,7 +461,7 @@ def main(argv=None):
         prog="bcres",
         description="Exact broken-circuit complex and Stanley-Reisner resolution toolkit",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=HANDLERS)
     parser.add_argument("input", nargs="?", help="input JSON path, or - for stdin")
     parser.add_argument("--order", help="element order, comma separated labels")
     parser.add_argument("--char", type=int, default=0, dest="characteristic", help="field characteristic (0 or a prime)")

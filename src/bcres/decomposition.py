@@ -11,7 +11,7 @@ inside S, so no restricted matroid is built.  StratumCertificate.verify
 re-checks through Matroid.restrict, independently.
 """
 
-from .complexes import bc_complex, f_h_vectors, independence_complex
+from .complexes import f_h_vectors, independence_complex
 from .errors import BoundError, LoopError
 from .hilbert import h_binomial_fit, hilbert_function, linear_value_criterion
 from .ideals import (
@@ -175,30 +175,28 @@ def extremal_h_check(matroid, s):
     return True
 
 
-def generalized_bound_check(matroid, coefficients=None, order=None):
+def generalized_bound_check(matroid, order=None):
     """Both readings of the stratified bound, reported side by side.
 
     The displayed inequality's indices are inconsistent in the source, so
     the literal right-hand side (with c_l read 1-indexed and the outer sum
     cut at the h-fit cutoff) and the h-vector fit are evaluated and
-    reported without asserting either.
+    reported without asserting either.  The h-vector of the broken-circuit
+    complex is the Hilbert-series numerator of its Stanley-Reisner ring.
     """
-    bc = bc_complex(matroid, order)
     ideal = broken_circuit_ideal(matroid, order)
     n, r = len(matroid.ground), matroid.rank
     q = n - r
-    h = f_h_vectors(bc).h
-    hfit = h_binomial_fit(h, q) if q >= 1 else {"c": None, "cutoff": None, "fits": False, "d": None}
-    c = coefficients
-    source = "explicit"
-    if c is None:
-        hd = hilbert_function(ideal)
-        if hd.coefficients is not None:
-            c = list(hd.coefficients)
-            source = "series"
-        elif hfit["fits"]:
-            c = list(hfit["c"])
-            source = "h-fit"
+    hd = hilbert_function(ideal)
+    hfit = {"c": None, "cutoff": None, "fits": False, "d": None}
+    if q >= 1:
+        hfit = h_binomial_fit(hd.numerator, q)
+    if hd.coefficients is not None:
+        c, source = list(hd.coefficients), "series"
+    elif hfit["fits"]:
+        c, source = list(hfit["c"]), "h-fit"
+    else:
+        c, source = None, None
     literal = None
     if c:
         cutoff = hfit["cutoff"] if hfit.get("cutoff") else len(c)
@@ -214,7 +212,7 @@ def generalized_bound_check(matroid, coefficients=None, order=None):
             lhs = profile[j - 1] if j - 1 < len(profile) else 0
             literal.append({"j": j, "independent": lhs, "rhs": rhs, "holds": lhs >= rhs})
     return {
-        "coefficients": list(c) if c else None,
+        "coefficients": c or None,
         "coefficient_source": source if c else None,
         "literal_reading": literal,
         "h_fit_reading": hfit,
@@ -292,7 +290,6 @@ def cross_validate(matroid, order=None, characteristic=0, max_power=3):
     """
     order = normalize_order(matroid, order)
     report = {"n": len(matroid.ground), "rank": matroid.rank}
-    bc = bc_complex(matroid, order)
     ideal = broken_circuit_ideal(matroid, order)
     report["ideal"] = ideal.render()
 
@@ -327,12 +324,12 @@ def cross_validate(matroid, order=None, characteristic=0, max_power=3):
     value_criterion = linear_value_criterion(ideal) if not ideal.is_zero else None
     report["linear_value_criterion"] = value_criterion
 
+    # a loopless matroid has a circuit iff q >= 1 iff its broken-circuit
+    # ideal is nonzero; the Hilbert numerator is the bc complex's h-vector
     q = len(matroid.ground) - matroid.rank
-    h_bc = f_h_vectors(bc).h
-    hfit = h_binomial_fit(h_bc, q) if q >= 1 else None
-    report["h_fit"] = hfit
-
     hd = hilbert_function(ideal) if not ideal.is_zero else None
+    hfit = h_binomial_fit(hd.numerator, q) if q >= 1 else None
+    report["h_fit"] = hfit
     report["hilbert_coefficients"] = list(hd.coefficients) if hd and hd.coefficients else None
 
     try:

@@ -11,7 +11,6 @@ Matroid(ground, circuits) and leave only through the label views
 (circuits, broken_circuits, bases).
 """
 
-import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -21,7 +20,6 @@ from .linalg import integer_primitive
 from .util import bits, minimal_masks, minimal_transversals, nonface_sieve, sorted_masks, sorted_sets
 
 ELIMINATION_EXHAUSTIVE_LIMIT = 12
-ELIMINATION_SAMPLES = 1000
 CYCLE_SPACE_LIMIT = 20
 
 
@@ -151,17 +149,22 @@ class Matroid:
                 )
 
     def _check_elimination(self):
+        """Check elimination exactly on every pair of circuits, or raise BoundError.
+
+        Past the limit the subset sieve is too large, and a sample of pairs
+        can accept a family that is not a matroid.
+        """
         masks = self.circuit_masks
         n = len(self.ground)
-        pairs = [(a, b) for a, b in combinations(masks, 2) if a & b]
-        # up to the limit, one byte per subset says whether it contains a circuit
-        sieve = nonface_sieve(n, masks) if n <= ELIMINATION_EXHAUSTIVE_LIMIT else None
-        if sieve is None and len(pairs) > ELIMINATION_SAMPLES:
-            pairs = random.Random(0).sample(pairs, ELIMINATION_SAMPLES)
-        for a, b in pairs:
+        if n > ELIMINATION_EXHAUSTIVE_LIMIT:
+            raise BoundError(
+                "circuit validation limited to %d elements, got %d" % (ELIMINATION_EXHAUSTIVE_LIMIT, n)
+            )
+        # one byte per subset says whether it contains a circuit
+        sieve = nonface_sieve(n, masks)
+        for a, b in combinations(masks, 2):
             for i in bits(a & b):
-                target = (a | b) ^ (1 << i)
-                if not (sieve[target] if sieve is not None else any(m & target == m for m in masks)):
+                if not sieve[(a | b) ^ (1 << i)]:
                     raise CircuitAxiomError(self._labels(a), self._labels(b), self.ground[i])
 
     # -- basic queries -----------------------------------------------------
@@ -171,10 +174,6 @@ class Matroid:
         for e in items:
             m |= 1 << self._pos[e]
         return m
-
-    def is_independent(self, subset):
-        mask = self._mask(self._validated(subset))
-        return not any(c & mask == c for c in self.circuit_masks)
 
     def _validated(self, subset):
         subset = set(subset)

@@ -12,28 +12,27 @@ from bcres.arrangements import (
     cone_arrangement,
     detect_product,
     koszul_report,
-    matroid_of_arrangement,
     os_ot_generators,
 )
 from bcres.errors import InputError
 from bcres.linalg import column_rank
-from bcres.matroid import direct_sum, uniform_matroid
+from bcres.matroid import direct_sum, linear_matroid, uniform_matroid
 
 GENERIC4 = Arrangement([(1, 0), (0, 1), (1, 1), (1, -1)])
 COORD3 = Arrangement([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
 
 def test_matroid_of_generic_lines(u24):
-    assert matroid_of_arrangement(GENERIC4) == u24
+    assert GENERIC4.matroid == u24
 
 
 def test_matroid_of_coordinates():
-    assert matroid_of_arrangement(COORD3) == uniform_matroid(3, 3)
+    assert COORD3.matroid == uniform_matroid(3, 3)
 
 
 def test_repeated_hyperplane_two_circuit():
     a = Arrangement([(1, 0), (2, 0), (0, 1)])
-    m = matroid_of_arrangement(a)
+    m = a.matroid
     assert frozenset({1, 2}) in m.circuits
     assert not m.is_simple
 
@@ -47,17 +46,17 @@ def test_cone_adds_boolean_summand(u24):
     cone = cone_arrangement(GENERIC4)
     assert cone.dimension == 3 and cone.size == 5
     expected = direct_sum([u24, uniform_matroid(1, 1)])
-    assert matroid_of_arrangement(cone) == expected
+    assert cone.matroid == expected
 
 
 def test_cone_coordinate_stays_coordinate():
     cone = cone_arrangement(COORD3)
-    assert matroid_of_arrangement(cone) == uniform_matroid(4, 4)
+    assert cone.matroid == uniform_matroid(4, 4)
 
 
 def test_double_cone(u24):
     cc = cone_arrangement(cone_arrangement(GENERIC4))
-    m = matroid_of_arrangement(cc)
+    m = cc.matroid
     expected = direct_sum([u24, uniform_matroid(1, 1), uniform_matroid(1, 1)])
     assert m == expected
 
@@ -69,7 +68,7 @@ def test_detect_product_cone():
     assert sizes == [1, 4]
     big = next(f for f in factors if f.size == 4)
     assert big.dimension == 2
-    assert matroid_of_arrangement(big).circuits == matroid_of_arrangement(GENERIC4).circuits
+    assert big.matroid.circuits == GENERIC4.matroid.circuits
 
 
 def test_detect_product_coordinate():
@@ -86,8 +85,8 @@ def test_detect_product_connected_single_factor():
 def test_product_factors_multiply(u24):
     cone = cone_arrangement(GENERIC4)
     factors = detect_product(cone)
-    product = direct_sum([matroid_of_arrangement(f) for f in factors])
-    whole = matroid_of_arrangement(cone)
+    product = direct_sum([f.matroid for f in factors])
+    whole = cone.matroid
     # same circuit structure up to the relabeling of the direct sum
     assert sorted(len(c) for c in product.circuits) == sorted(len(c) for c in whole.circuits)
     assert product.rank == whole.rank
@@ -95,7 +94,7 @@ def test_product_factors_multiply(u24):
 
 def solve_route_factors(arrangement):
     """Factors as (labels, normals) by the greedy column basis and one solve per column."""
-    components, _ = matroid_of_arrangement(arrangement).components_and_coloops()
+    components, _ = arrangement.matroid.components_and_coloops()
     by_label = dict(zip(arrangement.labels, arrangement.normals))
     factors = []
     for comp in components:
@@ -142,6 +141,15 @@ def essential_arrangements(draw):
 def test_detect_product_matches_solve_route(arrangement):
     got = [(f.labels, f.normals) for f in detect_product(arrangement)]
     assert got == solve_route_factors(arrangement)
+
+
+@settings(max_examples=150)
+@given(essential_arrangements())
+def test_factor_matroid_is_the_linear_matroid_of_its_coordinates(arrangement):
+    # a factor carries the restriction of the whole matroid; rebuilding it
+    # from the factor's own coordinates is the oracle
+    for factor in detect_product(arrangement):
+        assert factor.matroid == linear_matroid(factor.normals, factor.labels)
 
 
 def test_os_ot_generators_triple():
@@ -211,7 +219,7 @@ def test_koszul_golden_realization(golden):
             col[v - 1] -= 1
         cols.append(tuple(col))
     a = Arrangement(cols)
-    m = matroid_of_arrangement(a)
+    m = a.matroid
     assert set(m.circuits) == set(golden.circuits)
     rep = koszul_report(a)
     assert rep["two_term_s2"] is False

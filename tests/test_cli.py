@@ -1,11 +1,12 @@
 """CLI contract: schemas, dispatch, rendering, determinism, exit codes."""
 
 import json
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from bcres.cli import main, parse_input, render_report, run_command
+from bcres.cli import HANDLERS, main, parse_input, render_report, run_command
 from bcres.errors import InputError
 
 U24_DOC = '{"kind":"matroid","payload":{"type":"uniform","p":2,"n":4}}'
@@ -190,7 +191,7 @@ def test_hilbert_command():
     assert res["numerator"] == [1, 2]
     assert res["hilbert_coefficients"] == [3, -2]
     assert res["linear_value_criterion"] is True
-    assert res["h_fit"]["c"] == [1] and res["h_fit"]["cutoff"] == 2
+    assert res["h_fit"]["c"] == (1,) and res["h_fit"]["cutoff"] == 2
 
 
 MALFORMED = {
@@ -200,6 +201,12 @@ MALFORMED = {
     "circuits-not-a-list": '{"kind":"matroid","payload":{"type":"circuits","n":3,"circuits":5}}',
     "graphic-short-edge": '{"kind":"matroid","payload":{"type":"graphic","edges":[[1,2],[1]]}}',
     "graph-short-edge": '{"kind":"graph","payload":{"edges":[[1,2],[1]]}}',
+    "arrangement-list-labels": '{"kind":"arrangement","payload":{"normals":[[1,0],[0,1]],"labels":[[1],[2]]}}',
+    "ideal-scalar-generator": '{"kind":"ideal","payload":{"variables":["a","b"],"generators":[5]}}',
+    "ideal-string-exponent": '{"kind":"ideal","payload":{"variables":["a","b"],"generators":[["a",1]]}}',
+    "ideal-list-variable": '{"kind":"ideal","payload":{"variables":[["a"],"b"],"generators":[[1,0]]}}',
+    "ideal-float-exponent": '{"kind":"ideal","payload":{"variables":["a","b"],"generators":[[1.5,0]]}}',
+    "ideal-bool-exponent": '{"kind":"ideal","payload":{"variables":["a","b"],"generators":[[true,0]]}}',
 }
 
 
@@ -207,8 +214,20 @@ MALFORMED = {
 def test_malformed_payload_exits_with_error(text, tmp_path, capsys):
     doc = tmp_path / "doc.json"
     doc.write_text(text)
-    assert main(["info", str(doc)]) == 1
+    # `info` needs a matroid-like input, so ideal documents go through `ideal`
+    command = "ideal" if json.loads(text)["kind"] == "ideal" else "info"
+    assert main([command, str(doc)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_unvalidatable_circuit_family_exits_2(tmp_path, capsys):
+    # 3-subsets of 1..11 but {3,4,5}, plus {12,13}: elimination fails on
+    # {3,4,6} and {3,5,6}, and 13 elements are past the exhaustive check
+    circuits = [list(c) for c in combinations(range(1, 12), 3) if c != (3, 4, 5)] + [[12, 13]]
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"kind": "matroid", "payload": {"type": "circuits", "n": 13, "circuits": circuits}}))
+    assert main(["info", str(doc)]) == 2
+    assert "circuit validation limited" in capsys.readouterr().err
 
 
 def test_hilbert_builds_the_matroid_once(monkeypatch):
@@ -232,3 +251,61 @@ def test_ideal_kind_input():
     assert rep["result"]["betti"] == {"0,2": 2, "1,4": 1}
     rep2 = run_command("ci", doc, Options())
     assert rep2["result"]["complete_intersection"] is True
+
+
+# -- one encoding: the deleted normalizer as the oracle ------------------------
+
+
+def old_jsonable(value):
+    """The report normalizer that run_command applied before reports were encoded once."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, dict):
+        return {old_key(k): old_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [old_jsonable(v) for v in value]
+    if isinstance(value, (set, frozenset)):
+        return [old_jsonable(v) for v in sorted(value, key=repr)]
+    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+        return value
+    return repr(value)
+
+
+def old_key(k):
+    if isinstance(k, tuple):
+        return ",".join(str(v) for v in k)
+    return str(k)
+
+
+ONE_OF_EACH_KIND = [
+    GOLDEN_DOC,
+    '{"kind":"arrangement","payload":{"normals":[[1,0,0],[0,1,0],[1,1,0],[1,-1,0],[0,0,1]]},"order":[5,4,3,2,1]}',
+    '{"kind":"graph","payload":{"edges":[[0,1],[1,2],[2,0],[2,3],[3,4],[4,2]]}}',
+    '{"kind":"ideal","payload":{"variables":["x1","x2","x3","x4"],"generators":[[1,1,0,0],[0,1,1,0],[0,0,1,1]]}}',
+]
+
+
+def reports_of_every_command():
+    options = Options(max_power=2, cycles="3,4", bridges="1", limit=3)
+    for command in HANDLERS:
+        if command == "gnr":
+            yield run_command(command, None, options)
+            continue
+        for text in ONE_OF_EACH_KIND:
+            try:
+                yield run_command(command, parse_input(text), options)
+            except InputError:
+                pass  # the command does not take this kind
+    options.batch = True
+    yield run_command("cross-validate", None, options)
+
+
+def test_reports_encode_as_the_normalized_reports_did():
+    # the human renderer prints lists the same before and after, so the
+    # normalized tree rendered today is the old output in both formats
+    seen = set()
+    for report in reports_of_every_command():
+        seen.add(report["command"])
+        for fmt in ("json", "human"):
+            assert render_report(report, fmt) == render_report(old_jsonable(report), fmt), report["command"]
+    assert seen == set(HANDLERS)

@@ -1,5 +1,7 @@
 """Hilbert data: f-vector route vs brute-force monomial counting, binomial fits."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +28,7 @@ from bcres.ideals import (
     stanley_reisner_ideal,
 )
 from bcres.matroid import uniform_matroid
-from bcres.util import binom
+from bcres.util import binom, poly_trim
 
 V4 = tuple("x%d" % i for i in range(1, 5))
 
@@ -215,6 +217,23 @@ def test_h_binomial_fit_matches_solve_route_on_corpus():
         q = len(m.ground) - m.rank
         h = f_h_vectors(bc_complex(m)).h
         assert h_binomial_fit(h, q) == solve_fit(h, q)
+
+
+def test_numerator_is_the_bc_h_vector_on_corpus():
+    # cross_validate, generalized_bound_check and the hilbert command read
+    # the h-vector off the numerator; the complex is the oracle
+    rng = random.Random(0)
+    for name, m in standard_corpus(0):
+        if not m.is_loopless:
+            continue
+        order = list(m.ground)
+        rng.shuffle(order)
+        numerator = hilbert_function(broken_circuit_ideal(m, order)).numerator
+        h = f_h_vectors(bc_complex(m, order)).h
+        assert list(numerator) == poly_trim(list(h)), name
+        q = len(m.ground) - m.rank
+        if q >= 1:
+            assert h_binomial_fit(numerator, q) == h_binomial_fit(h, q), name
 
 
 def test_hilbert_betti_euler_consistency(golden, u24_ideal):

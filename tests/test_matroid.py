@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcres.errors import CircuitAxiomError, InputError, LoopError
+from bcres.errors import BoundError, CircuitAxiomError, InputError, LoopError
 from bcres.matroid import (
     Matroid,
     TuttePolynomial,
@@ -642,4 +642,14 @@ def test_u5_12_validates_quickly():
     start = time.perf_counter()
     m = circuit_matroid(12, [set(c) for c in combinations(range(1, 13), 6)])
     assert m == uniform_matroid(5, 12)
-    assert time.perf_counter() - start < 10
+    assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("dropped", [(3, 4, 5), (5, 7, 8)])
+def test_unvalidatable_family_is_refused_not_sampled(dropped):
+    # not a matroid: with {3,4,5} gone, {3,4,6} and {3,5,6} share 6 but
+    # {3,4,5} holds no circuit.  Past the exhaustive limit a sample of
+    # pairs used to miss this; now the family is refused outright.
+    circuits = [set(c) for c in combinations(range(1, 12), 3) if c != dropped] + [{12, 13}]
+    with pytest.raises(BoundError):
+        Matroid(range(1, 14), circuits)
