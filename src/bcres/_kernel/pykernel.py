@@ -7,13 +7,15 @@ the lcm lattice.
 
 The Hochster summation takes the dual form of the formula: for each vertex
 subset sigma it ranks the link of sigma's complement in the Alexander dual,
-one cell per nonface inside sigma, never the induced subcomplex.
+never the induced subcomplex.  The link is built as its facets, one per
+minimal nonface inside sigma, and strongly collapsed (dominated vertices
+deleted) before any face is listed.
 
-Homology collapses free faces first and ranks every remaining boundary
-matrix with `rank_sparse`.  Its pivot rule: a shortest live row holding a
-usable entry (any nonzero over GF(p), +-1 in characteristic 0), at that
-row's column with the fewest live entries.  Characteristic 0 falls back to
-Bareiss only on a core with no unit entry left.
+Homology removes coreduction pairs first and ranks every remaining
+boundary matrix with `rank_sparse`.  Its pivot rule: a shortest live row
+holding a usable entry (any nonzero over GF(p), +-1 in characteristic 0),
+at that row's column with the fewest live entries.  Characteristic 0 falls
+back to Bareiss only on a core with no unit entry left.
 """
 
 BACKEND = "python"
@@ -179,7 +181,11 @@ def rank_sparse(entries, characteristic):
 
 
 def _boundary_rank(lower, upper, characteristic):
-    """Rank of the simplicial boundary map from faces `upper` to faces `lower` (bitmasks)."""
+    """Rank of the simplicial boundary map from faces `upper` to faces `lower` (bitmasks).
+
+    Boundary faces missing from `lower` are skipped: after coreductions the
+    boundary of what is left is the original boundary restricted to it.
+    """
     if not lower or not upper:
         return 0
     index = {f: i for i, f in enumerate(lower)}
@@ -189,60 +195,57 @@ def _boundary_rank(lower, upper, characteristic):
         rest = f
         while rest:
             low = rest & (-rest)
-            entries[(index[f ^ low], col)] = sign
+            row = index.get(f ^ low)
+            if row is not None:
+                entries[(row, col)] = sign
             sign = -sign
             rest ^= low
-    return rank_sparse(entries, characteristic)
+    return rank_sparse(entries, characteristic) if entries else 0
 
 
-def _collapse(faces_by_size):
-    """Remove free face pairs (elementary collapses); homotopy type is preserved.
+def _coreduce(faces_by_size):
+    """Remove coreduction pairs (Mrozek-Batko); homology is kept in every characteristic.
 
-    A face f with exactly one one-level-up coface g, where g itself has
-    none, is collapsed together with g.  Each live face maps to [count, xor]
-    of its live one-level-up cofaces; when the count is 1 the XOR of their
-    masks is the coface itself.  The surviving face sets stay closed under
-    taking subsets, so boundary ranks on the remainder give the reduced
-    homology of the original complex.
+    A face g whose boundary holds exactly one live face f is removed
+    together with f.  Each live face maps to [count, xor] of its live
+    boundary faces; when the count is 1 the XOR of their masks is f itself.
+    The empty face is the boundary of every vertex, so the first pair takes
+    it with a vertex, as the augmented complex of reduced homology asks.
+    The pair has incidence +-1 and nothing else of g's boundary is live, so
+    the boundary of what is left is the original boundary restricted to it.
     """
     top = len(faces_by_size)
-    live = [{f: [0, 0] for f in level} for level in faces_by_size]
-    for c in range(1, top):
-        below = live[c - 1]
-        for g in faces_by_size[c]:
-            rest = g
-            while rest:
-                low = rest & (-rest)
-                cof = below[g ^ low]
-                cof[0] += 1
-                cof[1] ^= g
-                rest ^= low
+    vertices = faces_by_size[1] if top > 1 else []
+    verts = 0
+    for v in vertices:
+        verts |= v
+    # the c faces g ^ b of a face g with c vertices XOR to g for even c, to 0 for odd c
+    live = [{g: [c, 0 if c & 1 else g] for g in level} for c, level in enumerate(faces_by_size)]
 
-    queue = [(c, f) for c in range(top) for f in sorted(live[c]) if live[c][f][0] == 1]
+    queue = [(1, v) for v in vertices]
     while queue:
-        c, f = queue.pop()
-        cof = live[c].get(f)
-        if cof is None or cof[0] != 1 or live[c + 1][cof[1]][0] != 0:
+        c, g = queue.pop()
+        cell = live[c].get(g)
+        if cell is None or cell[0] != 1:
             continue
-        g = cof[1]
-        del live[c][f]
-        del live[c + 1][g]
-        for level, face in ((c, f), (c + 1, g)):
-            if level == 0:
+        f = cell[1]
+        del live[c][g]
+        del live[c - 1][f]
+        for level, face in ((c - 1, f), (c, g)):
+            if level + 1 == top:
                 continue
-            below = live[level - 1]
-            rest = face
+            above = live[level + 1]
+            rest = verts & ~face
             while rest:
                 low = rest & (-rest)
-                sub = face ^ low
-                cof = below.get(sub)
+                cof = above.get(face | low)
                 if cof is not None:
                     cof[0] -= 1
                     cof[1] ^= face
                     if cof[0] == 1:
-                        queue.append((level - 1, sub))
+                        queue.append((level + 1, face | low))
                 rest ^= low
-    return [sorted(level) for level in live]
+    return [list(level) for level in live]
 
 
 def homology_ranks(faces_by_size, characteristic):
@@ -250,20 +253,90 @@ def homology_ranks(faces_by_size, characteristic):
 
     faces_by_size[c] lists the faces with c vertices (c = 0 holds the empty
     face when the complex is non-void).  Entry c of the result is the rank
-    of reduced homology in dimension c - 1.  Free faces are collapsed away
-    first; matrices are only built for the core.
+    of reduced homology in dimension c - 1.  Coreduction pairs are removed
+    first; boundary matrices are only built for what is left.
     """
     top = len(faces_by_size)
     if top == 0:
         return []
-    core = _collapse(faces_by_size)
+    core = _coreduce(faces_by_size)
     ranks = [0] * (top + 1)  # ranks[c] = rank of boundary C_c -> C_{c-1}
     for c in range(1, top):
         ranks[c] = _boundary_rank(core[c - 1], core[c], characteristic)
-    out = []
-    for c in range(top):
-        out.append(len(core[c]) - ranks[c] - ranks[c + 1])
-    return out
+    return [len(core[c]) - ranks[c] - ranks[c + 1] for c in range(top)]
+
+
+def _minimal_nonfaces(nvars, faces_by_size):
+    """Nonface bytes (one per vertex mask, 1 for a nonface) and the minimal nonfaces.
+
+    A nonface is minimal when no mask one vertex smaller is a nonface.  With
+    the bytes packed into one integer, a single shift per variable i moves
+    every mask without i onto the mask with it, as util.nonface_sieve does.
+    """
+    size = 1 << nvars
+    marks = bytearray(b"\x01") * size
+    for level in faces_by_size:
+        for f in level:
+            marks[f] = 0
+    nonface = int.from_bytes(marks, "little")
+    covers_nonface = 0  # masks with a nonface one vertex smaller
+    for i in range(nvars):
+        step = 1 << i
+        without_i = int.from_bytes((b"\x01" * step + b"\x00" * step) * (size >> (i + 1)), "little")
+        covers_nonface |= (nonface & without_i) << 8 * step
+    minimal_bytes = (nonface & ~covers_nonface).to_bytes(size, "little")
+    minimal = []
+    at = minimal_bytes.find(1)
+    while at >= 0:
+        minimal.append(at)
+        at = minimal_bytes.find(1, at + 1)
+    return marks, minimal
+
+
+def _strong_core(facets):
+    """Facets left once no vertex is dominated (a strong collapse, Barmak-Minian).
+
+    A vertex v is dominated when the facets containing v share another
+    vertex u; deleting v keeps the strong homotopy type, and u keeps at
+    least one vertex alive.  Facets are pairwise incomparable, so a shrunk
+    facet F - v can only lie inside a facet G without v: if v is in G and
+    F - v is inside G, then F is inside G.
+    """
+    verts = 0
+    for f in facets:
+        verts |= f
+    deleted = True
+    while deleted and len(facets) > 1:
+        deleted = False
+        rest = verts
+        while rest and len(facets) > 1:
+            v = rest & (-rest)
+            rest ^= v
+            common = verts
+            for f in facets:
+                if f & v:
+                    common &= f
+            if common != v:
+                keep = [g for g in facets if not g & v]
+                shrunk = [f ^ v for f in facets if f & v]
+                facets = keep + [f for f in shrunk if not any(not f & ~g for g in keep)]
+                verts ^= v
+                deleted = True
+    return facets
+
+
+def _faces_of(facets):
+    """Bitmask face lists, by size, of the complex with the given facets."""
+    faces = set()
+    for f in facets:
+        sub = f
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & f
+    levels = [[0]] + [[] for _ in range(max(f.bit_count() for f in facets))]
+    for f in faces:
+        levels[f.bit_count()].append(f)
+    return levels
 
 
 def hochster_betti(nvars, faces_by_size, sigmas, characteristic):
@@ -275,22 +348,25 @@ def hochster_betti(nvars, faces_by_size, sigmas, characteristic):
     Each sigma is ranked by the dual Hochster formula (Miller-Sturmfels):
     the link L = {sigma - N : N a nonface inside sigma} of sigma's
     complement in the Alexander dual has reduced homology in dimension
-    i - 1 equal to beta_{i, sigma}.  L has one cell per nonface inside
-    sigma, and a sigma that is a face contributes nothing.
+    i - 1 equal to beta_{i, sigma}.  The facets of L are sigma - N for the
+    minimal nonfaces N inside sigma, found once per call; a sigma that is a
+    face contributes nothing.  L is strongly collapsed on its facets: one
+    facet left is a simplex, contractible unless it is the empty face
+    (L = {empty face}, beta_{0, sigma} = 1); otherwise its faces go to
+    homology_ranks.
     """
-    faces = set().union(*faces_by_size)
+    nonface, minimal = _minimal_nonfaces(nvars, faces_by_size)
     betti = {}
     for sigma in sigmas:
-        if sigma in faces:
+        if not nonface[sigma]:
             continue  # the induced subcomplex is a simplex
         size = sigma.bit_count()
-        link = [[] for _ in range(size)]
-        sub = sigma
-        while sub:  # the empty set is a face, so it never yields a cell
-            if sub not in faces:
-                link[size - sub.bit_count()].append(sigma ^ sub)
-            sub = (sub - 1) & sigma
-        for i, rk in enumerate(homology_ranks(link, characteristic)):
+        facets = _strong_core([sigma ^ n for n in minimal if not n & ~sigma])
+        if len(facets) == 1:
+            if not facets[0]:
+                betti[(0, size)] = betti.get((0, size), 0) + 1
+            continue
+        for i, rk in enumerate(homology_ranks(_faces_of(facets), characteristic)):
             if rk:
                 betti[(i, size)] = betti.get((i, size), 0) + rk
     return betti

@@ -207,7 +207,7 @@ def _cmd_hilbert(doc, options):
         "numerator": list(hd.numerator),
         "hilbert_coefficients": list(hd.coefficients) if hd.coefficients else None,
         "width": hd.width,
-        "linear_value_criterion": linear_value_criterion(ideal),
+        "linear_value_criterion": linear_value_criterion(ideal, hd.codim),
     }
     try:
         out["binomial_fit"] = binomial_form_fit(hd)

@@ -321,13 +321,13 @@ def cross_validate(matroid, order=None, characteristic=0, max_power=3):
     extremal = extremal_h_check(matroid, s_expected)
     report["extremal_h"] = {"s": s_expected, "holds": extremal}
 
-    value_criterion = linear_value_criterion(ideal) if not ideal.is_zero else None
+    hd = hilbert_function(ideal) if not ideal.is_zero else None
+    value_criterion = linear_value_criterion(ideal, hd.codim) if hd else None
     report["linear_value_criterion"] = value_criterion
 
     # a loopless matroid has a circuit iff q >= 1 iff its broken-circuit
     # ideal is nonzero; the Hilbert numerator is the bc complex's h-vector
     q = len(matroid.ground) - matroid.rank
-    hd = hilbert_function(ideal) if not ideal.is_zero else None
     hfit = h_binomial_fit(hd.numerator, q) if q >= 1 else None
     report["h_fit"] = hfit
     report["hilbert_coefficients"] = list(hd.coefficients) if hd and hd.coefficients else None

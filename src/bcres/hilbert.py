@@ -8,7 +8,7 @@ cross-check.  The series numerator lives over (1-t)^dim; rewriting it over
 plays the role of the Hilbert coefficients.
 """
 
-from .complexes import complex_from_nonfaces, f_h_vectors
+from .complexes import f_h_vectors
 from .errors import InputError
 from .ideals import Monomial, complex_of_ideal
 from .util import binom, poly_divmod, poly_mul, poly_pow, poly_shift_basis, poly_trim
@@ -137,20 +137,20 @@ def binomial_form_fit(hdata, q=None):
     }
 
 
-def linear_value_criterion(ideal):
+def linear_value_criterion(ideal, q):
     """Single-value criterion at s = indeg: dim_k I_s == C(s + q - 1, s).
 
-    q is the codimension (height) of the ideal, read from the complex of
-    its radical, whose nonfaces are the generator supports.  At s = indeg
-    every degree-s monomial of I is a minimal generator, so dim_k I_s counts
-    those (ideal_monomial_count is the enumerating oracle).
+    q is the codimension (height) of the ideal, which the caller already
+    holds as hilbert_function(radical).codim; a squarefree ideal is its own
+    radical.  At s = indeg every degree-s monomial of I is a minimal
+    generator, so dim_k I_s counts those (ideal_monomial_count is the
+    enumerating oracle).
     """
     if ideal.is_zero:
         return False
     if ideal.is_unit:
         return True
     s = ideal.indeg()
-    q = ideal.nvars - complex_from_nonfaces(ideal.names, ideal.support_masks()).dim - 1
     return sum(1 for g in ideal.gens if g.degree == s) == binom(s + q - 1, s)
 
 

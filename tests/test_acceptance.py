@@ -201,11 +201,11 @@ def test_criterion_4_hilbert_cross_check(corpus_data):
 def test_criterion_5_single_value_criterion():
     u24_ideal = stanley_reisner_ideal(bc_complex(uniform_matroid(2, 4)))
     assert ideal_monomial_count(u24_ideal, 2) == 3 == binom(3, 2)
-    assert linear_value_criterion(u24_ideal) is True
+    assert linear_value_criterion(u24_ideal, hilbert_function(u24_ideal).codim) is True
     names = tuple("x%d" % i for i in range(1, 5))
     cross = MonomialIdeal(names, [Monomial((1, 1, 0, 0)), Monomial((0, 0, 1, 1))])
     assert ideal_monomial_count(cross, 2) == 2
-    assert linear_value_criterion(cross) is False
+    assert linear_value_criterion(cross, hilbert_function(cross).codim) is False
     _print("PASS criterion 5: dim I_2 = 3 (true) for the model ideal, 2 (false) for the pair")
 
 

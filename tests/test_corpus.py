@@ -65,7 +65,7 @@ def test_tutte_multiplicative_on_sums():
 
 
 def test_slinear_implies_hilbert_patterns(corpus):
-    from bcres.hilbert import h_binomial_fit, linear_value_criterion
+    from bcres.hilbert import h_binomial_fit, hilbert_function, linear_value_criterion
     from bcres.resolutions import betti_table, classify_linearity
 
     checked = 0
@@ -74,7 +74,7 @@ def test_slinear_implies_hilbert_patterns(corpus):
         v = classify_linearity(betti_table(ideal))
         if v.kind != "s-linear":
             continue
-        assert linear_value_criterion(ideal) is True, name
+        assert linear_value_criterion(ideal, hilbert_function(ideal).codim) is True, name
         q = len(m.ground) - m.rank
         fit = h_binomial_fit(f_h_vectors(bc_complex(m)).h, q)
         assert fit["fits"] and fit["c"] == (1,) and fit["cutoff"] == v.s, (name, fit)

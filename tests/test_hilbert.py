@@ -104,11 +104,11 @@ def test_binomial_form_fit_pole_error(golden):
 
 
 def test_linear_value_criterion(u24_ideal):
-    assert linear_value_criterion(u24_ideal) is True
+    assert linear_value_criterion(u24_ideal, hilbert_function(u24_ideal).codim) is True
     assert ideal_monomial_count(u24_ideal, 2) == 3 == binom(3, 2)
     cross = ideal(V4, (1, 1, 0, 0), (0, 0, 1, 1))
     assert ideal_monomial_count(cross, 2) == 2
-    assert linear_value_criterion(cross) is False
+    assert linear_value_criterion(cross, hilbert_function(cross).codim) is False
 
 
 def test_indeg_generator_count_matches_enumeration():
@@ -127,7 +127,8 @@ def test_indeg_generator_count_matches_enumeration():
         assert count == sum(1 for g in i.gens if g.degree == s), i
         radical = ideal_from_supports(i.names, [g.support for g in i.gens])
         q = i.nvars - complex_of_ideal(radical).dim - 1
-        assert linear_value_criterion(i) == (count == binom(s + q - 1, s)), i
+        assert q == hilbert_function(radical).codim
+        assert linear_value_criterion(i, q) == (count == binom(s + q - 1, s)), i
 
 
 def test_linear_value_criterion_power_of_max():
@@ -138,7 +139,7 @@ def test_linear_value_criterion_power_of_max():
     m = ideal(names, (1, 0, 0), (0, 1, 0), (0, 0, 1))
     for s in (1, 2, 3):
         p = power_ideal(m, s)
-        assert linear_value_criterion(p) is True
+        assert linear_value_criterion(p, len(names)) is True
 
 
 def test_h_binomial_fit_slinear_pattern(u24):

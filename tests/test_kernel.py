@@ -1,9 +1,10 @@
 """Exact kernel: rank routines, homology and Hochster sums against independent oracles.
 
 Ranks must agree with plain Gaussian elimination over Fractions on random
-matrices; homology ranks with the ranks of the uncollapsed boundary
+matrices; homology ranks with the ranks of the unreduced boundary
 matrices; Hochster sums with the Taylor oracle on the Stanley-Reisner
-ideal.
+ideal, and with the reference route below (every link built cell by cell
+from a submask walk, free faces collapsed, the rest ranked densely).
 """
 
 import random
@@ -15,9 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcres import _kernel
+from bcres._kernel.pykernel import _strong_core
 from bcres.complexes import SimplicialComplex
 from bcres.ideals import ideal_from_supports, stanley_reisner_ideal
-from bcres.resolutions import TAYLOR_GENERATOR_LIMIT, betti_hochster, betti_taylor_oracle
+from bcres.resolutions import (
+    TAYLOR_GENERATOR_LIMIT,
+    _faces_by_size_from_supports,
+    _lcm_lattice_masks,
+    betti_hochster,
+    betti_taylor_oracle,
+)
 from test_resolutions import squarefree_ideals
 
 # a single kernel; its id keeps the `[python]` suffix of the existing test names
@@ -236,6 +244,7 @@ def dense_two_complexes(seed, count):
 
 # facets of any size (mostly simplices), then at most three vertices (nontrivial homology)
 COMPLEXES = list(random_complexes(3, 15, 7, 7)) + list(random_complexes(4, 40, 6, 3))
+DENSE_FACETS = next(dense_two_complexes(5, 1))[1]
 
 
 def boundary_homology_oracle(faces, rank):
@@ -254,13 +263,201 @@ def boundary_homology_oracle(faces, rank):
 
 
 def test_homology_ranks_match_boundary_matrix_oracle():
-    for nverts, facets in COMPLEXES + list(dense_two_complexes(5, 3)):
+    closed_surfaces = [(6, RP2_FACETS), (6, OCTAHEDRON_FACETS)]
+    for nverts, facets in COMPLEXES + list(dense_two_complexes(5, 3)) + closed_surfaces:
         faces = simplex_faces(range(nverts), facets)
-        assert _kernel.homology_ranks(faces, 0) == boundary_homology_oracle(faces, fraction_rank)
-        for p in (2, 5):
-            assert _kernel.homology_ranks(faces, p) == boundary_homology_oracle(
-                faces, lambda rows: fraction_rank_mod_p(rows, p)
-            )
+        for p in (0, 2, 5):
+            assert _kernel.homology_ranks(faces, p) == boundary_homology_oracle(faces, dense_rank(p))
+
+
+# minimal RP^2 triangulation: H~_1 has 2-torsion, so GF(2) ranks differ from Q
+RP2_FACETS = [
+    (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
+    (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
+]
+
+
+def dense_rank(p):
+    """Rank over Q (p = 0) or GF(p) of a dense matrix, 0 for an empty one."""
+
+    def rank(rows):
+        if not rows or not rows[0]:
+            return 0
+        return fraction_rank_mod_p(rows, p) if p else fraction_rank(rows)
+
+    return rank
+
+
+# OCTAHEDRON_FACETS and RP2_FACETS are closed surfaces; dense 2-complexes
+# have every edge in several triangles.  None of them has a free face.
+OCTAHEDRON_FACETS = [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
+
+
+@st.composite
+def cores_plus_random_facets(draw):
+    """Facets of a complex without free faces (or none) plus up to four random facets."""
+    base = draw(st.sampled_from([[], RP2_FACETS, OCTAHEDRON_FACETS, DENSE_FACETS]))
+    facet = st.lists(st.integers(0, 8), min_size=1, max_size=4, unique=True).map(tuple)
+    facets = list(base) + draw(st.lists(facet, max_size=4))
+    return facets or [()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(cores_plus_random_facets(), st.sampled_from([0, 2, 3]))
+def test_homology_ranks_property(facets, p):
+    faces = simplex_faces(None, facets)
+    assert _kernel.homology_ranks(faces, p) == boundary_homology_oracle(faces, dense_rank(p))
+
+
+# -- the reference Hochster route: submask walk, then free-face collapse ------
+
+
+def collapse_free_faces(faces_by_size):
+    """Remove free face pairs: a face with exactly one live coface, which has none."""
+    top = len(faces_by_size)
+    live = [{f: [0, 0] for f in level} for level in faces_by_size]
+    for c in range(1, top):
+        below = live[c - 1]
+        for g in faces_by_size[c]:
+            rest = g
+            while rest:
+                low = rest & (-rest)
+                cof = below[g ^ low]
+                cof[0] += 1
+                cof[1] ^= g
+                rest ^= low
+
+    queue = [(c, f) for c in range(top) for f in sorted(live[c]) if live[c][f][0] == 1]
+    while queue:
+        c, f = queue.pop()
+        cof = live[c].get(f)
+        if cof is None or cof[0] != 1 or live[c + 1][cof[1]][0] != 0:
+            continue
+        g = cof[1]
+        del live[c][f]
+        del live[c + 1][g]
+        for level, face in ((c, f), (c + 1, g)):
+            if level == 0:
+                continue
+            below = live[level - 1]
+            rest = face
+            while rest:
+                low = rest & (-rest)
+                sub = face ^ low
+                cof = below.get(sub)
+                if cof is not None:
+                    cof[0] -= 1
+                    cof[1] ^= face
+                    if cof[0] == 1:
+                        queue.append((level - 1, sub))
+                rest ^= low
+    return [sorted(level) for level in live]
+
+
+def reference_hochster_betti(nvars, faces_by_size, sigmas, p):
+    """Dual Hochster sum with every link built cell by cell from the submasks of sigma."""
+    faces = set().union(*faces_by_size)
+    betti = {}
+    for sigma in sigmas:
+        if sigma in faces:
+            continue
+        size = sigma.bit_count()
+        link = [[] for _ in range(size)]
+        sub = sigma
+        while sub:
+            if sub not in faces:
+                link[size - sub.bit_count()].append(sigma ^ sub)
+            sub = (sub - 1) & sigma
+        ranks = boundary_homology_oracle(collapse_free_faces(link), dense_rank(p))
+        for i, rk in enumerate(ranks):
+            if rk:
+                betti[(i, size)] = betti.get((i, size), 0) + rk
+    return betti
+
+
+def test_hochster_betti_matches_reference_route():
+    for nverts, facets in COMPLEXES:
+        faces = simplex_faces(range(nverts), facets)
+        sigmas = list(range(1, 1 << nverts))
+        for p in (0, 2):
+            expected = reference_hochster_betti(nverts, faces, sigmas, p)
+            assert _kernel.hochster_betti(nverts, faces, sigmas, p) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(squarefree_ideals())
+def test_hochster_betti_matches_reference_route_on_lcm_lattices(ideal):
+    supports = ideal.support_masks()
+    faces = _faces_by_size_from_supports(ideal.nvars, supports)
+    sigmas = _lcm_lattice_masks(supports)
+    for p in (0, 2):
+        expected = reference_hochster_betti(ideal.nvars, faces, sigmas, p)
+        assert _kernel.hochster_betti(ideal.nvars, faces, sigmas, p) == expected, ideal.render()
+
+
+# -- strong collapse ----------------------------------------------------------
+
+
+def facet_masks(facets):
+    return [sum(1 << v for v in f) for f in facets]
+
+
+def mask_faces(masks):
+    return simplex_faces(None, [[v for v in range(m.bit_length()) if m >> v & 1] for m in masks])
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(1, (1 << 7) - 1), min_size=1, max_size=8))
+def test_strong_core_keeps_homology_and_a_vertex(masks):
+    facets = [m for m in set(masks) if not any(m != g and m & g == m for g in masks)]
+    core = _strong_core(facets)
+    # a dominated vertex leaves its dominating vertex behind: never the empty facet
+    assert core and all(core)
+    assert len(core) == 1 or len(core) == len(set(core))
+    for p in (0, 2):
+        # the core may lose top dimensions, whose ranks were 0
+        expected = boundary_homology_oracle(mask_faces(facets), dense_rank(p))
+        ranks = boundary_homology_oracle(mask_faces(core), dense_rank(p))
+        assert ranks == expected[: len(ranks)] and not any(expected[len(ranks):])
+
+
+def test_strong_core_of_a_cone_is_one_facet():
+    apex = 6
+    cone = facet_masks([f + (apex,) for f in RP2_FACETS])
+    assert len(_strong_core(cone)) == 1
+    # a path collapses onto one of its edges, never past its last vertex
+    assert len(_strong_core(facet_masks([(0, 1), (1, 2), (2, 3)]))) == 1
+    assert _strong_core(facet_masks([(0,)])) == [1]
+    assert _strong_core(facet_masks([(0,), (1,)])) == [1, 2]
+    # a hollow triangle and the octahedron have no dominated vertex
+    hollow = facet_masks([(0, 1), (1, 2), (0, 2)])
+    assert sorted(_strong_core(hollow)) == sorted(hollow)
+    octahedron = facet_masks(OCTAHEDRON_FACETS)
+    assert sorted(_strong_core(octahedron)) == sorted(octahedron)
+
+
+def test_empty_link_gives_a_generator_without_homology(monkeypatch):
+    # sigma = {x1, x2} is the support of the only generator x1*x2: L = {empty face}
+    def no_homology(faces, p):
+        raise AssertionError("a one-facet link needs no homology")
+
+    monkeypatch.setattr(_kernel.pykernel, "homology_ranks", no_homology)
+    for p in (0, 2):
+        assert _kernel.hochster_betti(2, [[0], [1, 2]], [3], p) == {(0, 2): 1}
+        # cones: every sigma of (x1*x2, x1*x3) but the lcm has a one-facet link
+        assert _kernel.hochster_betti(3, [[0], [1, 2, 4], [6]], [3, 5], p) == {(0, 2): 2}
+
+
+def test_hochster_betti_with_a_vertex_that_is_a_nonface():
+    # x1 is a generator, so vertex 0 lies in no face of the complex of (x1, x2*x3)
+    ideal = ideal_from_supports(("x1", "x2", "x3"), [{0}, {1, 2}])
+    faces = _faces_by_size_from_supports(3, ideal.support_masks())
+    assert faces == [[0], [2, 4]]
+    sigmas = list(range(1, 8))
+    for p in (0, 2):
+        table = _kernel.hochster_betti(3, faces, sigmas, p)
+        assert table == betti_taylor_oracle(ideal, p).entries == {(0, 1): 1, (0, 2): 1, (1, 3): 1}
+        assert table == reference_hochster_betti(3, faces, sigmas, p)
 
 
 def test_hochster_betti_matches_taylor_oracle():
@@ -282,13 +479,6 @@ def test_hochster_betti_matches_taylor_oracle():
 def test_betti_hochster_matches_taylor_property(ideal):
     for p in (0, 2):
         assert betti_hochster(ideal, p) == betti_taylor_oracle(ideal, p), ideal.render()
-
-
-# minimal RP^2 triangulation: H~_1 has 2-torsion, so GF(2) ranks differ from Q
-RP2_FACETS = [
-    (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
-    (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
-]
 
 
 def test_projective_plane_characteristic_dependence():
