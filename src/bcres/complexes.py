@@ -1,28 +1,38 @@
 """Simplicial complexes: broken-circuit and independence complexes, f/h-vectors,
 induced subcomplexes and exact reduced homology ranks.
 
-A complex is its vertex tuple plus its facets as bitmasks over vertex
-positions; faces are the facets' submasks, so no 2^n table is built.
-Vertices missing from every facet are legal (ghost vertices); the empty
-complex {()} and the void complex (no faces at all) are distinguished
-because reduced homology in dimension -1 matters downstream.  Both
-Stanley-Reisner directions are one Alexander-duality step through
+A complex is its vertex tuple plus one antichain of bitmasks over vertex
+positions: its facets, or its minimal nonfaces when it was built from them
+(complex_from_nonfaces: broken-circuit complexes and Stanley-Reisner
+complexes of ideals).  Faces are the facets' submasks, so no 2^n table is
+built.  Vertices missing from every facet are legal (ghost vertices); the
+empty complex {()} and the void complex (no faces at all) are
+distinguished because reduced homology in dimension -1 matters downstream.
+Both Stanley-Reisner directions are one Alexander-duality step through
 util.minimal_transversals: facets are the complements of the minimal
 transversals of the minimal nonfaces, and minimal nonfaces are the minimal
-transversals of the facet complements.  The Betti route builds its own
-face lists with util.nonface_sieve: it starts from generator supports, not
-facets, and is capped by HOCHSTER_VARIABLE_LIMIT.
+transversals of the facet complements.  A complex held as nonfaces takes
+that step only when its facets are read; its f- and h-vectors come from the
+K-polynomial of the nonfaces (util.k_polynomial) without it.  The Betti
+route builds its own face lists with util.nonface_sieve: it starts from
+generator supports, not facets, and is capped by HOCHSTER_VARIABLE_LIMIT.
 """
+
+from itertools import accumulate
 
 from . import _kernel
 from .errors import InputError, LoopError
-from .util import binom, bits, minimal_transversals, sorted_sets
+from .util import binom, bits, k_polynomial, minimal_masks, minimal_transversals, sorted_sets
 
 
 class SimplicialComplex:
-    """Facet-listed complex; facets=[frozenset()] is the empty complex, [] the void one."""
+    """Complex on a vertex tuple; facets=[frozenset()] is the empty complex, [] the void one.
 
-    __slots__ = ("vertices", "facet_masks")
+    Built from facets, or (complex_from_nonfaces) from minimal nonfaces,
+    whose facets are then derived on first read and cached.
+    """
+
+    __slots__ = ("vertices", "_facet_masks", "_nonface_masks")
 
     def __init__(self, vertices, facets):
         vertices = tuple(vertices)
@@ -45,15 +55,32 @@ class SimplicialComplex:
         return complex_
 
     def _init(self, vertices, masks):
-        keep = []
-        for m in sorted(set(masks), key=int.bit_count, reverse=True):
-            if not any(m & k == m for k in keep):
-                keep.append(m)
+        full = (1 << len(vertices)) - 1  # maximal masks: complements of the minimal complements
+        keep = [full ^ m for m in minimal_masks([full ^ m for m in masks])]
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "facet_masks", tuple(sorted(keep)))
+        object.__setattr__(self, "_facet_masks", tuple(sorted(keep)))
+        object.__setattr__(self, "_nonface_masks", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
+
+    @property
+    def facet_masks(self):
+        """Facets as bitmasks over vertex positions, ascending."""
+        if self._facet_masks is None:
+            full = (1 << len(self.vertices)) - 1
+            facets = sorted(full ^ t for t in minimal_transversals(self._nonface_masks))
+            object.__setattr__(self, "_facet_masks", tuple(facets))
+        return self._facet_masks
+
+    @property
+    def nonface_masks(self):
+        """Minimal nonfaces as bitmasks: those the complex was built from, or
+        the minimal transversals of the facet complements ((0,) if void)."""
+        if self._nonface_masks is not None:
+            return self._nonface_masks
+        full = (1 << len(self.vertices)) - 1
+        return tuple(minimal_transversals([full ^ f for f in self._facet_masks]))
 
     @property
     def facets(self):
@@ -62,7 +89,9 @@ class SimplicialComplex:
 
     @property
     def is_void(self):
-        return not self.facet_masks
+        if self._facet_masks is None:
+            return 0 in self._nonface_masks
+        return not self._facet_masks
 
     @property
     def dim(self):
@@ -89,7 +118,9 @@ class SimplicialComplex:
 
     def face_masks_by_size(self):
         """Faces as bitmasks over vertex positions, grouped by vertex count and
-        sorted (kernel input): the submasks of the facets."""
+        sorted (kernel input): every submask of every facet is listed, so the
+        cost is the face count.  f_h_vectors avoids it on complexes built
+        from nonfaces."""
         if self.is_void:
             return []
         faces = set()
@@ -135,10 +166,15 @@ class FHVectors:
 
 
 def complex_from_nonfaces(vertices, nonfaces):
-    """Complex whose faces contain none of the nonface masks (an empty nonface: void)."""
-    full = (1 << len(vertices)) - 1
-    facets = [full ^ t for t in minimal_transversals(nonfaces)]
-    return SimplicialComplex.from_masks(vertices, facets)
+    """Complex whose faces contain none of the nonface masks (an empty nonface: void).
+
+    The complex keeps the minimal nonfaces; its facets are found only when read.
+    """
+    complex_ = object.__new__(SimplicialComplex)
+    object.__setattr__(complex_, "vertices", tuple(vertices))
+    object.__setattr__(complex_, "_facet_masks", None)
+    object.__setattr__(complex_, "_nonface_masks", tuple(minimal_masks(nonfaces)))
+    return complex_
 
 
 def bc_complex(matroid, order=None):
@@ -166,11 +202,28 @@ def induced_subcomplex(complex_, sigma):
 
 
 def f_h_vectors(complex_):
-    """Face counts by dimension and the standard binomial transform h of f."""
+    """Face counts by dimension and the standard binomial transform h of f.
+
+    A complex built from its minimal nonfaces lists no face: its K-polynomial
+    K(t) = h(t) (1-t)^codim comes from util.k_polynomial, codim is the
+    multiplicity of the root t = 1, and f follows from h.  A complex built
+    from facets counts the facets' submasks, which is cheaper when the
+    faces are few and the nonfaces many (independence complexes of
+    low-rank matroids).
+    """
     if complex_.is_void:
         raise InputError("void complex has no f-vector")
-    f = [len(level) for level in complex_.face_masks_by_size()]
-    return FHVectors(f, f_to_h(f, complex_.dim), complex_.dim)
+    if complex_._nonface_masks is None:
+        f = [len(level) for level in complex_.face_masks_by_size()]
+        return FHVectors(f, f_to_h(f, complex_.dim), complex_.dim)
+    h = k_polynomial(complex_.nonface_masks)
+    codim = 0
+    while sum(h) == 0:  # divide by (1 - t): prefix sums, the last one is 0
+        h = list(accumulate(h))[:-1]
+        codim += 1
+    dim = len(complex_.vertices) - codim - 1
+    h = h + [0] * (dim + 2 - len(h))
+    return FHVectors(h_to_f(h, dim), h, dim)
 
 
 def f_to_h(f, dim):

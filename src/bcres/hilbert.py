@@ -2,8 +2,10 @@
 binomial-coefficient normal forms behind the linearity value criteria.
 
 The Hilbert function of A/I for squarefree I comes from the h-vector of
-the associated complex; a brute-force standard-monomial count provides the
-cross-check.  The series numerator lives over (1-t)^dim; rewriting it over
+the associated complex (Stanley), which f_h_vectors reads off the
+K-polynomial of the minimal nonfaces, i.e. of the generators, without
+listing a face or a facet; a brute-force standard-monomial count provides
+the cross-check.  The series numerator lives over (1-t)^dim; rewriting it over
 (1-t)^codim, when possible, yields the integer coefficient vector that
 plays the role of the Hilbert coefficients.
 """
@@ -79,13 +81,13 @@ def hilbert_function(ideal, horizon=None):
     if ideal.is_unit:
         raise InputError("unit ideal has no Stanley-Reisner quotient")
     n = ideal.nvars
-    complex_ = complex_of_ideal(ideal)
-    dim = complex_.dim + 1  # Krull dimension of the quotient
+    # Stanley: the Hilbert series of k[complex] is h(t) / (1-t)^dim
+    fh = f_h_vectors(complex_of_ideal(ideal))
+    dim = fh.dim + 1  # Krull dimension of the quotient
     codim = n - dim
     if horizon is None:
         horizon = n + (ideal.maxdeg() or 0) + 2
-    # Stanley: the Hilbert series of k[complex] is h(t) / (1-t)^dim
-    numerator = poly_trim(list(f_h_vectors(complex_).h))
+    numerator = poly_trim(list(fh.h))
     values = series_values_from_numerator(numerator, dim, horizon)
     coefficients = None
     width = None

@@ -12,7 +12,7 @@ from itertools import combinations, combinations_with_replacement
 
 from .complexes import complex_from_nonfaces
 from .errors import InputError
-from .util import bits, minimal_transversals
+from .util import bits
 
 EXHAUSTIVE_QUOTIENT_LIMIT = 9
 _COPY_SUFFIX = "abcdefghijklmnopqrstuvwxyz"
@@ -217,12 +217,10 @@ def var_name(label):
 
 
 def stanley_reisner_ideal(complex_):
-    """Squarefree ideal of the minimal nonfaces of a complex: the minimal
-    transversals of the facet complements (a void complex gives the unit ideal)."""
-    full = (1 << len(complex_.vertices)) - 1
+    """Squarefree ideal of the minimal nonfaces of a complex (a void complex
+    gives the unit ideal)."""
     return ideal_from_supports(
-        [var_name(v) for v in complex_.vertices],
-        [bits(t) for t in minimal_transversals([full ^ f for f in complex_.facet_masks])],
+        [var_name(v) for v in complex_.vertices], [bits(t) for t in complex_.nonface_masks]
     )
 
 

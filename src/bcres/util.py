@@ -16,8 +16,12 @@ def binom(a, b):
 def minimal_masks(masks):
     """Inclusion-minimal bitmasks of a family, deduplicated, fewest bits first."""
     keep = []
+    lower = 0  # keep[:lower] have fewer bits than m; a distinct mask of as many never lies in m
     for m in sorted(set(masks), key=int.bit_count):
-        if not any(k & m == k for k in keep):
+        size = m.bit_count()
+        while lower < len(keep) and keep[lower].bit_count() < size:
+            lower += 1
+        if not any(k & m == k for k in keep[:lower]):
             keep.append(m)
     return keep
 
@@ -53,6 +57,48 @@ def minimal_transversals(masks):
                 new.update(t | 1 << i for i in bits(s))
         trans = minimal_masks(new)
     return trans
+
+
+def k_polynomial(masks):
+    """K-polynomial of S/I for the squarefree ideal I on an antichain of
+    support masks: the Hilbert series of S/I is K(t) / (1-t)^n.
+    Coefficients lowest first.
+
+    Bigatti's pivot recursion.  With x the variable in the most generators,
+    0 -> S/(I : x)(-1) -> S/I -> S/(I + x) -> 0 gives
+    K(I) = K(I + x) + t K(I : x), and K(I + x) = (1 - t) K(J) for J the
+    generators without x.  Pairwise disjoint generators are a regular
+    sequence: K = prod (1 - t^|g|).  Only the generators without x can
+    contain a shrunk generator of I : x, so only they are filtered.
+    Memoized within the call; the unit ideal gives 0.
+    """
+    memo = {}
+
+    def k(gens):
+        union = total = 0
+        for g in gens:
+            union |= g
+            total += g.bit_count()
+        if union.bit_count() == total:
+            out = [1]
+            for g in gens:
+                out = poly_mul(out, [1] + [0] * (g.bit_count() - 1) + [-1])
+            return out
+        key = frozenset(gens)
+        if key in memo:
+            return memo[key]
+        counts = {}
+        for g in gens:
+            for i in bits(g):
+                counts[i] = counts.get(i, 0) + 1
+        x = 1 << max(counts, key=counts.get)
+        without = [g for g in gens if not g & x]
+        shrunk = [g ^ x for g in gens if g & x]
+        colon = shrunk + [h for h in without if not any(s & h == s for s in shrunk)]
+        memo[key] = out = poly_add(poly_mul([1, -1], k(without)), [0] + k(colon))
+        return out
+
+    return [0] if 0 in masks else k(list(masks))
 
 
 def nonface_sieve(nvars, masks):
@@ -91,6 +137,15 @@ def poly_trim(p):
     while len(p) > 1 and p[-1] == 0:
         p = p[:-1]
     return list(p)
+
+
+def poly_add(p, q):
+    out = [0] * max(len(p), len(q))
+    for i, a in enumerate(p):
+        out[i] += a
+    for i, b in enumerate(q):
+        out[i] += b
+    return poly_trim(out)
 
 
 def poly_mul(p, q):

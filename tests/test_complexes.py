@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from bcres import complexes
 from bcres.complexes import (
     SimplicialComplex,
     bc_complex,
@@ -22,7 +23,15 @@ from bcres.complexes import (
     reduced_homology_ranks,
 )
 from bcres.errors import InputError, LoopError
-from bcres.ideals import Monomial, MonomialIdeal, complex_of_ideal, stanley_reisner_ideal, var_name
+from bcres.hilbert import hilbert_function
+from bcres.ideals import (
+    Monomial,
+    MonomialIdeal,
+    broken_circuit_ideal,
+    complex_of_ideal,
+    stanley_reisner_ideal,
+    var_name,
+)
 from bcres.matroid import uniform_matroid
 
 
@@ -111,6 +120,25 @@ def test_f_h_roundtrip(golden, u24):
             assert h_to_f(fh.h, fh.dim) == fh.f
             assert f_to_h(fh.f, fh.dim) == fh.h
             assert sum(fh.h) == fh.f[-1]
+
+
+def test_independence_complex_counts_faces_without_the_k_polynomial(monkeypatch):
+    # U(2,26): 352 faces against 2,600 minimal nonfaces (its circuits)
+    def no_pivot(masks):
+        raise AssertionError("a complex built from facets needs no K-polynomial")
+
+    monkeypatch.setattr(complexes, "k_polynomial", no_pivot)
+    assert f_h_vectors(independence_complex(uniform_matroid(2, 26))).f == (1, 26, 325)
+
+
+def test_complex_from_nonfaces_lists_no_face(monkeypatch, golden):
+    def no_faces(self):
+        raise AssertionError("a complex built from nonfaces needs no face list")
+
+    monkeypatch.setattr(SimplicialComplex, "face_masks_by_size", no_faces)
+    assert f_h_vectors(bc_complex(golden)).f == (1, 6, 14, 15, 6)
+    hd = hilbert_function(broken_circuit_ideal(golden))
+    assert hd.numerator == (1, 2, 2, 1) and hd.dim == 4
 
 
 def test_homology_three_points():
@@ -247,17 +275,26 @@ def test_mask_complex_matches_brute_force(family):
         frozenset(f) for f in facets if not any(frozenset(f) < frozenset(g) for g in facets)
     }
     assert c.ghost_vertices() == frozenset(vertices) - frozenset().union(*facets)
-    if c.is_void:
-        assert c.face_masks_by_size() == []
-    else:
+    ideal = stanley_reisner_ideal(c)
+    assert ideal == brute_stanley_reisner_ideal(c)
+    # the same complex built from its nonfaces takes the K-polynomial route
+    from_nonfaces = complex_of_ideal(ideal)
+    for complex_ in (c, from_nonfaces):
+        assert complex_.is_void == (not facets)
+        if complex_.is_void:
+            assert complex_.face_masks_by_size() == []
+            with pytest.raises(InputError):
+                f_h_vectors(complex_)
+            continue
         faces = [
             frozenset(s)
             for k in range(len(vertices) + 1)
             for s in combinations(vertices, k)
             if any(set(s) <= f for f in facets)
         ]
-        f = [sum(1 for face in faces if len(face) == k) for k in range(c.dim + 2)]
-        assert f_h_vectors(c).f == tuple(f)
-    ideal = stanley_reisner_ideal(c)
-    assert ideal == brute_stanley_reisner_ideal(c)
-    assert complex_of_ideal(ideal) == c
+        dim = max(len(f) for f in faces) - 1
+        f = [sum(1 for face in faces if len(face) == k) for k in range(dim + 2)]
+        fh = f_h_vectors(complex_)
+        assert (fh.f, fh.h, fh.dim) == (tuple(f), f_to_h(f, dim), dim)
+    assert from_nonfaces == c
+    assert stanley_reisner_ideal(from_nonfaces) == ideal

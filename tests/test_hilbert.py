@@ -1,13 +1,14 @@
 """Hilbert data: f-vector route vs brute-force monomial counting, binomial fits."""
 
 import random
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_linalg import fraction_solve
 
-from bcres.complexes import bc_complex, f_h_vectors
+from bcres.complexes import bc_complex, f_h_vectors, f_to_h
 from bcres.corpus import standard_corpus
 from bcres.errors import InputError
 from bcres.hilbert import (
@@ -28,7 +29,7 @@ from bcres.ideals import (
     stanley_reisner_ideal,
 )
 from bcres.matroid import uniform_matroid
-from bcres.util import binom, poly_trim
+from bcres.util import binom, k_polynomial, minimal_masks, poly_trim
 
 V4 = tuple("x%d" % i for i in range(1, 5))
 
@@ -222,7 +223,8 @@ def test_h_binomial_fit_matches_solve_route_on_corpus():
 
 def test_numerator_is_the_bc_h_vector_on_corpus():
     # cross_validate, generalized_bound_check and the hilbert command read
-    # the h-vector off the numerator; the complex is the oracle
+    # the h-vector off the numerator; the complex's face count is the oracle
+    # (f_h_vectors runs the same K-polynomial route as hilbert_function)
     rng = random.Random(0)
     for name, m in standard_corpus(0):
         if not m.is_loopless:
@@ -230,7 +232,8 @@ def test_numerator_is_the_bc_h_vector_on_corpus():
         order = list(m.ground)
         rng.shuffle(order)
         numerator = hilbert_function(broken_circuit_ideal(m, order)).numerator
-        h = f_h_vectors(bc_complex(m, order)).h
+        c = bc_complex(m, order)
+        h = f_to_h([len(level) for level in c.face_masks_by_size()], c.dim)
         assert list(numerator) == poly_trim(list(h)), name
         q = len(m.ground) - m.rank
         if q >= 1:
@@ -251,6 +254,25 @@ def test_hilbert_betti_euler_consistency(golden, u24_ideal):
         expected = [-v for v in alt]
         expected[0] += 1
         assert full == poly_trim(expected)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sets(st.integers(0, 7), max_size=5), max_size=8))
+@example([])  # the zero ideal: K = 1
+@example([set()])  # the unit ideal: K = 0
+@example([{0, 1}, {1, 2}, {0, 1, 2}, {3}])  # minimalized before the pivot
+def test_k_polynomial_is_the_inclusion_exclusion_sum(supports):
+    # K(t) = sum over generator subsets S of (-1)^|S| t^|union S| (the Taylor
+    # complex's Euler characteristic), for any generating set of I
+    masks = [sum(1 << i for i in s) for s in supports]
+    expected = [0] * 9
+    for size in range(len(masks) + 1):
+        for sub in combinations(masks, size):
+            union = 0
+            for m in sub:
+                union |= m
+            expected[union.bit_count()] += (-1) ** size
+    assert k_polynomial(minimal_masks(masks)) == poly_trim(expected)
 
 
 def _one_minus_t_pow(k):
