@@ -2,21 +2,23 @@
 
 The hot kernels of bcres: exact integer matrix rank
 (fraction-free Bareiss elimination), rank over GF(p), reduced simplicial
-homology ranks from bitmask face lists, and the Hochster summation over
-the lcm lattice.
+homology ranks of a complex given by its facet bitmasks, and the Hochster
+summation over the lcm lattice.
+
+`homology_ranks` is the one homology entry.  It strongly collapses the
+facets (Barmak-Minian) before listing any face, removes coreduction pairs,
+and ranks every remaining boundary matrix with `rank_sparse`: pivot on a
+shortest live row holding a usable entry (any nonzero over GF(p), +-1 in
+characteristic 0), at that row's column with the fewest live entries.
+Characteristic 0 falls back to Bareiss only on a core with no unit entry.
 
 The Hochster summation takes the dual form of the formula: for each vertex
 subset sigma it ranks the link of sigma's complement in the Alexander dual,
-never the induced subcomplex.  The link is built as its facets, one per
-minimal nonface inside sigma, and strongly collapsed (dominated vertices
-deleted) before any face is listed.
-
-Homology removes coreduction pairs first and ranks every remaining
-boundary matrix with `rank_sparse`.  Its pivot rule: a shortest live row
-holding a usable entry (any nonzero over GF(p), +-1 in characteristic 0),
-at that row's column with the fewest live entries.  Characteristic 0 falls
-back to Bareiss only on a core with no unit entry left.
+never the induced subcomplex.  The link goes to `homology_ranks` as its
+facets, one per minimal nonface inside sigma.
 """
+
+from ..util import faces_by_size
 
 BACKEND = "python"
 
@@ -203,7 +205,7 @@ def _boundary_rank(lower, upper, characteristic):
     return rank_sparse(entries, characteristic) if entries else 0
 
 
-def _coreduce(faces_by_size):
+def _coreduce(levels):
     """Remove coreduction pairs (Mrozek-Batko); homology is kept in every characteristic.
 
     A face g whose boundary holds exactly one live face f is removed
@@ -214,13 +216,13 @@ def _coreduce(faces_by_size):
     The pair has incidence +-1 and nothing else of g's boundary is live, so
     the boundary of what is left is the original boundary restricted to it.
     """
-    top = len(faces_by_size)
-    vertices = faces_by_size[1] if top > 1 else []
+    top = len(levels)
+    vertices = levels[1] if top > 1 else []
     verts = 0
     for v in vertices:
         verts |= v
     # the c faces g ^ b of a face g with c vertices XOR to g for even c, to 0 for odd c
-    live = [{g: [c, 0 if c & 1 else g] for g in level} for c, level in enumerate(faces_by_size)]
+    live = [{g: [c, 0 if c & 1 else g] for g in level} for c, level in enumerate(levels)]
 
     queue = [(1, v) for v in vertices]
     while queue:
@@ -248,30 +250,13 @@ def _coreduce(faces_by_size):
     return [list(level) for level in live]
 
 
-def homology_ranks(faces_by_size, characteristic):
-    """Reduced homology ranks of a simplicial complex given by bitmask face lists.
-
-    faces_by_size[c] lists the faces with c vertices (c = 0 holds the empty
-    face when the complex is non-void).  Entry c of the result is the rank
-    of reduced homology in dimension c - 1.  Coreduction pairs are removed
-    first; boundary matrices are only built for what is left.
-    """
-    top = len(faces_by_size)
-    if top == 0:
-        return []
-    core = _coreduce(faces_by_size)
-    ranks = [0] * (top + 1)  # ranks[c] = rank of boundary C_c -> C_{c-1}
-    for c in range(1, top):
-        ranks[c] = _boundary_rank(core[c - 1], core[c], characteristic)
-    return [len(core[c]) - ranks[c] - ranks[c + 1] for c in range(top)]
-
-
 def _minimal_nonfaces(nvars, faces_by_size):
-    """Nonface bytes (one per vertex mask, 1 for a nonface) and the minimal nonfaces.
+    """Minimal nonfaces of the complex with the given face lists, as bitmasks.
 
     A nonface is minimal when no mask one vertex smaller is a nonface.  With
-    the bytes packed into one integer, a single shift per variable i moves
-    every mask without i onto the mask with it, as util.nonface_sieve does.
+    one byte per vertex mask (1 for a nonface) packed into one integer, a
+    single shift per variable i moves every mask without i onto the mask
+    with it, as util.nonface_sieve does.
     """
     size = 1 << nvars
     marks = bytearray(b"\x01") * size
@@ -290,7 +275,7 @@ def _minimal_nonfaces(nvars, faces_by_size):
     while at >= 0:
         minimal.append(at)
         at = minimal_bytes.find(1, at + 1)
-    return marks, minimal
+    return minimal
 
 
 def _strong_core(facets):
@@ -325,18 +310,28 @@ def _strong_core(facets):
     return facets
 
 
-def _faces_of(facets):
-    """Bitmask face lists, by size, of the complex with the given facets."""
-    faces = set()
-    for f in facets:
-        sub = f
-        while sub:
-            faces.add(sub)
-            sub = (sub - 1) & f
-    levels = [[0]] + [[] for _ in range(max(f.bit_count() for f in facets))]
-    for f in faces:
-        levels[f.bit_count()].append(f)
-    return levels
+def homology_ranks(facets, characteristic):
+    """Reduced homology ranks of the complex whose facets are an antichain of bitmasks.
+
+    Entry c is the rank in dimension c - 1, for c up to the largest facet
+    size; [] (void) gives [], [0] (the empty complex) gives [1].  One facet
+    left by the strong collapse is a simplex, acyclic unless it is empty;
+    otherwise the core's faces are listed and coreduced, and boundary
+    matrices are built only for what is left.  Dimensions lost to the
+    collapse have rank 0.
+    """
+    if not facets:
+        return []
+    top = max(f.bit_count() for f in facets) + 1
+    core = _strong_core(facets)
+    if len(core) == 1:
+        return [0 if core[0] else 1] + [0] * (top - 1)
+    faces = _coreduce(faces_by_size(core))
+    ranks = [0] * (len(faces) + 1)  # ranks[c] = rank of boundary C_c -> C_{c-1}
+    for c in range(1, len(faces)):
+        ranks[c] = _boundary_rank(faces[c - 1], faces[c], characteristic)
+    out = [len(faces[c]) - ranks[c] - ranks[c + 1] for c in range(len(faces))]
+    return out + [0] * (top - len(out))
 
 
 def hochster_betti(nvars, faces_by_size, sigmas, characteristic):
@@ -349,24 +344,16 @@ def hochster_betti(nvars, faces_by_size, sigmas, characteristic):
     the link L = {sigma - N : N a nonface inside sigma} of sigma's
     complement in the Alexander dual has reduced homology in dimension
     i - 1 equal to beta_{i, sigma}.  The facets of L are sigma - N for the
-    minimal nonfaces N inside sigma, found once per call; a sigma that is a
-    face contributes nothing.  L is strongly collapsed on its facets: one
-    facet left is a simplex, contractible unless it is the empty face
-    (L = {empty face}, beta_{0, sigma} = 1); otherwise its faces go to
-    homology_ranks.
+    minimal nonfaces N inside sigma, found once per call, and go to
+    homology_ranks.  A sigma that is a face holds no nonface: its link is
+    void and contributes nothing.
     """
-    nonface, minimal = _minimal_nonfaces(nvars, faces_by_size)
+    minimal = _minimal_nonfaces(nvars, faces_by_size)
     betti = {}
     for sigma in sigmas:
-        if not nonface[sigma]:
-            continue  # the induced subcomplex is a simplex
         size = sigma.bit_count()
-        facets = _strong_core([sigma ^ n for n in minimal if not n & ~sigma])
-        if len(facets) == 1:
-            if not facets[0]:
-                betti[(0, size)] = betti.get((0, size), 0) + 1
-            continue
-        for i, rk in enumerate(homology_ranks(_faces_of(facets), characteristic)):
+        link = [sigma ^ n for n in minimal if not n & ~sigma]
+        for i, rk in enumerate(homology_ranks(link, characteristic)):
             if rk:
                 betti[(i, size)] = betti.get((i, size), 0) + rk
     return betti

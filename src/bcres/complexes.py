@@ -13,16 +13,18 @@ util.minimal_transversals: facets are the complements of the minimal
 transversals of the minimal nonfaces, and minimal nonfaces are the minimal
 transversals of the facet complements.  A complex held as nonfaces takes
 that step only when its facets are read; its f- and h-vectors come from the
-K-polynomial of the nonfaces (util.k_polynomial) without it.  The Betti
-route builds its own face lists with util.nonface_sieve: it starts from
-generator supports, not facets, and is capped by HOCHSTER_VARIABLE_LIMIT.
+K-polynomial of the nonfaces (util.k_polynomial) without it.  Reduced
+homology hands the facets to the kernel, which strongly collapses them
+before listing faces.  The Betti route builds its own face lists with
+util.nonface_sieve: it starts from generator supports, not facets, and is
+capped by HOCHSTER_VARIABLE_LIMIT.
 """
 
 from itertools import accumulate
 
 from . import _kernel
 from .errors import InputError, LoopError
-from .util import binom, bits, k_polynomial, minimal_masks, minimal_transversals, sorted_sets
+from .util import binom, bits, faces_by_size, k_polynomial, minimal_masks, minimal_transversals, sorted_sets
 
 
 class SimplicialComplex:
@@ -116,24 +118,6 @@ class SimplicialComplex:
             [sorted(f, key=repr) for f in self.facets],
         )
 
-    def face_masks_by_size(self):
-        """Faces as bitmasks over vertex positions, grouped by vertex count and
-        sorted (kernel input): every submask of every facet is listed, so the
-        cost is the face count.  f_h_vectors avoids it on complexes built
-        from nonfaces."""
-        if self.is_void:
-            return []
-        faces = set()
-        for f in self.facet_masks:
-            sub = f
-            while sub:
-                faces.add(sub)
-                sub = (sub - 1) & f
-        out = [[0]] + [[] for _ in range(self.dim + 1)]
-        for m in sorted(faces):
-            out[m.bit_count()].append(m)
-        return out
-
     def ghost_vertices(self):
         covered = 0
         for f in self.facet_masks:
@@ -214,7 +198,7 @@ def f_h_vectors(complex_):
     if complex_.is_void:
         raise InputError("void complex has no f-vector")
     if complex_._nonface_masks is None:
-        f = [len(level) for level in complex_.face_masks_by_size()]
+        f = [len(level) for level in faces_by_size(complex_.facet_masks)]
         return FHVectors(f, f_to_h(f, complex_.dim), complex_.dim)
     h = k_polynomial(complex_.nonface_masks)
     codim = 0
@@ -243,13 +227,13 @@ def reduced_homology_ranks(complex_, characteristic=0):
     """Ranks of reduced simplicial homology in dimensions -1..dim over an exact field.
 
     Returns a list whose entry c is the rank in dimension c - 1 (so the
-    first entry is dimension -1).  Characteristic 0 uses fraction-free
-    integer elimination; a prime p uses GF(p) arithmetic.
+    first entry is dimension -1); [] for the void complex.  The kernel
+    strongly collapses the facets, then ranks what is left by sparse
+    elimination: unit pivots over the integers in characteristic 0, GF(p)
+    arithmetic for a prime p.
     """
     _check_characteristic(characteristic)
-    if complex_.is_void:
-        return []
-    return _kernel.homology_ranks(complex_.face_masks_by_size(), characteristic)
+    return _kernel.homology_ranks(complex_.facet_masks, characteristic)
 
 
 def _check_characteristic(characteristic):

@@ -20,7 +20,7 @@ from . import _kernel
 from .complexes import _check_characteristic
 from .errors import BoundError, InputError
 from .ideals import component_ideal, ideal_from_supports, polarize
-from .util import nonface_sieve as _nonface_sieve
+from .util import bits, nonface_sieve as _nonface_sieve
 
 TAYLOR_GENERATOR_LIMIT = 12
 HOCHSTER_VARIABLE_LIMIT = 14
@@ -294,15 +294,17 @@ def _squarefree_components(ideal):
     """{d: generator supports of I_[d]} for d = indeg .. maxdeg of a squarefree ideal.
 
     I_[d] is generated by the degree-d vertex masks that contain the
-    support mask of some generator.
+    support mask of some generator: the degree-d generators and the masks
+    of I_[d-1] extended by one vertex.
     """
-    n = ideal.nvars
-    nonface = _nonface_sieve(n, ideal.support_masks())
-    comps = {d: [] for d in range(ideal.indeg(), ideal.maxdeg() + 1)}
-    for mask in range(1 << n):
-        comp = comps.get(mask.bit_count())
-        if comp is not None and nonface[mask]:
-            comp.append([i for i in range(n) if mask >> i & 1])
+    full = (1 << ideal.nvars) - 1
+    supports = ideal.support_masks()
+    comps = {}
+    level = set()
+    for d in range(ideal.indeg(), ideal.maxdeg() + 1):
+        level = {m | 1 << i for m in level for i in bits(full ^ m)}
+        level.update(g for g in supports if g.bit_count() == d)
+        comps[d] = [bits(m) for m in sorted(level)]
     return comps
 
 
@@ -339,7 +341,7 @@ def componentwise_linear_check(ideal, characteristic=0):
         return True, {}
     if not ideal.squarefree:
         return _polarized_componentwise_check(ideal, characteristic)
-    if ideal.nvars > HOCHSTER_VARIABLE_LIMIT:  # before the 2^n mask enumeration
+    if ideal.nvars > HOCHSTER_VARIABLE_LIMIT:  # every I_[d] stays on these variables
         return None, {
             "ideal": "inconclusive: squarefree components limited to %d variables, got %d"
             % (HOCHSTER_VARIABLE_LIMIT, ideal.nvars)

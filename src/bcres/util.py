@@ -101,6 +101,21 @@ def k_polynomial(masks):
     return [0] if 0 in masks else k(list(masks))
 
 
+def faces_by_size(facets):
+    """Bitmask face lists, by vertex count, of the non-void complex with the
+    given facets: every submask of every facet, listed once."""
+    faces = set()
+    for f in facets:
+        sub = f
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & f
+    levels = [[0]] + [[] for _ in range(max(f.bit_count() for f in facets))]
+    for f in faces:
+        levels[f.bit_count()].append(f)
+    return levels
+
+
 def nonface_sieve(nvars, masks):
     """One byte per vertex mask: 1 if the mask contains one of the given
     masks (a nonface, when they are generator supports), else 0.

@@ -29,7 +29,7 @@ from bcres.ideals import (
     stanley_reisner_ideal,
 )
 from bcres.matroid import uniform_matroid
-from bcres.util import binom, k_polynomial, minimal_masks, poly_trim
+from bcres.util import binom, faces_by_size, k_polynomial, minimal_masks, poly_trim
 
 V4 = tuple("x%d" % i for i in range(1, 5))
 
@@ -233,7 +233,7 @@ def test_numerator_is_the_bc_h_vector_on_corpus():
         rng.shuffle(order)
         numerator = hilbert_function(broken_circuit_ideal(m, order)).numerator
         c = bc_complex(m, order)
-        h = f_to_h([len(level) for level in c.face_masks_by_size()], c.dim)
+        h = f_to_h([len(level) for level in faces_by_size(c.facet_masks)], c.dim)
         assert list(numerator) == poly_trim(list(h)), name
         q = len(m.ground) - m.rank
         if q >= 1:

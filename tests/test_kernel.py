@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from bcres import _kernel
 from bcres._kernel.pykernel import _strong_core
-from bcres.complexes import SimplicialComplex
+from bcres.complexes import SimplicialComplex, reduced_homology_ranks
 from bcres.ideals import ideal_from_supports, stanley_reisner_ideal
 from bcres.resolutions import (
     TAYLOR_GENERATOR_LIMIT,
@@ -210,15 +210,17 @@ HOMOLOGY_CASES = [
     ([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)], [0, 0, 0, 1]),
     # two hollow triangles sharing a vertex: H~_1 rank 2
     ([(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)], [0, 0, 2]),
+    # the tetrahedron collapses to a vertex; dimensions it loses stay as zeros
+    ([(0, 1, 2, 3), (4,)], [0, 1, 0, 0, 0]),
 ]
 
 
 @KERNEL
 @pytest.mark.parametrize("facets,expected", HOMOLOGY_CASES)
 def test_homology_known(impl, facets, expected):
-    faces = simplex_faces(set().union(*[set(f) for f in facets]) or {0}, facets)
-    assert impl.homology_ranks(faces, 0) == expected
-    assert impl.homology_ranks(faces, 2) == expected
+    masks = facet_masks(facets)
+    assert impl.homology_ranks(masks, 0) == expected
+    assert impl.homology_ranks(masks, 2) == expected
 
 
 def random_complexes(seed, count, max_verts, max_facet):
@@ -267,7 +269,8 @@ def test_homology_ranks_match_boundary_matrix_oracle():
     for nverts, facets in COMPLEXES + list(dense_two_complexes(5, 3)) + closed_surfaces:
         faces = simplex_faces(range(nverts), facets)
         for p in (0, 2, 5):
-            assert _kernel.homology_ranks(faces, p) == boundary_homology_oracle(faces, dense_rank(p))
+            ranks = _kernel.homology_ranks(facet_masks(facets), p)
+            assert ranks == boundary_homology_oracle(faces, dense_rank(p))
 
 
 # minimal RP^2 triangulation: H~_1 has 2-torsion, so GF(2) ranks differ from Q
@@ -306,7 +309,8 @@ def cores_plus_random_facets(draw):
 @given(cores_plus_random_facets(), st.sampled_from([0, 2, 3]))
 def test_homology_ranks_property(facets, p):
     faces = simplex_faces(None, facets)
-    assert _kernel.homology_ranks(faces, p) == boundary_homology_oracle(faces, dense_rank(p))
+    ranks = _kernel.homology_ranks(facet_masks(facets), p)
+    assert ranks == boundary_homology_oracle(faces, dense_rank(p))
 
 
 # -- the reference Hochster route: submask walk, then free-face collapse ------
@@ -399,7 +403,9 @@ def test_hochster_betti_matches_reference_route_on_lcm_lattices(ideal):
 
 
 def facet_masks(facets):
-    return [sum(1 << v for v in f) for f in facets]
+    """The maximal masks among the given vertex tuples: an antichain, as the kernel takes."""
+    masks = {sum(1 << v for v in f) for f in facets}
+    return sorted(m for m in masks if not any(m != g and m & g == m for g in masks))
 
 
 def mask_faces(masks):
@@ -438,10 +444,10 @@ def test_strong_core_of_a_cone_is_one_facet():
 
 def test_empty_link_gives_a_generator_without_homology(monkeypatch):
     # sigma = {x1, x2} is the support of the only generator x1*x2: L = {empty face}
-    def no_homology(faces, p):
-        raise AssertionError("a one-facet link needs no homology")
+    def no_faces(facets):
+        raise AssertionError("a one-facet link lists no face")
 
-    monkeypatch.setattr(_kernel.pykernel, "homology_ranks", no_homology)
+    monkeypatch.setattr(_kernel.pykernel, "faces_by_size", no_faces)
     for p in (0, 2):
         assert _kernel.hochster_betti(2, [[0], [1, 2]], [3], p) == {(0, 2): 1}
         # cones: every sigma of (x1*x2, x1*x3) but the lcm has a one-facet link
@@ -482,9 +488,19 @@ def test_betti_hochster_matches_taylor_property(ideal):
 
 
 def test_projective_plane_characteristic_dependence():
-    faces = simplex_faces(range(6), RP2_FACETS)
-    assert _kernel.homology_ranks(faces, 0) == [0, 0, 0, 0]
-    assert _kernel.homology_ranks(faces, 2) == [0, 0, 1, 1]
+    facets = facet_masks(RP2_FACETS)
+    assert _kernel.homology_ranks(facets, 0) == [0, 0, 0, 0]
+    assert _kernel.homology_ranks(facets, 2) == [0, 0, 1, 1]
+
+
+def test_cone_over_projective_plane_lists_no_face(monkeypatch):
+    def no_faces(facets):
+        raise AssertionError("a strong collapse to one facet lists no face")
+
+    monkeypatch.setattr(_kernel.pykernel, "faces_by_size", no_faces)
+    cone = SimplicialComplex(range(7), [f + (6,) for f in RP2_FACETS])
+    for p in (0, 2):
+        assert reduced_homology_ranks(cone, p) == [0, 0, 0, 0, 0]
 
 
 def test_projective_plane_ideal_betti_depends_on_characteristic():

@@ -33,6 +33,7 @@ from bcres.resolutions import (
     _faces_by_size_from_supports,
     _nonface_sieve,
     _polarized_componentwise_check,
+    _squarefree_components,
     betti_hochster,
     betti_table,
     betti_taylor_oracle,
@@ -234,6 +235,21 @@ def test_nonface_sieve_matches_support_containment(i):
     assert [mask for mask, bit in enumerate(sieve) if bit] == nonfaces
     faces = [mask for level in _faces_by_size_from_supports(i.nvars, supports) for mask in level]
     assert sorted(faces) == sorted(set(range(1 << i.nvars)) - set(nonfaces))
+
+
+@settings(max_examples=100)
+@given(squarefree_ideals())
+def test_squarefree_components_match_support_containment(i):
+    supports = i.support_masks()
+    comps = _squarefree_components(i)
+    assert sorted(comps) == list(range(i.indeg(), i.maxdeg() + 1))
+    for d, component in comps.items():
+        brute = [
+            [v for v in range(i.nvars) if mask >> v & 1]
+            for mask in range(1 << i.nvars)
+            if mask.bit_count() == d and any(g & mask == g for g in supports)
+        ]
+        assert component == brute, (i.render(), d)
 
 
 def beyond_both_routes(component):
