@@ -15,7 +15,8 @@ Characteristic 0 falls back to Bareiss only on a core with no unit entry.
 The Hochster summation takes the dual form of the formula: for each vertex
 subset sigma it ranks the link of sigma's complement in the Alexander dual,
 never the induced subcomplex.  The link goes to `homology_ranks` as its
-facets, one per minimal nonface inside sigma.
+facets, one per minimal nonface inside sigma; the minimal nonfaces are the
+caller's generator supports, grouped by size, so no 2^n table is built.
 """
 
 from ..util import faces_by_size
@@ -250,34 +251,6 @@ def _coreduce(levels):
     return [list(level) for level in live]
 
 
-def _minimal_nonfaces(nvars, faces_by_size):
-    """Minimal nonfaces of the complex with the given face lists, as bitmasks.
-
-    A nonface is minimal when no mask one vertex smaller is a nonface.  With
-    one byte per vertex mask (1 for a nonface) packed into one integer, a
-    single shift per variable i moves every mask without i onto the mask
-    with it, as util.nonface_sieve does.
-    """
-    size = 1 << nvars
-    marks = bytearray(b"\x01") * size
-    for level in faces_by_size:
-        for f in level:
-            marks[f] = 0
-    nonface = int.from_bytes(marks, "little")
-    covers_nonface = 0  # masks with a nonface one vertex smaller
-    for i in range(nvars):
-        step = 1 << i
-        without_i = int.from_bytes((b"\x01" * step + b"\x00" * step) * (size >> (i + 1)), "little")
-        covers_nonface |= (nonface & without_i) << 8 * step
-    minimal_bytes = (nonface & ~covers_nonface).to_bytes(size, "little")
-    minimal = []
-    at = minimal_bytes.find(1)
-    while at >= 0:
-        minimal.append(at)
-        at = minimal_bytes.find(1, at + 1)
-    return minimal
-
-
 def _strong_core(facets):
     """Facets left once no vertex is dominated (a strong collapse, Barmak-Minian).
 
@@ -334,25 +307,26 @@ def homology_ranks(facets, characteristic):
     return out + [0] * (top - len(out))
 
 
-def hochster_betti(nvars, faces_by_size, sigmas, characteristic):
-    """Graded Betti numbers of a squarefree monomial ideal from its Stanley-Reisner complex.
+def hochster_betti(nvars, nonfaces_by_size, sigmas, characteristic):
+    """Graded Betti numbers of a squarefree monomial ideal from its minimal nonfaces.
 
-    faces_by_size describes the full, non-void complex on `nvars` vertices
-    (bit i = variable i); sigmas lists the vertex-subset masks to visit (the
-    caller restricts to the lcm lattice, where all Betti multidegrees live).
+    nonfaces_by_size[k] lists the minimal nonfaces with k vertices (bit i =
+    variable i): the generator supports of a minimal generating set.  sigmas
+    lists the vertex-subset masks to visit (the caller restricts to the lcm
+    lattice, where all Betti multidegrees live).
+    nvars is unread; it stays first to keep the argument layout callers use.
     Each sigma is ranked by the dual Hochster formula (Miller-Sturmfels):
     the link L = {sigma - N : N a nonface inside sigma} of sigma's
     complement in the Alexander dual has reduced homology in dimension
     i - 1 equal to beta_{i, sigma}.  The facets of L are sigma - N for the
-    minimal nonfaces N inside sigma, found once per call, and go to
-    homology_ranks.  A sigma that is a face holds no nonface: its link is
-    void and contributes nothing.
+    minimal nonfaces N inside sigma, which can only sit on the levels up to
+    |sigma|, and go to homology_ranks.  A sigma that is a face holds no
+    nonface: its link is void and contributes nothing.
     """
-    minimal = _minimal_nonfaces(nvars, faces_by_size)
     betti = {}
     for sigma in sigmas:
         size = sigma.bit_count()
-        link = [sigma ^ n for n in minimal if not n & ~sigma]
+        link = [sigma ^ n for level in nonfaces_by_size[: size + 1] for n in level if not n & ~sigma]
         for i, rk in enumerate(homology_ranks(link, characteristic)):
             if rk:
                 betti[(i, size)] = betti.get((i, size), 0) + rk

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .decomposition import stratify, two_term_decomposition
 from .errors import BoundError, InputError
 from .linalg import column_rank, echelon, integer_primitive, nullspace
-from .matroid import linear_matroid
+from .matroid import linear_matroid, normalize_order
 
 
 class Arrangement:
@@ -125,7 +125,7 @@ def os_ot_generators(arrangement, order=None):
     """
     matroid = arrangement.matroid
     by_label = dict(zip(arrangement.labels, arrangement.normals))
-    rank_in_order = {lab: i for i, lab in enumerate(order or arrangement.labels)}
+    rank_in_order = {lab: i for i, lab in enumerate(normalize_order(matroid, order))}
     os_gens = []
     ot_gens = []
     for circuit in matroid.circuits:

@@ -310,11 +310,18 @@ def _cmd_graph(doc, options):
     }
 
 
+def _int_list(flag, text):
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise InputError("%s needs comma separated integers, got %r" % (flag, text)) from None
+
+
 def _cmd_gnr(doc, options):
     if not options.cycles:
         raise InputError("gnr needs --cycles, e.g. --cycles 3,3")
-    sizes = [int(v) for v in options.cycles.split(",")]
-    bridges = [int(v) for v in options.bridges.split(",")] if options.bridges else None
+    sizes = _int_list("--cycles", options.cycles)
+    bridges = _int_list("--bridges", options.bridges) if options.bridges else None
     g = build_gnr(sizes, bridges)
     return {
         "edges": [[lab, u, v] for lab, u, v in g.edges],

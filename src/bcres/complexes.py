@@ -15,9 +15,8 @@ transversals of the facet complements.  A complex held as nonfaces takes
 that step only when its facets are read; its f- and h-vectors come from the
 K-polynomial of the nonfaces (util.k_polynomial) without it.  Reduced
 homology hands the facets to the kernel, which strongly collapses them
-before listing faces.  The Betti route builds its own face lists with
-util.nonface_sieve: it starts from generator supports, not facets, and is
-capped by HOCHSTER_VARIABLE_LIMIT.
+before listing faces.  The Betti route needs no complex at all: it hands
+the generator supports, the minimal nonfaces, straight to the kernel.
 """
 
 from itertools import accumulate

@@ -92,6 +92,8 @@ def build_gnr(cycle_sizes, bridges=None):
     bridges = list(bridges)
     if len(bridges) != len(sizes) - 1:
         raise InputError("need one bridge length per consecutive cycle pair")
+    if any(b < 0 for b in bridges):
+        raise InputError("bridge lengths must be nonnegative")
     edges = []
     vertex = 0
     anchors = []
@@ -105,7 +107,7 @@ def build_gnr(cycle_sizes, bridges=None):
         if blen == 0:
             continue
         chain = [anchors[i]] + [vertex + j for j in range(blen - 1)] + [anchors[i + 1]]
-        vertex += max(blen - 1, 0)
+        vertex += blen - 1
         for a, b in zip(chain, chain[1:]):
             edges.append((a, b))
     return Graph(edges)

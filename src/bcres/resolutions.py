@@ -5,7 +5,9 @@ Two independent routes are kept side by side and are never merged:
 * betti_hochster   - squarefree ideals; sums, over the lcm lattice, the
                      reduced homology ranks of the links of the Alexander
                      dual of the Stanley-Reisner complex (the dual form of
-                     Hochster's formula; the hot path, kernel-backed).
+                     Hochster's formula; the hot path, kernel-backed),
+                     each built from the generator supports, which are
+                     the complex's minimal nonfaces.
 * betti_taylor_oracle - any monomial ideal with few generators; homology
                      of the Taylor complex tensored down to the residue
                      field, split by multidegree.
@@ -20,7 +22,7 @@ from . import _kernel
 from .complexes import _check_characteristic
 from .errors import BoundError, InputError
 from .ideals import component_ideal, ideal_from_supports, polarize
-from .util import bits, nonface_sieve as _nonface_sieve
+from .util import bits
 
 TAYLOR_GENERATOR_LIMIT = 12
 HOCHSTER_VARIABLE_LIMIT = 14
@@ -141,18 +143,6 @@ def rows_consecutive_only(table):
 # -- Hochster route ------------------------------------------------------------
 
 
-def _faces_by_size_from_supports(nvars, support_masks):
-    """Bitmask face lists of the Stanley-Reisner complex of a squarefree ideal."""
-    nonface = _nonface_sieve(nvars, support_masks)
-    faces = [[] for _ in range(nvars + 1)]
-    for mask in range(1 << nvars):
-        if not nonface[mask]:
-            faces[mask.bit_count()].append(mask)
-    while len(faces) > 1 and not faces[-1]:
-        faces.pop()
-    return faces
-
-
 def _lcm_lattice_masks(support_masks):
     """All unions of generator supports: the only multidegrees carrying Betti numbers."""
     closure = set(support_masks)
@@ -172,8 +162,11 @@ def _lcm_lattice_masks(support_masks):
 def betti_hochster(ideal, characteristic=0):
     """Graded Betti table of a squarefree monomial ideal via Hochster's formula.
 
-    The summation runs over the lcm lattice of the generators only; every
-    other vertex subset contributes zero.
+    The generator supports of the minimal generating set are the minimal
+    nonfaces of the Stanley-Reisner complex; they go to the kernel grouped
+    by size, and no face of the complex is listed.  The summation runs over
+    the lcm lattice of the generators only; every other vertex subset
+    contributes zero.
     """
     _check_characteristic(characteristic)
     if not ideal.squarefree:
@@ -188,9 +181,11 @@ def betti_hochster(ideal, characteristic=0):
     if ideal.is_unit:
         return BettiTable({(0, 0): 1}, characteristic)  # the whole ring, free
     supports = ideal.support_masks()
-    faces = _faces_by_size_from_supports(ideal.nvars, supports)
+    nonfaces = [[] for _ in range(ideal.maxdeg() + 1)]
+    for g in supports:
+        nonfaces[g.bit_count()].append(g)
     entries = _kernel.hochster_betti(
-        ideal.nvars, faces, _lcm_lattice_masks(supports), characteristic
+        ideal.nvars, nonfaces, _lcm_lattice_masks(supports), characteristic
     )
     return BettiTable(entries, characteristic)
 

@@ -139,6 +139,29 @@ def test_main_order_flag(tmp_path, capsys):
     assert out["result"]["broken_circuits_minimal"] == [[1, 2], [1, 3], [2, 3]]
 
 
+def test_arrangement_order_not_a_permutation_exits_1(tmp_path, capsys):
+    doc = tmp_path / "arr.json"
+    doc.write_text('{"kind":"arrangement","payload":{"normals":[[1,0],[0,1],[1,1]]},"order":[1,2]}')
+    for command in ("arrangement", "bc"):
+        assert main([command, str(doc)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: order (1, 2) is not a permutation of the ground set\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--cycles", "3,a"], "error: --cycles needs comma separated integers, got '3,a'"),
+        (["--cycles", "3,3", "--bridges", "1.5"], "error: --bridges needs comma separated integers, got '1.5'"),
+        (["--cycles", "3,3", "--bridges=-1"], "error: bridge lengths must be nonnegative"),
+    ],
+    ids=["cycles-not-integer", "bridges-not-integer", "negative-bridge"],
+)
+def test_gnr_bad_flags_exit_1(flags, message, capsys):
+    assert main(["gnr"] + flags) == 1
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_bc_json_golden_with_ten_elements(tmp_path, capsys):
     # two triangles and a 4-cycle; labels 1..10, where repr order puts 10 before 2
     edges = [[0, 1], [1, 2], [2, 0], [2, 3], [3, 4], [4, 5], [5, 2], [5, 6], [6, 7], [7, 5]]

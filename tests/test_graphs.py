@@ -74,6 +74,9 @@ def test_build_gnr_validation():
         build_gnr([])
     with pytest.raises(InputError):
         build_gnr([3, 3], [1, 2])
+    # a negative length would silently build the one-edge bridge
+    with pytest.raises(InputError):
+        build_gnr([3, 3], [-1])
 
 
 def test_gnr_report_two_triangles():

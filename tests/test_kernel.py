@@ -4,7 +4,9 @@ Ranks must agree with plain Gaussian elimination over Fractions on random
 matrices; homology ranks with the ranks of the unreduced boundary
 matrices; Hochster sums with the Taylor oracle on the Stanley-Reisner
 ideal, and with the reference route below (every link built cell by cell
-from a submask walk, free faces collapsed, the rest ranked densely).
+from a submask walk, free faces collapsed, the rest ranked densely).  The
+kernel takes minimal nonfaces; tests derive them from face lists by brute
+force at the call site.
 """
 
 import random
@@ -21,7 +23,6 @@ from bcres.complexes import SimplicialComplex, reduced_homology_ranks
 from bcres.ideals import ideal_from_supports, stanley_reisner_ideal
 from bcres.resolutions import (
     TAYLOR_GENERATOR_LIMIT,
-    _faces_by_size_from_supports,
     _lcm_lattice_masks,
     betti_hochster,
     betti_taylor_oracle,
@@ -358,6 +359,26 @@ def collapse_free_faces(faces_by_size):
     return [sorted(level) for level in live]
 
 
+def minimal_nonfaces(nvars, faces_by_size):
+    """The kernel's input, by brute force over all 2^nvars masks: for each
+    size, the nonfaces whose every mask one vertex smaller is a face."""
+    faces = set().union(*faces_by_size)
+    levels = [[] for _ in range(nvars + 1)]
+    for mask in range(1 << nvars):
+        if mask not in faces and all(mask ^ 1 << v in faces for v in range(nvars) if mask >> v & 1):
+            levels[mask.bit_count()].append(mask)
+    return levels
+
+
+def faces_from_supports(nvars, supports):
+    """Face lists of the Stanley-Reisner complex, by brute force: the masks holding no support."""
+    faces = [[] for _ in range(nvars + 1)]
+    for mask in range(1 << nvars):
+        if not any(g & mask == g for g in supports):
+            faces[mask.bit_count()].append(mask)
+    return faces
+
+
 def reference_hochster_betti(nvars, faces_by_size, sigmas, p):
     """Dual Hochster sum with every link built cell by cell from the submasks of sigma."""
     faces = set().union(*faces_by_size)
@@ -383,20 +404,24 @@ def test_hochster_betti_matches_reference_route():
     for nverts, facets in COMPLEXES:
         faces = simplex_faces(range(nverts), facets)
         sigmas = list(range(1, 1 << nverts))
+        nonfaces = minimal_nonfaces(nverts, faces)
         for p in (0, 2):
             expected = reference_hochster_betti(nverts, faces, sigmas, p)
-            assert _kernel.hochster_betti(nverts, faces, sigmas, p) == expected
+            assert _kernel.hochster_betti(nverts, nonfaces, sigmas, p) == expected
 
 
 @settings(max_examples=100, deadline=None)
 @given(squarefree_ideals())
 def test_hochster_betti_matches_reference_route_on_lcm_lattices(ideal):
     supports = ideal.support_masks()
-    faces = _faces_by_size_from_supports(ideal.nvars, supports)
+    faces = faces_from_supports(ideal.nvars, supports)
+    nonfaces = minimal_nonfaces(ideal.nvars, faces)
+    # the generator supports of a minimal generating set are the minimal nonfaces
+    assert [g for level in nonfaces for g in level] == sorted(supports, key=lambda g: (g.bit_count(), g))
     sigmas = _lcm_lattice_masks(supports)
     for p in (0, 2):
         expected = reference_hochster_betti(ideal.nvars, faces, sigmas, p)
-        assert _kernel.hochster_betti(ideal.nvars, faces, sigmas, p) == expected, ideal.render()
+        assert _kernel.hochster_betti(ideal.nvars, nonfaces, sigmas, p) == expected, ideal.render()
 
 
 # -- strong collapse ----------------------------------------------------------
@@ -449,19 +474,21 @@ def test_empty_link_gives_a_generator_without_homology(monkeypatch):
 
     monkeypatch.setattr(_kernel.pykernel, "faces_by_size", no_faces)
     for p in (0, 2):
-        assert _kernel.hochster_betti(2, [[0], [1, 2]], [3], p) == {(0, 2): 1}
+        assert _kernel.hochster_betti(2, [[], [], [3]], [3], p) == {(0, 2): 1}
         # cones: every sigma of (x1*x2, x1*x3) but the lcm has a one-facet link
-        assert _kernel.hochster_betti(3, [[0], [1, 2, 4], [6]], [3, 5], p) == {(0, 2): 2}
+        assert _kernel.hochster_betti(3, [[], [], [3, 5]], [3, 5], p) == {(0, 2): 2}
 
 
 def test_hochster_betti_with_a_vertex_that_is_a_nonface():
     # x1 is a generator, so vertex 0 lies in no face of the complex of (x1, x2*x3)
     ideal = ideal_from_supports(("x1", "x2", "x3"), [{0}, {1, 2}])
-    faces = _faces_by_size_from_supports(3, ideal.support_masks())
-    assert faces == [[0], [2, 4]]
+    faces = faces_from_supports(3, ideal.support_masks())
+    assert faces == [[0], [2, 4], [], []]
+    nonfaces = minimal_nonfaces(3, faces)
+    assert nonfaces == [[], [1], [6], []]
     sigmas = list(range(1, 8))
     for p in (0, 2):
-        table = _kernel.hochster_betti(3, faces, sigmas, p)
+        table = _kernel.hochster_betti(3, nonfaces, sigmas, p)
         assert table == betti_taylor_oracle(ideal, p).entries == {(0, 1): 1, (0, 2): 1, (1, 3): 1}
         assert table == reference_hochster_betti(3, faces, sigmas, p)
 
@@ -472,10 +499,10 @@ def test_hochster_betti_matches_taylor_oracle():
         ideal = stanley_reisner_ideal(SimplicialComplex(range(nverts), facets))
         if len(ideal.gens) > TAYLOR_GENERATOR_LIMIT:
             continue
-        faces = simplex_faces(range(nverts), facets)
+        nonfaces = minimal_nonfaces(nverts, simplex_faces(range(nverts), facets))
         sigmas = list(range(1, 1 << nverts))
         for p in (0, 2):
-            assert _kernel.hochster_betti(nverts, faces, sigmas, p) == betti_taylor_oracle(ideal, p).entries
+            assert _kernel.hochster_betti(nverts, nonfaces, sigmas, p) == betti_taylor_oracle(ideal, p).entries
         compared += 1
     assert compared >= 50
 
@@ -506,9 +533,9 @@ def test_cone_over_projective_plane_lists_no_face(monkeypatch):
 def test_projective_plane_ideal_betti_depends_on_characteristic():
     ideal = stanley_reisner_ideal(SimplicialComplex(range(6), RP2_FACETS))
     assert len(ideal.gens) == 10  # the triangles that are not facets
-    faces = simplex_faces(range(6), RP2_FACETS)
+    nonfaces = minimal_nonfaces(6, simplex_faces(range(6), RP2_FACETS))
     sigmas = list(range(1, 1 << 6))
-    tables = {p: _kernel.hochster_betti(6, faces, sigmas, p) for p in (0, 2)}
+    tables = {p: _kernel.hochster_betti(6, nonfaces, sigmas, p) for p in (0, 2)}
     assert tables[0] != tables[2]
     for p, table in tables.items():
         assert table == betti_taylor_oracle(ideal, p).entries

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bcres import _kernel
 from bcres.complexes import bc_complex
 from bcres.corpus import standard_corpus
 from bcres.decomposition import cross_validate
@@ -30,8 +31,6 @@ from bcres.resolutions import (
     HOCHSTER_VARIABLE_LIMIT,
     TAYLOR_GENERATOR_LIMIT,
     BettiTable,
-    _faces_by_size_from_supports,
-    _nonface_sieve,
     _polarized_componentwise_check,
     _squarefree_components,
     betti_hochster,
@@ -41,6 +40,7 @@ from bcres.resolutions import (
     componentwise_linear_check,
     rows_consecutive_only,
 )
+from bcres.util import nonface_sieve
 
 V4 = tuple("x%d" % i for i in range(1, 5))
 V6 = tuple("x%d" % i for i in range(1, 7))
@@ -99,6 +99,19 @@ def test_maximal_ideal_koszul_table():
 def test_hochster_rejects_nonsquarefree():
     with pytest.raises(InputError):
         betti_hochster(ideal(("x1",), (2,)))
+
+
+def test_hochster_kernel_gets_generator_supports(monkeypatch):
+    # 14 variables: a face list would hold thousands of masks, the supports are five
+    names = tuple("x%d" % i for i in range(1, 15))
+    i = ideal_from_supports(names, [{0, 1}, {1, 2}, {3, 4, 5}, {6, 7, 8, 9}, {10, 11, 12, 13}])
+    calls = []
+    real = _kernel.hochster_betti
+    monkeypatch.setattr(_kernel, "hochster_betti", lambda *args: calls.append(args) or real(*args))
+    table = betti_hochster(i)
+    (args,) = calls
+    assert [g for level in args[1] for g in level] == i.support_masks()
+    assert table == betti_taylor_oracle(i)
 
 
 def test_taylor_generator_limit():
@@ -230,11 +243,9 @@ def squarefree_ideals(draw):
 @given(squarefree_ideals())
 def test_nonface_sieve_matches_support_containment(i):
     supports = i.support_masks()
-    sieve = _nonface_sieve(i.nvars, supports)
+    sieve = nonface_sieve(i.nvars, supports)
     nonfaces = [mask for mask in range(1 << i.nvars) if any(g & mask == g for g in supports)]
     assert [mask for mask, bit in enumerate(sieve) if bit] == nonfaces
-    faces = [mask for level in _faces_by_size_from_supports(i.nvars, supports) for mask in level]
-    assert sorted(faces) == sorted(set(range(1 << i.nvars)) - set(nonfaces))
 
 
 @settings(max_examples=100)
