@@ -165,9 +165,6 @@ def koszul_report(arrangement, order=None):
         "dimension": arrangement.dimension,
         "simple": matroid.is_simple,
     }
-    if not matroid.is_loopless:
-        report["verdict"] = "not applicable: matroid has loops"
-        return report
     bcs = matroid.broken_circuit_masks(order)
     ci_broken = all(not a & b for i, a in enumerate(bcs) for b in bcs[i + 1 :])
     report["ci_broken_circuits"] = ci_broken

@@ -15,7 +15,7 @@ import sys
 
 from . import __version__
 from .arrangements import Arrangement, detect_product, koszul_report, os_ot_generators
-from .complexes import bc_complex, f_h_vectors, independence_complex
+from .complexes import bc_complex, f_h_vectors, f_to_h
 from .corpus import standard_corpus
 from .decomposition import (
     cross_validate,
@@ -92,8 +92,11 @@ def materialize(doc):
         return Arrangement(cols, labels=labels)
     if doc.kind == "graph":
         edges = doc.payload.get("edges")
-        if not isinstance(edges, list) or not edges or not all(isinstance(e, list) for e in edges):
-            raise InputError("graph payload needs a nonempty 'edges' list of lists")
+        if not isinstance(edges, list) or not edges or not all(
+            isinstance(e, list) and len(e) in (2, 3) and not any(isinstance(v, (list, dict)) for v in e)
+            for e in edges
+        ):
+            raise InputError("graph payload needs a nonempty 'edges' list of lists of 2 or 3 scalars")
         return Graph([tuple(e) for e in edges])
     if doc.kind == "ideal":
         names = doc.payload.get("variables")
@@ -152,7 +155,7 @@ def _cmd_bc(doc, options):
     order = normalize_order(m, doc.order)
     complex_ = bc_complex(m, order)
     fh_bc = f_h_vectors(complex_)
-    fh_in = f_h_vectors(independence_complex(m))
+    f_in = m.independence_profile()
     return {
         "order": list(order),
         "broken_circuits_minimal": [sorted(b, key=repr) for b in m.broken_circuits(order)],
@@ -163,8 +166,8 @@ def _cmd_bc(doc, options):
         "dim": complex_.dim,
         "f_vector_bc": list(fh_bc.f),
         "h_vector_bc": list(fh_bc.h),
-        "f_vector_independence": list(fh_in.f),
-        "h_vector_independence": list(fh_in.h),
+        "f_vector_independence": list(f_in),
+        "h_vector_independence": list(f_to_h(f_in, m.rank - 1)),
     }
 
 

@@ -190,9 +190,9 @@ def f_h_vectors(complex_):
     A complex built from its minimal nonfaces lists no face: its K-polynomial
     K(t) = h(t) (1-t)^codim comes from util.k_polynomial, codim is the
     multiplicity of the root t = 1, and f follows from h.  A complex built
-    from facets counts the facets' submasks, which is cheaper when the
-    faces are few and the nonfaces many (independence complexes of
-    low-rank matroids).
+    from facets (independence_complex, explicit facet lists) counts the
+    facets' submasks; the library's own In(X) counts skip the complex and
+    read Matroid.independence_profile, the faces of the bases.
     """
     if complex_.is_void:
         raise InputError("void complex has no f-vector")

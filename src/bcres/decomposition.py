@@ -11,7 +11,7 @@ inside S, so no restricted matroid is built.  StratumCertificate.verify
 re-checks through Matroid.restrict, independently.
 """
 
-from .complexes import f_h_vectors, independence_complex
+from .complexes import f_to_h
 from .errors import BoundError, LoopError
 from .hilbert import h_binomial_fit, hilbert_function, linear_value_criterion
 from .ideals import (
@@ -165,7 +165,7 @@ def extremal_h_check(matroid, s):
     if not matroid.is_loopless:
         raise LoopError("extremal h-check needs a loopless matroid")
     n, r = len(matroid.ground), matroid.rank
-    h = f_h_vectors(independence_complex(matroid)).h
+    h = f_to_h(matroid.independence_profile(), r - 1)
     for k in range(min(s, r) + 1):
         if h[k] != binom(n - r + k - 1, k):
             return False

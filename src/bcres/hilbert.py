@@ -5,15 +5,16 @@ The Hilbert function of A/I for squarefree I comes from the h-vector of
 the associated complex (Stanley), which f_h_vectors reads off the
 K-polynomial of the minimal nonfaces, i.e. of the generators, without
 listing a face or a facet; a brute-force standard-monomial count provides
-the cross-check.  The series numerator lives over (1-t)^dim; rewriting it over
-(1-t)^codim, when possible, yields the integer coefficient vector that
-plays the role of the Hilbert coefficients.
+the cross-check.  The series numerator lives over (1-t)^dim, and h(1) > 0
+puts a pole of order exactly dim at t = 1; rewriting it over (1-t)^codim,
+possible exactly when codim >= dim, yields the integer coefficient vector
+that plays the role of the Hilbert coefficients.
 """
 
 from .complexes import f_h_vectors
 from .errors import InputError
 from .ideals import Monomial, complex_of_ideal
-from .util import binom, poly_divmod, poly_mul, poly_pow, poly_shift_basis, poly_trim
+from .util import binom, poly_mul, poly_pow, poly_shift_basis, poly_trim
 
 
 class HilbertData:
@@ -75,6 +76,7 @@ def hilbert_function(ideal, horizon=None):
 
     The numerator N(t) of series = N(t) / (1-t)^dim is the h-vector of the
     Stanley-Reisner complex, and the values are read off that series.
+    The coefficients are None when codim < dim (see _basis_coefficients).
     """
     if not ideal.squarefree:
         raise InputError("hilbert_function needs a squarefree ideal")
@@ -101,16 +103,12 @@ def hilbert_function(ideal, horizon=None):
 def _basis_coefficients(numerator, dim, q):
     """Coefficients c with series = sum c_i / (1-t)^(q-i), i.e. the numerator
     rewritten over (1-t)^q and expanded in the (1-t)-power basis."""
-    if q >= dim:
-        over_q = poly_mul(list(numerator), poly_pow([1, -1], q - dim))
-    else:
-        # series has a pole of order dim; rewriting over (1-t)^q needs exact division
-        over_q, rem = poly_divmod(list(numerator), poly_pow([1, -1], dim - q))
-        if any(rem):
-            raise InputError("series denominator exponent exceeds q")
-    c = poly_shift_basis(over_q)
-    width = len(poly_trim(c))
-    return poly_trim(c), width
+    if q < dim:
+        # the numerator is an h-vector, h(1) > 0, so the pole at t = 1 has
+        # order exactly dim and (1-t)^(dim-q) never divides it
+        raise InputError("series denominator exponent exceeds q")
+    c = poly_shift_basis(poly_mul(list(numerator), poly_pow([1, -1], q - dim)))
+    return c, len(c)
 
 
 def binomial_form_fit(hdata, q=None):

@@ -17,7 +17,7 @@ from itertools import combinations
 from .errors import BoundError, CircuitAxiomError, InputError, LoopError
 from ._kernel import rank_int
 from .linalg import integer_primitive
-from .util import bits, minimal_masks, minimal_transversals, nonface_sieve, sorted_masks, sorted_sets
+from .util import bits, faces_by_size, minimal_masks, minimal_transversals, nonface_sieve, sorted_masks, sorted_sets
 
 ELIMINATION_EXHAUSTIVE_LIMIT = 12
 CYCLE_SPACE_LIMIT = 20
@@ -331,19 +331,8 @@ class Matroid:
         return partition, self.coloops()
 
     def independence_profile(self):
-        """Counts (I_0, ..., I_r) of independent subsets by size."""
-        counts = [0] * (self.rank + 1)
-        n = len(self.ground)
-
-        def extend(start, mask, depth):
-            counts[depth] += 1
-            for i in range(start, n):
-                cand = mask | 1 << i
-                if not any(m & cand == m for m in self._by_elem[i]):
-                    extend(i + 1, cand, depth + 1)
-
-        extend(0, 0, 0)
-        return tuple(counts)
+        """Counts (I_0, ..., I_r) of independent subsets by size: the faces of the bases."""
+        return tuple(len(level) for level in faces_by_size(self.basis_masks()))
 
     def tutte_polynomial(self):
         """Tutte polynomial by deletion-contraction of position 0, memoized on (size, circuit masks)."""

@@ -31,15 +31,14 @@ HOCHSTER_VARIABLE_LIMIT = 14
 class BettiTable:
     """Sparse table {(homological index i, internal degree j): multiplicity}."""
 
-    __slots__ = ("entries", "characteristic", "subject")
+    __slots__ = ("entries", "characteristic")
 
-    def __init__(self, entries, characteristic=0, subject="ideal"):
+    def __init__(self, entries, characteristic=0):
         clean = {k: int(v) for k, v in entries.items() if v}
         if any(i < 0 or v < 0 for (i, _), v in clean.items()):
             raise InputError("Betti entries need i >= 0 and positive multiplicity")
         object.__setattr__(self, "entries", dict(sorted(clean.items())))
         object.__setattr__(self, "characteristic", characteristic)
-        object.__setattr__(self, "subject", subject)
 
     def __setattr__(self, name, value):
         raise AttributeError("BettiTable is immutable")

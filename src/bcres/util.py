@@ -179,27 +179,6 @@ def poly_pow(p, k):
     return out
 
 
-def poly_divmod(p, q):
-    """Exact polynomial division with remainder over the integers (monic-up-to-sign divisors only)."""
-    p = list(p)
-    q = poly_trim(q)
-    lead = q[-1]
-    if abs(lead) != 1:
-        raise ValueError("divisor must have unit leading coefficient")
-    dq = len(q) - 1
-    quot = [0] * max(1, len(p) - dq)
-    while len(poly_trim(p)) - 1 >= dq and any(p):
-        p = poly_trim(p)
-        if len(p) - 1 < dq:
-            break
-        c = p[-1] // lead
-        k = len(p) - 1 - dq
-        quot[k] = c
-        for i, b in enumerate(q):
-            p[k + i] -= c * b
-    return poly_trim(quot), poly_trim(p)
-
-
 def poly_shift_basis(p):
     """Rewrite sum(p[i] * t^i) as coefficients in the (1-t)-power basis.
 

@@ -224,6 +224,8 @@ MALFORMED = {
     "circuits-not-a-list": '{"kind":"matroid","payload":{"type":"circuits","n":3,"circuits":5}}',
     "graphic-short-edge": '{"kind":"matroid","payload":{"type":"graphic","edges":[[1,2],[1]]}}',
     "graph-short-edge": '{"kind":"graph","payload":{"edges":[[1,2],[1]]}}',
+    "graph-list-vertex": '{"kind":"graph","payload":{"edges":[[1,[2]],[2,3]]}}',
+    "graph-dict-vertex": '{"kind":"graph","payload":{"edges":[[1,{"v":2}],[2,3]]}}',
     "arrangement-list-labels": '{"kind":"arrangement","payload":{"normals":[[1,0],[0,1]],"labels":[[1],[2]]}}',
     "ideal-scalar-generator": '{"kind":"ideal","payload":{"variables":["a","b"],"generators":[5]}}',
     "ideal-string-exponent": '{"kind":"ideal","payload":{"variables":["a","b"],"generators":[["a",1]]}}',

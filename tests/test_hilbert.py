@@ -104,6 +104,18 @@ def test_binomial_form_fit_pole_error(golden):
         binomial_form_fit(hd)
 
 
+def test_series_pole_has_order_dim():
+    # the numerator is an h-vector with h(1) > 0, so no power of (1-t)
+    # divides it: the series fits over (1-t)^q exactly when q >= dim
+    for name, m in standard_corpus(0):
+        hd = hilbert_function(broken_circuit_ideal(m))
+        for q in range(hd.dim):
+            with pytest.raises(InputError):
+                binomial_form_fit(hd, q)
+        for q in range(hd.dim, hd.dim + 3):
+            assert binomial_form_fit(hd, q)["values_reproduce"], (name, q)
+
+
 def test_linear_value_criterion(u24_ideal):
     assert linear_value_criterion(u24_ideal, hilbert_function(u24_ideal).codim) is True
     assert ideal_monomial_count(u24_ideal, 2) == 3 == binom(3, 2)

@@ -1,17 +1,24 @@
 """Matroid construction, minors, duality, Tutte polynomials.
 
 The independent oracles here are brute-force subset enumeration (for rank
-and independence counts) and the corank-nullity sum (for Tutte), so every
-fast-path computation is checked against an exhaustive one.
+and independence counts), a depth-first walk over independent sets (for
+the profile read off the bases) and the corank-nullity sum (for Tutte), so
+every fast-path computation is checked against an exhaustive one.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_cli import Options
 
+from bcres.cli import parse_input, run_command
+from bcres.complexes import f_h_vectors, f_to_h, independence_complex
+from bcres.corpus import standard_corpus
+from bcres.decomposition import extremal_h_check
 from bcres.errors import BoundError, CircuitAxiomError, InputError, LoopError
 from bcres.matroid import (
     Matroid,
@@ -23,9 +30,27 @@ from bcres.matroid import (
     linear_matroid,
     uniform_matroid,
 )
+from bcres.util import binom
 
 
 # -- oracles -------------------------------------------------------------
+
+
+def dfs_independence_profile(matroid):
+    """Counts of independent sets by size, by a depth-first walk that adds
+    one element at a time and tests the circuits through it."""
+    counts = [0] * (matroid.rank + 1)
+    n = len(matroid.ground)
+
+    def extend(start, mask, depth):
+        counts[depth] += 1
+        for i in range(start, n):
+            cand = mask | 1 << i
+            if not any(c & cand == c for c in matroid.circuit_masks if c >> i & 1):
+                extend(i + 1, cand, depth + 1)
+
+    extend(0, 0, 0)
+    return tuple(counts)
 
 
 def brute_rank(matroid, subset):
@@ -354,6 +379,50 @@ def test_profile_matches_bruteforce(golden):
             if not any(c <= set(sub) for c in golden.circuits)
         )
         assert count == expected
+
+
+K6_EDGES = [list(e) for e in combinations(range(6), 2)]
+
+
+def profile_cases():
+    """standard_corpus(0) plus larger uniform and graphic matroids, an
+    all-loop one and a looped graph, each with a bc-command document for
+    the loopless ones (None otherwise)."""
+
+    def circuits_doc(m):
+        assert m.ground == tuple(range(1, m.size + 1))
+        return {"type": "circuits", "n": m.size, "circuits": [sorted(c) for c in m.circuits]}
+
+    cases = [(name, m, circuits_doc(m)) for name, m in standard_corpus(0)]
+    cases += [
+        ("U_2_26", uniform_matroid(2, 26), {"type": "uniform", "p": 2, "n": 26}),
+        ("U_5_12", uniform_matroid(5, 12), {"type": "uniform", "p": 5, "n": 12}),
+        ("K6", graphic_matroid(K6_EDGES), {"type": "graphic", "edges": K6_EDGES}),
+        ("U_0_3", uniform_matroid(0, 3), None),
+        ("looped", graphic_matroid([(1, 2), (2, 3), (1, 3), (1, 1), (2, 2)]), None),
+    ]
+    return cases
+
+
+def test_independence_profile_matches_dfs_walk():
+    for name, m, _ in profile_cases():
+        assert m.independence_profile() == dfs_independence_profile(m), name
+
+
+def test_in_counts_match_the_independence_complex_route():
+    for name, m, payload in profile_cases():
+        fh = f_h_vectors(independence_complex(m))
+        assert f_to_h(m.independence_profile(), m.rank - 1) == fh.h, name
+        if payload is None:
+            continue
+        for s in range(m.rank + 2):
+            old = all(fh.h[k] == binom(m.size - m.rank + k - 1, k) for k in range(min(s, m.rank) + 1))
+            old = old and not any(fh.h[s + 1 : m.rank + 1])
+            assert extremal_h_check(m, s) == old, (name, s)
+        doc = parse_input(json.dumps({"kind": "matroid", "payload": payload}))
+        result = run_command("bc", doc, Options())["result"]
+        assert result["f_vector_independence"] == list(fh.f), name
+        assert result["h_vector_independence"] == list(fh.h), name
 
 
 def test_tutte_single_elements():
