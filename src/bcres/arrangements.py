@@ -14,9 +14,10 @@ from .decomposition import stratify, two_term_decomposition
 from .errors import BoundError, InputError
 from .linalg import column_rank, echelon, integer_primitive, nullspace
 from .matroid import linear_matroid, normalize_order
+from .util import Frozen
 
 
-class Arrangement:
+class Arrangement(Frozen):
     """Central arrangement: one rational normal column per hyperplane, and its matroid.
 
     The linear matroid of the normals is built once, at construction, and
@@ -52,9 +53,6 @@ class Arrangement:
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "matroid", matroid)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Arrangement is immutable")
 
     @property
     def dimension(self):

@@ -491,11 +491,11 @@ def main(argv=None):
         else:
             if not options.input:
                 raise InputError("command %r needs an input document" % options.command)
-            text = (
-                sys.stdin.read()
-                if options.input == "-"
-                else open(options.input, "r", encoding="utf-8").read()
-            )
+            if options.input == "-":
+                text = sys.stdin.read()
+            else:
+                with open(options.input, "r", encoding="utf-8") as handle:
+                    text = handle.read()
             doc = parse_input(text)
             if options.order:
                 labels = []
@@ -504,7 +504,7 @@ def main(argv=None):
                     labels.append(int(item) if item.lstrip("-").isdigit() else item)
                 doc.order = tuple(labels)
         report = run_command(options.command, doc, options)
-    except (InputError, LoopError, OSError) as exc:
+    except (InputError, LoopError, OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except BoundError as exc:

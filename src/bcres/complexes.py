@@ -23,10 +23,10 @@ from itertools import accumulate
 
 from . import _kernel
 from .errors import InputError, LoopError
-from .util import binom, bits, faces_by_size, k_polynomial, minimal_masks, minimal_transversals, sorted_sets
+from .util import Frozen, binom, bits, faces_by_size, k_polynomial, minimal_masks, minimal_transversals, sorted_sets
 
 
-class SimplicialComplex:
+class SimplicialComplex(Frozen):
     """Complex on a vertex tuple; facets=[frozenset()] is the empty complex, [] the void one.
 
     Built from facets, or (complex_from_nonfaces) from minimal nonfaces,
@@ -61,9 +61,6 @@ class SimplicialComplex:
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "_facet_masks", tuple(sorted(keep)))
         object.__setattr__(self, "_nonface_masks", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SimplicialComplex is immutable")
 
     @property
     def facet_masks(self):
@@ -124,7 +121,7 @@ class SimplicialComplex:
         return frozenset(v for i, v in enumerate(self.vertices) if not covered >> i & 1)
 
 
-class FHVectors:
+class FHVectors(Frozen):
     """Face counts f_-1..f_d and the h-vector h_0..h_{d+1} of a complex."""
 
     __slots__ = ("f", "h", "dim")
@@ -133,9 +130,6 @@ class FHVectors:
         object.__setattr__(self, "f", tuple(f))
         object.__setattr__(self, "h", tuple(h))
         object.__setattr__(self, "dim", dim)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FHVectors is immutable")
 
     def __eq__(self, other):
         return isinstance(other, FHVectors) and (self.f, self.h, self.dim) == (

@@ -8,24 +8,25 @@ from itertools import combinations
 
 from .matroid import direct_sum, graphic_matroid, linear_matroid, uniform_matroid
 
-GRAPH_VERTEX_LIMIT = 5
 MAX_GROUND = 8
+GRAPHIC_CAP = 160
+RANDOM_LINEAR_COUNT = 25
 
 
-def uniform_family(max_size=MAX_GROUND):
+def uniform_family():
     out = []
-    for n in range(1, max_size + 1):
+    for n in range(1, MAX_GROUND + 1):
         for p in range(2, n + 1):
             out.append(("U_%d_%d" % (p, n), uniform_matroid(p, n)))
     return out
 
 
-def uniform_sum_family(max_size=MAX_GROUND):
+def uniform_sum_family():
     out = []
     # uniform plus free: the shape the linearity theorem characterizes
-    for s in range(2, max_size):
-        for m in range(s + 1, max_size):
-            for f in range(1, max_size - m + 1):
+    for s in range(2, MAX_GROUND):
+        for m in range(s + 1, MAX_GROUND):
+            for f in range(1, MAX_GROUND - m + 1):
                 out.append(
                     (
                         "U_%d_%d+U_%d_%d" % (s, m, f, f),
@@ -34,12 +35,12 @@ def uniform_sum_family(max_size=MAX_GROUND):
                 )
     # sums of two non-free uniforms, including mixed-degree rows
     pairs = []
-    for a in range(2, max_size):
-        for b in range(a + 1, max_size + 1):
+    for a in range(2, MAX_GROUND):
+        for b in range(a + 1, MAX_GROUND + 1):
             pairs.append((a, b))
     for (a, b) in pairs:
         for (c, d) in pairs:
-            if (a, b) <= (c, d) and b + d <= max_size:
+            if (a, b) <= (c, d) and b + d <= MAX_GROUND:
                 out.append(
                     (
                         "U_%d_%d+U_%d_%d" % (a, b, c, d),
@@ -49,14 +50,14 @@ def uniform_sum_family(max_size=MAX_GROUND):
     return out
 
 
-def connected_graphs(nverts, max_edges=MAX_GROUND):
-    """All connected labeled simple graphs on the given vertex count."""
+def connected_graphs(nverts):
+    """All connected labeled simple graphs on nverts vertices with at most MAX_GROUND edges."""
     verts = list(range(1, nverts + 1))
     all_edges = list(combinations(verts, 2))
     out = []
     for mask in range(1, 1 << len(all_edges)):
         edges = [all_edges[i] for i in range(len(all_edges)) if mask >> i & 1]
-        if len(edges) > max_edges or len(edges) < nverts - 1:
+        if len(edges) > MAX_GROUND or len(edges) < nverts - 1:
             continue
         parent = {v: v for v in verts}
 
@@ -74,13 +75,13 @@ def connected_graphs(nverts, max_edges=MAX_GROUND):
     return out
 
 
-def graphic_family(max_size=MAX_GROUND, cap=160):
+def graphic_family():
     out = []
     for nverts in (3, 4):
-        for edges in connected_graphs(nverts, max_size):
+        for edges in connected_graphs(nverts):
             out.append(("G%d_%s" % (nverts, _edge_tag(edges)), graphic_matroid(edges)))
-    five = connected_graphs(5, max_size)
-    room = max(cap - len(out), 0)
+    five = connected_graphs(5)
+    room = max(GRAPHIC_CAP - len(out), 0)
     if room and five:
         stride = max(len(five) // room, 1)
         for edges in five[::stride][:room]:
@@ -92,14 +93,14 @@ def _edge_tag(edges):
     return "-".join("%d%d" % (u, v) for u, v in edges)
 
 
-def random_linear_family(seed=0, count=25, max_size=MAX_GROUND):
+def random_linear_family(seed=0):
     rng = random.Random(seed)
     out = []
     attempts = 0
-    while len(out) < count and attempts < count * 40:
+    while len(out) < RANDOM_LINEAR_COUNT and attempts < RANDOM_LINEAR_COUNT * 40:
         attempts += 1
         r = rng.randint(2, 4)
-        n = rng.randint(r + 1, max_size)
+        n = rng.randint(r + 1, MAX_GROUND)
         cols = [tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(n)]
         if any(all(v == 0 for v in col) for col in cols):
             continue
@@ -110,11 +111,11 @@ def random_linear_family(seed=0, count=25, max_size=MAX_GROUND):
     return out
 
 
-def standard_corpus(seed=0, max_size=MAX_GROUND):
+def standard_corpus(seed=0):
     """The full deterministic corpus: (name, matroid) pairs, all simple and loopless."""
     corpus = []
-    corpus.extend(uniform_family(max_size))
-    corpus.extend(uniform_sum_family(max_size))
-    corpus.extend(graphic_family(max_size))
-    corpus.extend(random_linear_family(seed=seed, max_size=max_size))
+    corpus.extend(uniform_family())
+    corpus.extend(uniform_sum_family())
+    corpus.extend(graphic_family())
+    corpus.extend(random_linear_family(seed))
     return [(name, m) for name, m in corpus if m.is_simple and m.is_loopless]

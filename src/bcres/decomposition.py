@@ -27,12 +27,12 @@ from .resolutions import (
     componentwise_linear_check,
     rows_consecutive_only,
 )
-from .util import binom
+from .util import Frozen, binom
 
 STRATIFY_SIZE_LIMIT = 12
 
 
-class StratumCertificate:
+class StratumCertificate(Frozen):
     """One stratum: a restriction isomorphic to U_{s, m-f} + U_{f, f}."""
 
     __slots__ = ("elements", "s", "rank", "size", "uniform_part", "free_part")
@@ -44,9 +44,6 @@ class StratumCertificate:
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "uniform_part", frozenset(uniform_part))
         object.__setattr__(self, "free_part", frozenset(free_part))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StratumCertificate is immutable")
 
     def verify(self, matroid):
         """Re-check the certificate against the ambient matroid, independently."""
@@ -70,7 +67,7 @@ class StratumCertificate:
         }
 
 
-class Stratification:
+class Stratification(Frozen):
     """Nested restriction chain whose successive differences all decompose."""
 
     __slots__ = ("chain", "strata")
@@ -78,9 +75,6 @@ class Stratification:
     def __init__(self, chain, strata):
         object.__setattr__(self, "chain", tuple(frozenset(e) for e in chain))
         object.__setattr__(self, "strata", tuple(strata))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Stratification is immutable")
 
     @property
     def depth(self):
@@ -96,16 +90,14 @@ class Stratification:
     def rank_sum(self):
         return sum(s.rank for s in self.strata)
 
-    def as_dict(self, matroid=None):
-        out = {
+    def as_dict(self, matroid):
+        return {
             "chain": [sorted(e, key=repr) for e in self.chain],
             "strata": [s.as_dict() for s in self.strata],
             "depth": self.depth,
             "rank_sum": self.rank_sum(),
+            "rank_sum_equals_rank": self.rank_sum() == matroid.rank,
         }
-        if matroid is not None:
-            out["rank_sum_equals_rank"] = self.rank_sum() == matroid.rank
-        return out
 
 
 def _uniform_plus_free(matroid, mask):
@@ -281,6 +273,19 @@ def _verdict(flag):
     return "confirmed" if flag else "refuted"
 
 
+def _iff(a, b):
+    return _verdict(None if a is None or b is None else a == b)
+
+
+def _implies(a, b):
+    return _verdict(None if a is None else not a or b)
+
+
+def _all_known(flags):
+    """Whether all flags hold, or None when any of them is unknown."""
+    return None if None in flags else all(flags)
+
+
 def cross_validate(matroid, order=None, characteristic=0, max_power=3):
     """Run the full battery on one matroid and report a consistency matrix.
 
@@ -382,58 +387,37 @@ def cross_validate(matroid, order=None, characteristic=0, max_power=3):
                 colon_verdicts.append(None)
     report["colon_graded_linear"] = colon_verdicts
 
-    # consistency matrix
-    matrix = {}
+    # consistency matrix; an unknown premise or conclusion leaves an entry
+    # inconclusive, except that a false premise confirms an implication
     is_lin = verdict.is_linear if verdict else None
-    matrix["linearity_iff_two_term"] = _verdict(
-        None if is_lin is None else is_lin == (cert is not None)
-    )
-    matrix["linearity_iff_extremal_h"] = _verdict(
-        None if is_lin is None else is_lin == extremal
-    )
-    matrix["two_term_iff_extremal_h"] = _verdict((cert is not None) == extremal)
-    if is_lin is None:
-        matrix["powers_linear"] = "inconclusive"
-    elif is_lin:
-        if any(v is None for v in powers_ok):
-            matrix["powers_linear"] = "inconclusive"
-        else:
-            matrix["powers_linear"] = _verdict(all(powers_ok))
-    else:
-        matrix["powers_linear"] = "confirmed"  # I^1 itself is not linear
-    if is_lin is None:
-        matrix["linearity_implies_value_criterion"] = "inconclusive"
-    elif is_lin and verdict.kind == "s-linear":
-        matrix["linearity_implies_value_criterion"] = (
-            "inconclusive" if value_criterion is None else _verdict(value_criterion)
-        )
-    else:
-        matrix["linearity_implies_value_criterion"] = "confirmed"
     is_graded = verdict.is_graded_linear if verdict else None
     report["graded_linear"] = is_graded
-    matrix["h_fit_iff_graded_linear"] = (
-        "inconclusive"
-        if (is_graded is None or hfit is None)
-        else ("consistent" if hfit["fits"] == is_graded else "divergent")
-    )
-    if is_graded is None or not strat_known:
-        matrix["graded_implies_stratification"] = "inconclusive"
-    elif is_graded:
-        found = isinstance(strat, Stratification)
-        matrix["graded_implies_stratification"] = _verdict(found and strat.verify(matroid))
-    else:
-        matrix["graded_implies_stratification"] = "confirmed"
-    if colon_verdicts is None:
-        matrix["graded_quotients_imply_colon_graded"] = "inconclusive"
-    elif any(v is None for v in colon_verdicts):
-        matrix["graded_quotients_imply_colon_graded"] = "inconclusive"
-    else:
-        matrix["graded_quotients_imply_colon_graded"] = _verdict(all(colon_verdicts))
-    if componentwise is None or is_graded is None:
-        matrix["componentwise_implies_graded"] = "inconclusive"
-    elif componentwise:
-        matrix["componentwise_implies_graded"] = _verdict(is_graded)
-    else:
-        matrix["componentwise_implies_graded"] = "confirmed"
+    matrix = {
+        "linearity_iff_two_term": _iff(is_lin, cert is not None),
+        "linearity_iff_extremal_h": _iff(is_lin, extremal),
+        "two_term_iff_extremal_h": _iff(cert is not None, extremal),
+        "powers_linear": _implies(is_lin, _all_known(powers_ok)),
+        "linearity_implies_value_criterion": _implies(
+            verdict.kind == "s-linear" if verdict else None, value_criterion
+        ),
+        "h_fit_iff_graded_linear": (
+            "inconclusive"
+            if (is_graded is None or hfit is None)
+            else ("consistent" if hfit["fits"] == is_graded else "divergent")
+        ),
+        # the next three read their premise as unknown, so a false one is
+        # inconclusive, when stratify hit its bound, when no graded order
+        # was found, and when the Betti table is unknown
+        "graded_implies_stratification": _implies(
+            is_graded if strat_known else None,
+            is_graded and isinstance(strat, Stratification) and strat.verify(matroid),
+        ),
+        "graded_quotients_imply_colon_graded": _implies(
+            True if colon_verdicts is not None else None, _all_known(colon_verdicts or ())
+        ),
+        "componentwise_implies_graded": _implies(
+            componentwise if verdict else None, is_graded
+        ),
+    }
     report["consistency"] = matrix
     return report

@@ -13,9 +13,10 @@ from .complexes import SimplicialComplex
 from .errors import BoundError, InputError
 from .ideals import broken_circuit_ideal, facet_ideal
 from .matroid import graphic_matroid
+from .util import Frozen
 
 
-class Graph:
+class Graph(Frozen):
     """Multigraph with labeled edges."""
 
     __slots__ = ("vertices", "edges")
@@ -48,9 +49,6 @@ class Graph:
             vertices = tuple(seen)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", tuple(norm))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
 
     @property
     def edge_labels(self):

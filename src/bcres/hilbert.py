@@ -14,10 +14,10 @@ that plays the role of the Hilbert coefficients.
 from .complexes import f_h_vectors
 from .errors import InputError
 from .ideals import Monomial, complex_of_ideal
-from .util import binom, poly_mul, poly_pow, poly_shift_basis, poly_trim
+from .util import Frozen, binom, poly_mul, poly_pow, poly_shift_basis, poly_trim
 
 
-class HilbertData:
+class HilbertData(Frozen):
     """Values, numerator over (1-t)^dim, and the (1-t)-basis coefficient vector."""
 
     __slots__ = ("values", "dim", "codim", "numerator", "coefficients", "width")
@@ -31,9 +31,6 @@ class HilbertData:
             self, "coefficients", tuple(coefficients) if coefficients is not None else None
         )
         object.__setattr__(self, "width", width)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HilbertData is immutable")
 
     def __repr__(self):
         return "HilbertData(dim=%d, codim=%d, numerator=%s, c=%s)" % (

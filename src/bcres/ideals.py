@@ -12,13 +12,13 @@ from itertools import combinations, combinations_with_replacement
 
 from .complexes import complex_from_nonfaces
 from .errors import InputError
-from .util import bits
+from .util import Frozen, bits
 
 EXHAUSTIVE_QUOTIENT_LIMIT = 9
 _COPY_SUFFIX = "abcdefghijklmnopqrstuvwxyz"
 
 
-class Monomial:
+class Monomial(Frozen):
     """Monomial as a dense exponent tuple; index i belongs to the ideal's i-th variable."""
 
     __slots__ = ("exps", "degree")
@@ -29,9 +29,6 @@ class Monomial:
             raise InputError("negative exponent")
         object.__setattr__(self, "exps", exps)
         object.__setattr__(self, "degree", sum(exps))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Monomial is immutable")
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.exps == other.exps
@@ -102,7 +99,7 @@ def minimalize(monomials):
     return tuple(keep)
 
 
-class MonomialIdeal:
+class MonomialIdeal(Frozen):
     """Finitely generated monomial ideal with an eagerly minimalized generator list."""
 
     __slots__ = ("names", "gens")
@@ -120,9 +117,6 @@ class MonomialIdeal:
             gens.append(g)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "gens", minimalize(gens))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MonomialIdeal is immutable")
 
     def __eq__(self, other):
         return (
@@ -409,13 +403,6 @@ def quotients_analysis(ideal):
     gens = list(ideal.gens)
     exhaustive = len(gens) <= EXHAUSTIVE_QUOTIENT_LIMIT
     for key, graded in (("linear_quotients", False), ("graded_linear_quotients", True)):
-        if len(gens) <= 1:
-            report[key] = {
-                "status": "found",
-                "order": [g.render(ideal.names) for g in gens],
-                "order_indices": list(range(len(gens))),
-            }
-            continue
         if exhaustive:
             order = _exhaustive_quotient_order(gens, graded)
             status = "found" if order is not None else "none"

@@ -17,7 +17,7 @@ from itertools import combinations
 from .errors import BoundError, CircuitAxiomError, InputError, LoopError
 from ._kernel import rank_int
 from .linalg import integer_primitive
-from .util import bits, faces_by_size, minimal_masks, minimal_transversals, nonface_sieve, sorted_masks, sorted_sets
+from .util import Frozen, bits, faces_by_size, minimal_masks, minimal_transversals, nonface_sieve, sorted_masks, sorted_sets
 
 ELIMINATION_EXHAUSTIVE_LIMIT = 12
 CYCLE_SPACE_LIMIT = 20
@@ -85,7 +85,7 @@ class TuttePolynomial:
         return " + ".join(parts)
 
 
-class Matroid:
+class Matroid(Frozen):
     """Immutable matroid on an ordered ground set, stored as its circuit bitmasks."""
 
     __slots__ = ("ground", "circuit_masks", "rank", "_pos", "_by_elem")
@@ -105,8 +105,6 @@ class Matroid:
         if validate:
             self._check_antichain()
             self._check_elimination()
-            if self._greedy_rank(reversed(range(len(ground)))) != self.rank:
-                raise InputError("greedy ranks disagree; circuit family is not a matroid")
 
     @classmethod
     def from_masks(cls, ground, masks):
@@ -127,9 +125,6 @@ class Matroid:
         object.__setattr__(self, "_pos", pos)
         object.__setattr__(self, "_by_elem", by_elem)
         object.__setattr__(self, "rank", self._greedy_rank(range(len(ground))))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matroid is immutable")
 
     @property
     def circuits(self):
@@ -528,64 +523,40 @@ def build_matroid(spec):
 def simple_cycle_edge_sets(edges):
     """Edge sets of all simple cycles of a multigraph, as masks over edge positions.
 
-    edges is a list of (u, v).  Every simple cycle is an XOR combination of
-    fundamental cycles of a spanning forest, so the combinations are
-    enumerated and filtered down to connected 2-regular edge sets.
-    Self-loops and parallel edges yield 1- and 2-element circuits.
+    edges is a list of (u, v).  The cycle space is the GF(2) kernel of the
+    incidence map: each edge's vector (the bits of its two end vertices,
+    0 for a self-loop) is reduced against the pivots of earlier edges,
+    carrying the mask of edges combined, and an edge whose vector reduces
+    to 0 contributes that mask as a basis cycle.  Every simple cycle is an
+    XOR combination of basis cycles, so the combinations are enumerated
+    and filtered down to connected 2-regular edge sets.  Self-loops and
+    parallel edges yield 1- and 2-element circuits.
     """
-    parent = {}
-
-    def find(a):
-        parent.setdefault(a, a)
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    nontree = []
-    adjacency = {}
+    vertex = {}
+    pivots = {}  # leading vertex bit -> (reduced vector, edge mask)
+    basis = []
     for i, (u, v) in enumerate(edges):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            adjacency.setdefault(u, []).append((v, i))
-            adjacency.setdefault(v, []).append((u, i))
+        vec = 1 << vertex.setdefault(u, len(vertex)) ^ 1 << vertex.setdefault(v, len(vertex))
+        mask = 1 << i
+        while vec:
+            top = vec.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = (vec, mask)
+                break
+            pivot_vec, pivot_mask = pivots[top]
+            vec ^= pivot_vec
+            mask ^= pivot_mask
         else:
-            nontree.append(i)
-    if len(nontree) > CYCLE_SPACE_LIMIT:
+            basis.append(mask)
+    if len(basis) > CYCLE_SPACE_LIMIT:
         raise BoundError(
-            "cycle space dimension %d exceeds limit %d" % (len(nontree), CYCLE_SPACE_LIMIT)
+            "cycle space dimension %d exceeds limit %d" % (len(basis), CYCLE_SPACE_LIMIT)
         )
-
-    def tree_path(u, v):
-        """Mask of the forest edges on the path from u to v."""
-        if u == v:
-            return 0
-        seen = {u: None}
-        queue = [u]
-        while queue:
-            cur = queue.pop(0)
-            for nxt, i in adjacency.get(cur, ()):
-                if nxt not in seen:
-                    seen[nxt] = (cur, i)
-                    if nxt == v:
-                        path = 0
-                        node = v
-                        while seen[node] is not None:
-                            node, j = seen[node]
-                            path |= 1 << j
-                        return path
-                    queue.append(nxt)
-        raise AssertionError("spanning forest misses a path")
-
-    fundamentals = [1 << i | tree_path(*edges[i]) for i in nontree]
-    cycles = set()
-    for combo in range(1, 1 << len(fundamentals)):
+    cycles = []
+    for combo in range(1, 1 << len(basis)):
         mask = 0
         for k in bits(combo):
-            mask ^= fundamentals[k]
-        if not mask or mask in cycles:
-            continue
+            mask ^= basis[k]
         chosen = [edges[i] for i in bits(mask)]
         degree = {}
         for u, v in chosen:
@@ -603,5 +574,5 @@ def simple_cycle_edge_sets(edges):
                     seen.update((u, v))
                     changed = True
         if degree.keys() <= seen:
-            cycles.add(mask)
+            cycles.append(mask)
     return sorted(cycles)

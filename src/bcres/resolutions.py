@@ -22,13 +22,13 @@ from . import _kernel
 from .complexes import _check_characteristic
 from .errors import BoundError, InputError
 from .ideals import component_ideal, ideal_from_supports, polarize
-from .util import bits
+from .util import Frozen, bits
 
 TAYLOR_GENERATOR_LIMIT = 12
 HOCHSTER_VARIABLE_LIMIT = 14
 
 
-class BettiTable:
+class BettiTable(Frozen):
     """Sparse table {(homological index i, internal degree j): multiplicity}."""
 
     __slots__ = ("entries", "characteristic")
@@ -39,9 +39,6 @@ class BettiTable:
             raise InputError("Betti entries need i >= 0 and positive multiplicity")
         object.__setattr__(self, "entries", dict(sorted(clean.items())))
         object.__setattr__(self, "characteristic", characteristic)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BettiTable is immutable")
 
     def __eq__(self, other):
         return isinstance(other, BettiTable) and self.entries == other.entries
@@ -78,7 +75,7 @@ class BettiTable:
         return out
 
 
-class LinearityVerdict:
+class LinearityVerdict(Frozen):
     """Shape of a Betti table: s-linear, graded-linear, zero, or none."""
 
     __slots__ = ("kind", "s", "row_set")
@@ -87,9 +84,6 @@ class LinearityVerdict:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "row_set", tuple(row_set))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearityVerdict is immutable")
 
     @property
     def is_linear(self):

@@ -1,4 +1,15 @@
-"""Shared combinatorics helpers: binomials, set families, polynomial arithmetic."""
+"""Shared helpers: the immutable-value base class, binomials, set families,
+polynomial arithmetic."""
+
+
+class Frozen:
+    """Base of the immutable value classes: constructors set their slots
+    through object.__setattr__, and any later assignment raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
 
 
 def binom(a, b):

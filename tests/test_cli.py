@@ -1,5 +1,6 @@
 """CLI contract: schemas, dispatch, rendering, determinism, exit codes."""
 
+import io
 import json
 from fractions import Fraction
 from itertools import combinations
@@ -243,6 +244,17 @@ def test_malformed_payload_exits_with_error(text, tmp_path, capsys):
     command = "ideal" if json.loads(text)["kind"] == "ideal" else "info"
     assert main([command, str(doc)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_non_utf8_document_exits_1(tmp_path, capsys, monkeypatch):
+    raw = b"\xff\xfe" + U24_DOC.encode("utf-16-le")
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(raw)
+    assert main(["info", str(doc)]) == 1
+    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    assert main(["info", "-"]) == 1
+    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
 
 
 def test_unvalidatable_circuit_family_exits_2(tmp_path, capsys):

@@ -10,6 +10,8 @@ from bcres.decomposition import (
     STRATIFY_SIZE_LIMIT,
     StratumCertificate,
     Stratification,
+    _iff,
+    _implies,
     _uniform_plus_free,
     cross_validate,
     extremal_h_check,
@@ -278,3 +280,50 @@ def test_cross_validate_nonlinear_sum():
     assert rep["consistency"]["linearity_iff_two_term"] == "confirmed"
     assert rep["consistency"]["graded_implies_stratification"] == "confirmed"
     assert rep["h_fit"]["fits"] is False
+
+
+@pytest.mark.parametrize(
+    "a, b, iff, implies",
+    [
+        (True, True, "confirmed", "confirmed"),
+        (True, False, "refuted", "refuted"),
+        (True, None, "inconclusive", "inconclusive"),
+        (False, True, "refuted", "confirmed"),
+        (False, False, "confirmed", "confirmed"),
+        (False, None, "inconclusive", "confirmed"),
+        (None, True, "inconclusive", "inconclusive"),
+        (None, False, "inconclusive", "inconclusive"),
+        (None, None, "inconclusive", "inconclusive"),
+    ],
+)
+def test_matrix_rule_truth_tables(a, b, iff, implies):
+    assert _iff(a, b) == iff
+    assert _implies(a, b) == implies
+
+
+def _raise_bound(*args, **kwargs):
+    raise BoundError("bound")
+
+
+def test_matrix_false_premises_that_stay_inconclusive(monkeypatch):
+    # U_{2,3} + U_{4,5} is neither graded linear nor componentwise linear,
+    # and its ideal has no graded-linear quotient order
+    m = direct_sum([uniform_matroid(2, 3), uniform_matroid(4, 5)])
+    rep = cross_validate(m, max_power=2)
+    assert rep["graded_linear"] is False and rep["componentwise_linear"] is False
+    assert rep["quotients"]["graded"] == "none"
+    assert rep["consistency"]["graded_implies_stratification"] == "confirmed"
+    assert rep["consistency"]["componentwise_implies_graded"] == "confirmed"
+    assert rep["consistency"]["graded_quotients_imply_colon_graded"] == "inconclusive"
+
+    import bcres.decomposition
+
+    monkeypatch.setattr(bcres.decomposition, "stratify", _raise_bound)
+    rep = cross_validate(m, max_power=2)
+    assert rep["graded_linear"] is False and rep["stratification"] is None
+    assert rep["consistency"]["graded_implies_stratification"] == "inconclusive"
+
+    monkeypatch.setattr(bcres.decomposition, "betti_table", _raise_bound)
+    rep = cross_validate(m, max_power=2)
+    assert rep["betti"] is None and rep["componentwise_linear"] is False
+    assert rep["consistency"]["componentwise_implies_graded"] == "inconclusive"

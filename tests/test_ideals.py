@@ -210,6 +210,18 @@ def test_quotients_principal_vacuous():
     assert rep["linear_quotients"]["status"] == "found"
 
 
+@pytest.mark.parametrize(
+    "exps, order", [([], []), ([(1, 0, 2)], ["x*z^2"])], ids=["zero", "principal"]
+)
+def test_quotients_of_at_most_one_generator(exps, order):
+    found = {"status": "found", "order": order, "order_indices": list(range(len(exps)))}
+    assert quotients_analysis(ideal(("x", "y", "z"), *exps)) == {
+        "linear_quotients": found,
+        "graded_linear_quotients": found,
+        "search": "exhaustive",
+    }
+
+
 def test_quotients_negative():
     # two coprime quadrics: colon is a quadric either way
     i = ideal(V4, (1, 1, 0, 0), (0, 0, 1, 1))

@@ -28,9 +28,10 @@ from bcres.matroid import (
     direct_sum,
     graphic_matroid,
     linear_matroid,
+    simple_cycle_edge_sets,
     uniform_matroid,
 )
-from bcres.util import binom
+from bcres.util import binom, bits
 
 
 # -- oracles -------------------------------------------------------------
@@ -318,6 +319,30 @@ def test_graphic_selfloop_and_parallel():
     m = graphic_matroid([(1, 1), (1, 2), (1, 2)])
     assert frozenset({1}) in m.circuits
     assert frozenset({2, 3}) in m.circuits
+
+
+def complete_graph(n):
+    return [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        complete_graph(4),
+        complete_graph(5),
+        complete_graph(6),
+        [(1, 1), (1, 2), (2, 1), (1, 2), (2, 3), (3, 3), (3, 1), (4, 5)],
+    ],
+    ids=["K4", "K5", "K6", "multigraph"],
+)
+def test_cycle_space_elimination_matches_brute_cycles(edges):
+    got = {frozenset(bits(mask)) for mask in simple_cycle_edge_sets(edges)}
+    assert got == set(brute_cycles(edges, range(len(edges))))
+
+
+def test_cycle_space_past_the_limit_is_refused():
+    with pytest.raises(BoundError, match="^cycle space dimension 21 exceeds limit 20$"):
+        simple_cycle_edge_sets(complete_graph(8))
 
 
 def test_graphic_golden_realization(golden):
@@ -722,3 +747,55 @@ def test_unvalidatable_family_is_refused_not_sampled(dropped):
     circuits = [set(c) for c in combinations(range(1, 12), 3) if c != dropped] + [{12, 13}]
     with pytest.raises(BoundError):
         Matroid(range(1, 14), circuits)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.frozensets(st.integers(1, n), min_size=1), max_size=8).map(
+        lambda sets: (tuple(range(1, n + 1)), canonical(minimal_sets(sets)))
+    )
+))
+def test_accepted_antichain_has_one_greedy_rank(family):
+    # the circuit axioms make every greedy order reach the same rank, so
+    # construction needs no second greedy pass to reject a family
+    ground, circuits = family
+    try:
+        m = Matroid(ground, circuits)
+    except InputError:
+        return
+    positions = range(len(ground))
+    assert m._greedy_rank(positions) == m._greedy_rank(reversed(positions)) == brute_rank(m, ground)
+
+
+def test_value_classes_refuse_assignment(golden):
+    from bcres.arrangements import Arrangement
+    from bcres.complexes import bc_complex, f_h_vectors
+    from bcres.decomposition import stratify
+    from bcres.graphs import Graph
+    from bcres.hilbert import hilbert_function
+    from bcres.ideals import broken_circuit_ideal
+    from bcres.resolutions import betti_table, classify_linearity
+
+    ideal = broken_circuit_ideal(golden)
+    table = betti_table(ideal)
+    strat = stratify(uniform_matroid(2, 4))
+    values = [
+        Arrangement([[1, 0], [0, 1]]),
+        bc_complex(golden),
+        f_h_vectors(bc_complex(golden)),
+        strat.strata[0],
+        strat,
+        Graph([(1, 2)]),
+        hilbert_function(ideal),
+        ideal.gens[0],
+        ideal,
+        golden,
+        table,
+        classify_linearity(table),
+    ]
+    names = {type(v).__name__ for v in values}
+    assert len(names) == 12
+    for value in values:
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(AttributeError, match="^%s is immutable$" % type(value).__name__):
+            value.rank = 0
