@@ -17,6 +17,11 @@ subset sigma it ranks the link of sigma's complement in the Alexander dual,
 never the induced subcomplex.  The link goes to `homology_ranks` as its
 facets, one per minimal nonface inside sigma; the minimal nonfaces are the
 caller's generator supports, grouped by size, so no 2^n table is built.
+Collapsed cores repeat across the sigmas of one call once their vertices
+are renumbered, so `hochster_betti` hands `homology_ranks` a dict that
+lives for that call only: each distinct core, keyed by its facets
+renumbered to 0..v-1 in vertex order, is listed, coreduced and ranked
+once.  Nothing is kept between calls.
 """
 
 from ..util import faces_by_size
@@ -283,7 +288,42 @@ def _strong_core(facets):
     return facets
 
 
-def homology_ranks(facets, characteristic):
+def _core_key(core):
+    """The core's facets renumbered to vertices 0..v-1 in vertex order, as a sorted tuple."""
+    verts = 0
+    for f in core:
+        verts |= f
+    if verts & (verts + 1):  # a gap below the top vertex
+        new = {}  # old vertex bit -> new vertex bit
+        bit = 1
+        rest = verts
+        while rest:
+            low = rest & (-rest)
+            new[low] = bit
+            bit <<= 1
+            rest ^= low
+        renumbered = []
+        for f in core:
+            g = 0
+            while f:
+                low = f & (-f)
+                g |= new[low]
+                f ^= low
+            renumbered.append(g)
+        core = renumbered
+    return tuple(sorted(core))
+
+
+def _core_ranks(core, characteristic):
+    """Reduced homology ranks of a core of two or more facets, up to its largest face."""
+    faces = _coreduce(faces_by_size(core))
+    ranks = [0] * (len(faces) + 1)  # ranks[c] = rank of boundary C_c -> C_{c-1}
+    for c in range(1, len(faces)):
+        ranks[c] = _boundary_rank(faces[c - 1], faces[c], characteristic)
+    return [len(faces[c]) - ranks[c] - ranks[c + 1] for c in range(len(faces))]
+
+
+def homology_ranks(facets, characteristic, memo=None):
     """Reduced homology ranks of the complex whose facets are an antichain of bitmasks.
 
     Entry c is the rank in dimension c - 1, for c up to the largest facet
@@ -292,6 +332,12 @@ def homology_ranks(facets, characteristic):
     otherwise the core's faces are listed and coreduced, and boundary
     matrices are built only for what is left.  Dimensions lost to the
     collapse have rank 0.
+
+    memo, a dict owned by the caller for calls in one characteristic,
+    holds the ranks of the cores already seen.  A core of two or more
+    facets is looked up under its facets renumbered to vertices 0..v-1 in
+    vertex order, as a sorted tuple: homology does not depend on vertex
+    names.  The padding to the largest facet is applied after the lookup.
     """
     if not facets:
         return []
@@ -299,11 +345,13 @@ def homology_ranks(facets, characteristic):
     core = _strong_core(facets)
     if len(core) == 1:
         return [0 if core[0] else 1] + [0] * (top - 1)
-    faces = _coreduce(faces_by_size(core))
-    ranks = [0] * (len(faces) + 1)  # ranks[c] = rank of boundary C_c -> C_{c-1}
-    for c in range(1, len(faces)):
-        ranks[c] = _boundary_rank(faces[c - 1], faces[c], characteristic)
-    out = [len(faces[c]) - ranks[c] - ranks[c + 1] for c in range(len(faces))]
+    if memo is None:
+        out = _core_ranks(core, characteristic)
+    else:
+        key = _core_key(core)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = _core_ranks(core, characteristic)
     return out + [0] * (top - len(out))
 
 
@@ -320,14 +368,16 @@ def hochster_betti(nvars, nonfaces_by_size, sigmas, characteristic):
     complement in the Alexander dual has reduced homology in dimension
     i - 1 equal to beta_{i, sigma}.  The facets of L are sigma - N for the
     minimal nonfaces N inside sigma, which can only sit on the levels up to
-    |sigma|, and go to homology_ranks.  A sigma that is a face holds no
-    nonface: its link is void and contributes nothing.
+    |sigma|, and go to homology_ranks with a memo of the cores ranked so
+    far in this call.  A sigma that is a face holds no nonface: its link is
+    void and contributes nothing.
     """
     betti = {}
+    memo = {}
     for sigma in sigmas:
         size = sigma.bit_count()
         link = [sigma ^ n for level in nonfaces_by_size[: size + 1] for n in level if not n & ~sigma]
-        for i, rk in enumerate(homology_ranks(link, characteristic)):
+        for i, rk in enumerate(homology_ranks(link, characteristic, memo)):
             if rk:
                 betti[(i, size)] = betti.get((i, size), 0) + rk
     return betti

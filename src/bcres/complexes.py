@@ -44,7 +44,7 @@ class SimplicialComplex(Frozen):
         for f in facets:
             f = frozenset(f)
             if not f <= pos.keys():
-                raise InputError("facet %r uses unknown vertices" % (sorted(f),))
+                raise InputError("facet %r uses unknown vertices" % (sorted(f, key=repr),))
             masks.append(sum(1 << pos[v] for v in f))
         self._init(vertices, masks)
 

@@ -138,7 +138,7 @@ def fvector_bound_check(matroid, s):
     ground = matroid.ground
     n, r = len(ground), matroid.rank
     # precondition: every s-subset independent, i.e. no circuit of size <= s
-    violated = [sorted(c) for c in matroid.circuits if len(c) <= s]
+    violated = [[e for e in ground if e in c] for c in matroid.circuits if len(c) <= s]
     if violated:
         raise BoundError("an s-subset is dependent: %s" % violated[0])
     profile = matroid.independence_profile()

@@ -13,6 +13,7 @@ Matroid(ground, circuits) and leave only through the label views
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from .errors import BoundError, CircuitAxiomError, InputError, LoopError
 from ._kernel import rank_int
@@ -21,6 +22,9 @@ from .util import Frozen, bits, faces_by_size, minimal_masks, minimal_transversa
 
 ELIMINATION_EXHAUSTIVE_LIMIT = 12
 CYCLE_SPACE_LIMIT = 20
+# circuits, elements or column subsets a constructor may list before it refuses;
+# every benchmark input lies far below it
+ENUMERATION_LIMIT = 20000
 
 
 class TuttePolynomial:
@@ -95,11 +99,13 @@ class Matroid(Frozen):
         pos = _positions(ground)
         masks = set()
         for c in circuits:
+            c = list(c)
             cs = frozenset(c)
             if not cs:
                 raise InputError("empty circuit")
             if not cs <= pos.keys():
-                raise InputError("circuit %r uses unknown labels" % (sorted(c),))
+                unknown = [e for e in c if e not in pos]
+                raise InputError("circuit %r uses unknown labels %r" % (c, unknown))
             masks.add(sum(1 << pos[e] for e in cs))
         self._init(ground, pos, sorted_masks(ground, masks))
         if validate:
@@ -134,13 +140,17 @@ class Matroid(Frozen):
     def _labels(self, mask):
         return frozenset(self.ground[i] for i in bits(mask))
 
+    def _label_list(self, mask):
+        """Labels of a mask in ground order: labels of mixed types need not compare."""
+        return [self.ground[i] for i in bits(mask)]
+
     # -- construction checks ---------------------------------------------
 
     def _check_antichain(self):
         for a, b in combinations(self.circuit_masks, 2):
             if a & b in (a, b):
                 raise InputError(
-                    "circuits %r and %r are nested" % (sorted(self._labels(a)), sorted(self._labels(b)))
+                    "circuits %r and %r are nested" % (self._label_list(a), self._label_list(b))
                 )
 
     def _check_elimination(self):
@@ -160,7 +170,7 @@ class Matroid(Frozen):
         for a, b in combinations(masks, 2):
             for i in bits(a & b):
                 if not sieve[(a | b) ^ (1 << i)]:
-                    raise CircuitAxiomError(self._labels(a), self._labels(b), self.ground[i])
+                    raise CircuitAxiomError(self._label_list(a), self._label_list(b), self.ground[i])
 
     # -- basic queries -----------------------------------------------------
 
@@ -223,7 +233,7 @@ class Matroid(Frozen):
         return "Matroid(n=%d, r=%d, circuits=%s)" % (
             len(self.ground),
             self.rank,
-            [sorted(c) for c in self.circuits],
+            [self._label_list(m) for m in self.circuit_masks],
         )
 
     # -- broken circuits ---------------------------------------------------
@@ -273,7 +283,8 @@ class Matroid(Frozen):
         deleted = self._validated(deleted)
         contracted = self._validated(contracted)
         if deleted & contracted:
-            raise InputError("deletion and contraction sets overlap: %r" % sorted(deleted & contracted))
+            overlap = [e for e in self.ground if e in deleted & contracted]
+            raise InputError("deletion and contraction sets overlap: %r" % (overlap,))
         return self.delete(deleted).contract(contracted)
 
     def basis_masks(self):
@@ -391,10 +402,18 @@ def normalize_order(matroid, order):
 # -- constructors -----------------------------------------------------------
 
 
+def _check_enumeration(what, items, count):
+    """BoundError, naming the bound, when a constructor would list more than ENUMERATION_LIMIT items."""
+    if count > ENUMERATION_LIMIT:
+        raise BoundError("%s has %d %s, limit %d" % (what, count, items, ENUMERATION_LIMIT))
+
+
 def uniform_matroid(p, n, labels=None):
     """U_{p,n}: independents are the subsets of size at most p."""
     if not 0 <= p <= n:
         raise InputError("uniform matroid needs 0 <= p <= n")
+    _check_enumeration("U(%d,%d)" % (p, n), "elements", n)
+    _check_enumeration("U(%d,%d)" % (p, n), "circuits", comb(n, p + 1))
     ground = tuple(labels) if labels is not None else tuple(range(1, n + 1))
     if len(ground) != n:
         raise InputError("label count does not match n")
@@ -403,6 +422,7 @@ def uniform_matroid(p, n, labels=None):
 
 def circuit_matroid(n, circuits, labels=None):
     """Matroid from an explicit circuit family on labels 1..n (validated)."""
+    _check_enumeration("a circuit matroid", "elements", n)
     ground = tuple(labels) if labels is not None else tuple(range(1, n + 1))
     return Matroid(ground, circuits, validate=True)
 
@@ -432,8 +452,11 @@ def linear_matroid(columns, labels=None):
     if len(ground) != len(cols):
         raise InputError("label count does not match column count")
     # the rank of the columns taken as rows is their column rank
+    rank = rank_int(cols)
+    ranked = sum(comb(len(cols), size) for size in range(1, rank + 2))
+    _check_enumeration("a rank-%d matrix of %d columns" % (rank, len(cols)), "column subsets to rank", ranked)
     circuits = []
-    for size in range(1, rank_int(cols) + 2):
+    for size in range(1, rank + 2):
         for sub in combinations(range(len(cols)), size):
             mask = sum(1 << i for i in sub)
             if any(c & mask == c for c in circuits):
@@ -488,7 +511,7 @@ def build_matroid(spec):
         return uniform_matroid(_int_field(spec, "p"), _int_field(spec, "n"))
     if kind == "circuits":
         circuits = _rows_of_scalars(spec["circuits"], "circuits")
-        return circuit_matroid(_int_field(spec, "n"), [frozenset(c) for c in circuits])
+        return circuit_matroid(_int_field(spec, "n"), circuits)
     if kind == "graphic":
         edges = [tuple(e) for e in _rows_of_scalars(spec["edges"], "edges")]
         widths = {len(e) for e in edges}

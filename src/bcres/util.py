@@ -41,14 +41,29 @@ def _set_key(labels):
     return (len(labels), tuple(sorted(labels, key=repr)))
 
 
+def _mixed_set_key(labels):
+    """_set_key for labels of types that do not compare: each label as (type name, repr).
+
+    The sorts below fall back to it only when _set_key raises, so every
+    order of comparable labels stays as it was.
+    """
+    return (len(labels), tuple(sorted((type(v).__name__, repr(v)) for v in labels)))
+
+
 def sorted_sets(sets):
     """Canonical deterministic ordering for a family of element sets."""
-    return tuple(sorted(sets, key=_set_key))
+    try:
+        return tuple(sorted(sets, key=_set_key))
+    except TypeError:  # two sets first differ at labels that do not compare
+        return tuple(sorted(sets, key=_mixed_set_key))
 
 
 def sorted_masks(labels, masks):
     """Bitmasks over label positions, in the sorted_sets order of their label sets."""
-    return sorted(masks, key=lambda m: _set_key([labels[i] for i in bits(m)]))
+    try:
+        return sorted(masks, key=lambda m: _set_key([labels[i] for i in bits(m)]))
+    except TypeError:  # two sets first differ at labels that do not compare
+        return sorted(masks, key=lambda m: _mixed_set_key([labels[i] for i in bits(m)]))
 
 
 def minimal_transversals(masks):

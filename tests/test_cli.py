@@ -2,10 +2,16 @@
 
 import io
 import json
+import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcres.cli import HANDLERS, main, parse_input, render_report, run_command
 from bcres.errors import InputError
@@ -346,3 +352,110 @@ def test_reports_encode_as_the_normalized_reports_did():
         for fmt in ("json", "human"):
             assert render_report(report, fmt) == render_report(old_jsonable(report), fmt), report["command"]
     assert seen == set(HANDLERS)
+
+
+# -- robustness: every small document ends in an exit code, never a traceback --
+
+# labels of two types, which do not compare, and scalars a payload may not expect
+LABELS = st.one_of(st.integers(1, 6), st.sampled_from(["a", "b"]))
+ODD_SCALARS = st.sampled_from(["", "1/2", "x", True, None, 1.5, -1, 0])
+ENTRIES = st.integers(-2, 2)
+MATROID_COMMANDS = ["info", "bc", "ideal", "betti", "hilbert", "decompose", "stratify", "ci", "cross-validate"]
+COMMANDS_BY_KIND = {
+    "matroid": MATROID_COMMANDS,
+    "arrangement": MATROID_COMMANDS + ["arrangement"],
+    "graph": MATROID_COMMANDS + ["graph"],
+    "ideal": ["ideal", "betti", "hilbert", "ci"],
+}
+
+
+def small_lists(element, min_size=0, max_size=5):
+    return st.lists(element, min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def matroid_payloads(draw, scalar, depth=1):
+    kind = draw(st.sampled_from(["uniform", "circuits", "graphic", "linear", "direct_sum"][: 4 + depth]))
+    if kind == "uniform":
+        n = draw(st.integers(0, 6))
+        return {"type": kind, "p": draw(st.integers(0, n)), "n": n}
+    if kind == "circuits":
+        n = draw(st.integers(1, 6))
+        element = st.one_of(st.integers(1, n), scalar)
+        return {"type": kind, "n": n, "circuits": draw(small_lists(small_lists(element, 1, 4), 1, 3))}
+    if kind == "graphic":
+        edge = st.one_of(st.lists(st.integers(0, 4), min_size=2, max_size=2), small_lists(scalar, 2, 3))
+        return {"type": kind, "edges": draw(small_lists(edge, 1, 6))}
+    if kind == "linear":
+        height, width = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+        row = st.lists(st.one_of(ENTRIES, scalar), min_size=width, max_size=width)
+        return {"type": kind, "matrix": draw(st.lists(row, min_size=height, max_size=height))}
+    return {"type": kind, "parts": draw(small_lists(matroid_payloads(scalar, depth=0), 1, 2))}
+
+
+@st.composite
+def documents(draw):
+    """(document text, command): small documents of every kind, most of them well formed.
+
+    A noisy document draws its labels and entries from scalars of several
+    JSON types as well, and may be sent to a command for another kind.
+    """
+    noisy = draw(st.integers(0, 3)) == 0
+    scalar = st.one_of(LABELS, ODD_SCALARS) if noisy else st.integers(1, 6)
+    kind = draw(st.sampled_from(sorted(COMMANDS_BY_KIND)))
+    if kind == "matroid":
+        payload = draw(matroid_payloads(scalar))
+    elif kind == "arrangement":
+        dim, count = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+        normal = st.lists(st.one_of(ENTRIES, scalar) if noisy else ENTRIES, min_size=dim, max_size=dim)
+        payload = {"normals": draw(st.lists(normal, min_size=count, max_size=count))}
+        if draw(st.booleans()):
+            payload["labels"] = draw(st.lists(LABELS, min_size=count, max_size=count, unique=True))
+    elif kind == "graph":
+        vertex = st.one_of(st.integers(0, 4), LABELS) if noisy else st.integers(0, 4)
+        payload = {"edges": draw(small_lists(st.lists(vertex, min_size=2, max_size=2), 1, 6))}
+    else:
+        names = draw(st.lists(st.sampled_from(["x", "y", "z", "w"]), min_size=1, max_size=4, unique=True))
+        exponent = st.one_of(st.integers(0, 2), ODD_SCALARS) if noisy else st.integers(0, 2)
+        gen = st.lists(exponent, min_size=len(names), max_size=len(names))
+        payload = {"variables": names, "generators": draw(small_lists(gen, 0, 4))}
+    doc = {"kind": kind, "payload": payload}
+    if draw(st.booleans()):
+        doc["order"] = draw(st.permutations(range(1, 7)))[: draw(st.integers(1, 6))]
+        if noisy:
+            doc["order"] += draw(small_lists(st.one_of(LABELS, ODD_SCALARS), 0, 2))
+    commands = sorted(set(HANDLERS) - {"gnr"}) if noisy else COMMANDS_BY_KIND[kind]
+    return json.dumps(doc), draw(st.sampled_from(commands))
+
+
+# a bound on each run: small documents finish well inside it on a slow host
+CLI_RUN_SECONDS = 10
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents(), st.sampled_from([0, 2]))
+def test_any_small_document_exits_0_1_or_2(doc, characteristic):
+    text, command = doc
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), redirect_stdout(out), redirect_stderr(err):
+        code = main([command, "-", "--char", str(characteristic), "--max-power", "2"])
+    assert time.perf_counter() - start < CLI_RUN_SECONDS, text
+    prefix = {0: "", 1: "error: ", 2: "inconclusive: "}[code]
+    assert err.getvalue().startswith(prefix) and "Traceback" not in err.getvalue(), (text, err.getvalue())
+    assert bool(out.getvalue()) == (code == 0)
+
+
+def test_uniform_past_the_enumeration_limit_exits_2_at_once(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"kind":"matroid","payload":{"type":"uniform","p":6,"n":40}}'))
+    start = time.perf_counter()
+    assert main(["info", "-"]) == 2
+    assert time.perf_counter() - start < 1
+    assert "18643560 circuits, limit 20000" in capsys.readouterr().err
+
+
+def test_mixed_type_labels_exit_1_with_an_error_line(capsys, monkeypatch):
+    text = '{"kind":"matroid","payload":{"type":"circuits","n":3,"circuits":[["a",2,3]]}}'
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert main(["info", "-"]) == 1
+    assert capsys.readouterr().err == "error: circuit ['a', 2, 3] uses unknown labels ['a']\n"

@@ -6,7 +6,8 @@ matrices; Hochster sums with the Taylor oracle on the Stanley-Reisner
 ideal, and with the reference route below (every link built cell by cell
 from a submask walk, free faces collapsed, the rest ranked densely).  The
 kernel takes minimal nonfaces; tests derive them from face lists by brute
-force at the call site.
+force at the call site.  `homology_ranks` without a memo is the oracle for
+the per-call memo of collapsed cores that the Hochster sum uses.
 """
 
 import random
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcres import _kernel
-from bcres._kernel.pykernel import _strong_core
+from bcres._kernel.pykernel import _core_key, _strong_core
 from bcres.complexes import SimplicialComplex, reduced_homology_ranks
 from bcres.ideals import ideal_from_supports, stanley_reisner_ideal
 from bcres.resolutions import (
@@ -314,6 +315,58 @@ def test_homology_ranks_property(facets, p):
     assert ranks == boundary_homology_oracle(faces, dense_rank(p))
 
 
+SMALL_ANTICHAINS = st.lists(
+    st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True), min_size=1, max_size=7
+).map(lambda facets: facet_masks(facets))  # facet_masks is defined below
+
+
+def rename(facets, names):
+    return facet_masks([[names[v] for v in range(7) if f >> v & 1] for f in facets])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    SMALL_ANTICHAINS,
+    st.permutations(range(12)),
+    st.lists(st.integers(0, 11), min_size=7, max_size=7, unique=True).map(sorted),
+    SMALL_ANTICHAINS,
+)
+def test_homology_ranks_ignore_vertex_names(facets, shuffled, spread, other):
+    """Any injective renaming keeps the ranks; an order-keeping one keeps the memo key too."""
+    for p in (0, 2, 3):
+        expected = _kernel.homology_ranks(facets, p)
+        assert _kernel.homology_ranks(rename(facets, shuffled), p) == expected
+        # one memo for all: the order-keeping image hits the original's entry,
+        # and no complex is answered from another one's entry
+        memo = {}
+        assert _kernel.homology_ranks(facets, p, memo) == expected
+        assert _kernel.homology_ranks(rename(facets, spread), p, memo) == expected
+        assert len(memo) <= 1
+        assert _kernel.homology_ranks(rename(facets, shuffled), p, memo) == expected
+        assert _kernel.homology_ranks(other, p, memo) == _kernel.homology_ranks(other, p)
+
+
+def test_memo_keeps_cores_with_equal_facet_sizes_apart():
+    # six edges each, no dominated vertex, three homologies: two disjoint
+    # hollow triangles, two sharing a vertex, a hexagon
+    cores = [
+        [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
+        [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)],
+        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)],
+    ]
+    for p in (0, 2):
+        memo = {}
+        ranks = [_kernel.homology_ranks(facet_masks(facets), p, memo) for facets in cores + cores]
+        assert ranks == [[0, 1, 2], [0, 0, 2], [0, 0, 1]] * 2
+        assert len(memo) == len(cores)
+
+
+def test_core_key_renumbers_in_vertex_order():
+    # vertices 1, 3, 4 become 0, 1, 2; facets stay sorted
+    assert _core_key([0b11000, 0b01010]) == (0b011, 0b110)
+    assert _core_key([0b110, 0b011]) == (0b011, 0b110)
+
+
 # -- the reference Hochster route: submask walk, then free-face collapse ------
 
 
@@ -507,6 +560,31 @@ def test_hochster_betti_matches_taylor_oracle():
     assert compared >= 50
 
 
+def test_hochster_lists_each_renumbered_core_once_per_call(monkeypatch):
+    # test_hochster_betti_matches_reference_route and _matches_taylor_oracle
+    # check the memo route on these complexes; here its face listings are
+    # counted: one per distinct renumbered core in each call
+    listed = []
+    real = _kernel.pykernel.faces_by_size
+
+    def counting(core):
+        listed.append(_core_key(core))
+        return real(core)
+
+    monkeypatch.setattr(_kernel.pykernel, "faces_by_size", counting)
+    saved = 0
+    for nverts, facets in COMPLEXES:
+        nonfaces = minimal_nonfaces(nverts, simplex_faces(range(nverts), facets))
+        sigmas = list(range(1, 1 << nverts))
+        links = ([s ^ n for level in nonfaces for n in level if not n & ~s] for s in sigmas)
+        cores = [core for core in (_strong_core(link) for link in links if link) if len(core) > 1]
+        del listed[:]
+        _kernel.hochster_betti(nverts, nonfaces, sigmas, 0)
+        assert sorted(listed) == sorted({_core_key(core) for core in cores})
+        saved += len(cores) - len(listed)
+    assert saved > 0
+
+
 @settings(max_examples=100)
 @given(squarefree_ideals())
 def test_betti_hochster_matches_taylor_property(ideal):
@@ -535,10 +613,12 @@ def test_projective_plane_ideal_betti_depends_on_characteristic():
     assert len(ideal.gens) == 10  # the triangles that are not facets
     nonfaces = minimal_nonfaces(6, simplex_faces(range(6), RP2_FACETS))
     sigmas = list(range(1, 1 << 6))
-    tables = {p: _kernel.hochster_betti(6, nonfaces, sigmas, p) for p in (0, 2)}
-    assert tables[0] != tables[2]
-    for p, table in tables.items():
-        assert table == betti_taylor_oracle(ideal, p).entries
+    expected = {p: betti_taylor_oracle(ideal, p).entries for p in (0, 2)}
+    assert expected[0] != expected[2]
+    # calls in a row: a core memo leaking from one call into the next would
+    # answer one characteristic with the other's ranks
+    for p in (0, 2, 0):
+        assert _kernel.hochster_betti(6, nonfaces, sigmas, p) == expected[p]
 
 
 def test_hochster_one_generator_of_degree_12():

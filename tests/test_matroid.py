@@ -21,6 +21,7 @@ from bcres.corpus import standard_corpus
 from bcres.decomposition import extremal_h_check
 from bcres.errors import BoundError, CircuitAxiomError, InputError, LoopError
 from bcres.matroid import (
+    ENUMERATION_LIMIT,
     Matroid,
     TuttePolynomial,
     build_matroid,
@@ -698,7 +699,7 @@ def scanning_witness(ground, circuits):
         for e in sorted(a & b, key=ground.index):
             target = (a | b) - {e}
             if not any(c <= target for c in circuits):
-                return sorted(a), sorted(b), e
+                return sorted(a, key=ground.index), sorted(b, key=ground.index), e
     return None
 
 
@@ -799,3 +800,46 @@ def test_value_classes_refuse_assignment(golden):
         assert not hasattr(value, "__dict__")
         with pytest.raises(AttributeError, match="^%s is immutable$" % type(value).__name__):
             value.rank = 0
+
+
+# -- enumeration bounds and labels of mixed types ------------------------------
+
+
+def test_uniform_and_linear_constructors_refuse_past_the_limit():
+    with pytest.raises(BoundError, match="^U\\(6,40\\) has 18643560 circuits, limit %d$" % ENUMERATION_LIMIT):
+        uniform_matroid(6, 40)
+    with pytest.raises(BoundError, match="elements, limit"):
+        uniform_matroid(10**9, 10**9)
+    with pytest.raises(BoundError, match="elements, limit"):
+        circuit_matroid(10**9, [{1, 2}])
+    # 30 generic columns of rank 4: every subset of at most 5 columns is ranked
+    cols = [[1, t, t * t, t**3] for t in range(30)]
+    ranked = sum(binom(30, k) for k in range(1, 6))
+    with pytest.raises(BoundError, match="has %d column subsets to rank, limit" % ranked):
+        linear_matroid(cols)
+
+
+def test_the_limit_admits_the_largest_documented_inputs():
+    # linear matrices of 11 columns and rank 4, and U(2,26)
+    assert sum(binom(11, k) for k in range(1, 6)) <= ENUMERATION_LIMIT
+    cols = [[1, t, t * t, t**3] for t in range(11)]
+    assert linear_matroid(cols) == uniform_matroid(4, 11)
+    assert len(uniform_matroid(2, 26).circuit_masks) == binom(26, 3)
+
+
+def test_error_messages_list_mixed_labels_in_ground_order():
+    ground = ("b", 2, "a", 1)
+    with pytest.raises(InputError, match=r"^circuit \['c', 2, 7\] uses unknown labels \['c', 7\]$"):
+        Matroid(ground, [["c", 2, 7]])
+    with pytest.raises(InputError, match=r"^circuits \['b', 2\] and \['b', 2, 'a'\] are nested$"):
+        Matroid(ground, [{2, "b"}, {"a", 2, "b"}])
+    with pytest.raises(CircuitAxiomError) as err:
+        Matroid(ground, [{"b", 2}, {2, "a"}])
+    # circuits in their canonical order, each listed in ground order
+    assert err.value.witness == ([2, "a"], ["b", 2], 2)
+    m = Matroid(ground, [{"b", 2, "a"}])
+    with pytest.raises(InputError, match=r"overlap: \['b', 1\]$"):
+        m.minor(deleted={1, "b"}, contracted={"b", 1})
+    assert repr(m) == "Matroid(n=4, r=3, circuits=[['b', 2, 'a']])"
+    # label sets that do not compare still get one canonical order
+    assert Matroid(ground, [{"b", 2}, {"a", 1}]).circuits == Matroid(ground, [{"a", 1}, {2, "b"}]).circuits
