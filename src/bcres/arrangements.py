@@ -14,7 +14,7 @@ from .decomposition import stratify, two_term_decomposition
 from .errors import BoundError, InputError
 from .linalg import column_rank, echelon, integer_primitive, nullspace
 from .matroid import linear_matroid, normalize_order
-from .util import Frozen
+from .util import Frozen, pairwise_disjoint
 
 
 class Arrangement(Frozen):
@@ -163,9 +163,7 @@ def koszul_report(arrangement, order=None):
         "dimension": arrangement.dimension,
         "simple": matroid.is_simple,
     }
-    bcs = matroid.broken_circuit_masks(order)
-    ci_broken = all(not a & b for i, a in enumerate(bcs) for b in bcs[i + 1 :])
-    report["ci_broken_circuits"] = ci_broken
+    report["ci_broken_circuits"] = pairwise_disjoint(matroid.broken_circuit_masks(order))
     cert = two_term_decomposition(matroid)
     two_term_s2 = cert is not None and cert.s == 2
     report["two_term_s2"] = two_term_s2

@@ -7,6 +7,7 @@ import random
 from itertools import combinations
 
 from .matroid import direct_sum, graphic_matroid, linear_matroid, uniform_matroid
+from .util import bits, connected_unions
 
 MAX_GROUND = 8
 GRAPHIC_CAP = 160
@@ -51,25 +52,16 @@ def uniform_sum_family():
 
 
 def connected_graphs(nverts):
-    """All connected labeled simple graphs on nverts vertices with at most MAX_GROUND edges."""
-    verts = list(range(1, nverts + 1))
-    all_edges = list(combinations(verts, 2))
+    """All connected labeled simple graphs on nverts vertices with at most MAX_GROUND edges:
+    the edges' vertex masks join into one union, which covers every vertex."""
+    all_edges = list(combinations(range(1, nverts + 1), 2))
+    every = sum(1 << v for v in range(1, nverts + 1))
     out = []
     for mask in range(1, 1 << len(all_edges)):
-        edges = [all_edges[i] for i in range(len(all_edges)) if mask >> i & 1]
-        if len(edges) > MAX_GROUND or len(edges) < nverts - 1:
+        if not nverts - 1 <= mask.bit_count() <= MAX_GROUND:
             continue
-        parent = {v: v for v in verts}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for u, v in edges:
-            parent[find(u)] = find(v)
-        if len({find(v) for v in verts}) == 1:
+        edges = [all_edges[i] for i in bits(mask)]
+        if connected_unions([1 << u | 1 << v for u, v in edges]) == [every]:
             out.append(edges)
     out.sort(key=lambda es: (len(es), es))
     return out

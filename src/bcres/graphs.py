@@ -21,7 +21,7 @@ class Graph(Frozen):
 
     __slots__ = ("vertices", "edges")
 
-    def __init__(self, edges, vertices=None):
+    def __init__(self, edges):
         norm = []
         labels = set()
         for e in edges:
@@ -36,35 +36,12 @@ class Graph(Frozen):
                 raise InputError("duplicate edge label %r" % (lab,))
             labels.add(lab)
             norm.append((lab, u, v))
-        seen = []
-        for _, u, v in norm:
-            for w in (u, v):
-                if w not in seen:
-                    seen.append(w)
-        if vertices is not None:
-            vertices = tuple(vertices)
-            if set(seen) - set(vertices):
-                raise InputError("edge endpoints outside the vertex list")
-        else:
-            vertices = tuple(seen)
-        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "vertices", tuple(dict.fromkeys(w for _, u, v in norm for w in (u, v))))
         object.__setattr__(self, "edges", tuple(norm))
 
     @property
     def edge_labels(self):
         return tuple(lab for lab, _, _ in self.edges)
-
-    @property
-    def is_simple(self):
-        pairs = set()
-        for _, u, v in self.edges:
-            if u == v:
-                return False
-            key = (u, v) if repr(u) <= repr(v) else (v, u)
-            if key in pairs:
-                return False
-            pairs.add(key)
-        return True
 
     def __repr__(self):
         return "Graph(vertices=%d, edges=%s)" % (len(self.vertices), list(self.edges))

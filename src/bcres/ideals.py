@@ -8,11 +8,11 @@ every operation, since all the linearity criteria are phrased on minimal
 generators.
 """
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 from .complexes import complex_from_nonfaces
 from .errors import InputError
-from .util import Frozen, bits
+from .util import Frozen, binom, bits, check_enumeration, pairwise_disjoint
 
 EXHAUSTIVE_QUOTIENT_LIMIT = 9
 _COPY_SUFFIX = "abcdefghijklmnopqrstuvwxyz"
@@ -171,7 +171,8 @@ class MonomialIdeal(Frozen):
         return out
 
     def monomials_of_degree(self, d):
-        """All degree-d monomials of the ideal (dense enumeration; small d and nvars only)."""
+        """All degree-d monomials of the ideal, by listing the C(d + n - 1, d) exponent vectors."""
+        check_enumeration("degree %d on %d variables" % (d, self.nvars), "monomials", binom(d + self.nvars - 1, d))
         out = []
         for exps in _compositions(d, self.nvars):
             m = Monomial(exps)
@@ -252,8 +253,7 @@ def colon_ideal(ideal, monomial):
 
 def complete_intersection_check(ideal):
     """Monomial complete intersection: minimal generators with pairwise disjoint supports."""
-    masks = ideal.support_masks()
-    return all(a & b == 0 for a, b in combinations(masks, 2))
+    return pairwise_disjoint(ideal.support_masks())
 
 
 def polarize(ideal):
@@ -294,11 +294,13 @@ def component_ideal(ideal, d):
 
 
 def power_ideal(ideal, k):
-    """Minimal generators of the k-th power."""
+    """Minimal generators of the k-th power, from the C(n + k - 1, k) products of k of the n generators."""
     if k < 1:
         raise InputError("power must be >= 1")
     if ideal.is_zero:
         return ideal
+    n = len(ideal.gens)
+    check_enumeration("power %d of %d generators" % (k, n), "products", binom(n + k - 1, k))
     products = set()
     for combo in combinations_with_replacement(ideal.gens, k):
         m = combo[0]

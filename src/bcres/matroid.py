@@ -18,13 +18,13 @@ from math import comb
 from .errors import BoundError, CircuitAxiomError, InputError, LoopError
 from ._kernel import rank_int
 from .linalg import integer_primitive
-from .util import Frozen, bits, faces_by_size, minimal_masks, minimal_transversals, nonface_sieve, sorted_masks, sorted_sets
+from .util import Frozen, bits, check_enumeration, connected_unions, faces_by_size, minimal_masks
+from .util import minimal_transversals, nonface_sieve, sorted_masks, sorted_sets
 
 ELIMINATION_EXHAUSTIVE_LIMIT = 12
-CYCLE_SPACE_LIMIT = 20
-# circuits, elements or column subsets a constructor may list before it refuses;
-# every benchmark input lies far below it
-ENUMERATION_LIMIT = 20000
+# edge tests the simple-cycle walk may make: 2^d combinations of a cycle basis
+# of dimension d, each testing at most one edge per vertex (longer ones are skipped)
+CYCLE_WALK_LIMIT = 4000000
 
 
 class TuttePolynomial:
@@ -316,25 +316,10 @@ class Matroid(Frozen):
         return Matroid.from_masks(self.ground, minimal_transversals(self.basis_masks()))
 
     def components_and_coloops(self):
-        """Connected components (transitive closure of circuit co-membership) and coloops."""
-        parent = list(range(len(self.ground)))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for m in self.circuit_masks:
-            first, *rest = bits(m)
-            first = find(first)
-            for i in rest:
-                parent[find(i)] = first
-        comps = {}
-        for i, e in enumerate(self.ground):
-            comps.setdefault(find(i), []).append(e)
-        partition = sorted_sets(frozenset(v) for v in comps.values())
-        return partition, self.coloops()
+        """Connected components (transitive closure of circuit co-membership) and coloops;
+        each element joins as a one-bit mask, so a coloop is a component of its own."""
+        unions = connected_unions([*self.circuit_masks, *(1 << i for i in range(len(self.ground)))])
+        return sorted_sets(self._labels(u) for u in unions), self.coloops()
 
     def independence_profile(self):
         """Counts (I_0, ..., I_r) of independent subsets by size: the faces of the bases."""
@@ -402,29 +387,19 @@ def normalize_order(matroid, order):
 # -- constructors -----------------------------------------------------------
 
 
-def _check_enumeration(what, items, count):
-    """BoundError, naming the bound, when a constructor would list more than ENUMERATION_LIMIT items."""
-    if count > ENUMERATION_LIMIT:
-        raise BoundError("%s has %d %s, limit %d" % (what, count, items, ENUMERATION_LIMIT))
-
-
-def uniform_matroid(p, n, labels=None):
-    """U_{p,n}: independents are the subsets of size at most p."""
+def uniform_matroid(p, n):
+    """U_{p,n} on labels 1..n: independents are the subsets of size at most p."""
     if not 0 <= p <= n:
         raise InputError("uniform matroid needs 0 <= p <= n")
-    _check_enumeration("U(%d,%d)" % (p, n), "elements", n)
-    _check_enumeration("U(%d,%d)" % (p, n), "circuits", comb(n, p + 1))
-    ground = tuple(labels) if labels is not None else tuple(range(1, n + 1))
-    if len(ground) != n:
-        raise InputError("label count does not match n")
-    return Matroid.from_masks(ground, [sum(1 << i for i in c) for c in combinations(range(n), p + 1)])
+    check_enumeration("U(%d,%d)" % (p, n), "elements", n)
+    check_enumeration("U(%d,%d)" % (p, n), "circuits", comb(n, p + 1))
+    return Matroid.from_masks(range(1, n + 1), [sum(1 << i for i in c) for c in combinations(range(n), p + 1)])
 
 
-def circuit_matroid(n, circuits, labels=None):
+def circuit_matroid(n, circuits):
     """Matroid from an explicit circuit family on labels 1..n (validated)."""
-    _check_enumeration("a circuit matroid", "elements", n)
-    ground = tuple(labels) if labels is not None else tuple(range(1, n + 1))
-    return Matroid(ground, circuits, validate=True)
+    check_enumeration("a circuit matroid", "elements", n)
+    return Matroid(range(1, n + 1), circuits)
 
 
 def graphic_matroid(edges, labels=None):
@@ -454,7 +429,7 @@ def linear_matroid(columns, labels=None):
     # the rank of the columns taken as rows is their column rank
     rank = rank_int(cols)
     ranked = sum(comb(len(cols), size) for size in range(1, rank + 2))
-    _check_enumeration("a rank-%d matrix of %d columns" % (rank, len(cols)), "column subsets to rank", ranked)
+    check_enumeration("a rank-%d matrix of %d columns" % (rank, len(cols)), "column subsets to rank", ranked)
     circuits = []
     for size in range(1, rank + 2):
         for sub in combinations(range(len(cols)), size):
@@ -551,15 +526,21 @@ def simple_cycle_edge_sets(edges):
     0 for a self-loop) is reduced against the pivots of earlier edges,
     carrying the mask of edges combined, and an edge whose vector reduces
     to 0 contributes that mask as a basis cycle.  Every simple cycle is an
-    XOR combination of basis cycles, so the combinations are enumerated
-    and filtered down to connected 2-regular edge sets.  Self-loops and
-    parallel edges yield 1- and 2-element circuits.
+    XOR combination of basis cycles, walked in Gray-code order: one basis
+    cycle XOR-ed in per step.  A cycle-space element has even degrees, so
+    it is a simple cycle iff it is connected and touches as many vertices
+    as it has edges; one with more edges than the graph has vertices is
+    skipped.  Self-loops and parallel edges yield 1- and 2-element
+    circuits.  The walk's 2^d * |V| edge tests are checked against
+    CYCLE_WALK_LIMIT before it starts.
     """
     vertex = {}
     pivots = {}  # leading vertex bit -> (reduced vector, edge mask)
+    ends = []  # the vertex mask of each edge
     basis = []
     for i, (u, v) in enumerate(edges):
         vec = 1 << vertex.setdefault(u, len(vertex)) ^ 1 << vertex.setdefault(v, len(vertex))
+        ends.append(1 << vertex[u] | 1 << vertex[v])
         mask = 1 << i
         while vec:
             top = vec.bit_length() - 1
@@ -571,31 +552,21 @@ def simple_cycle_edge_sets(edges):
             mask ^= pivot_mask
         else:
             basis.append(mask)
-    if len(basis) > CYCLE_SPACE_LIMIT:
+    nverts = len(vertex)
+    tests = (1 << len(basis)) * nverts
+    if tests > CYCLE_WALK_LIMIT:
         raise BoundError(
-            "cycle space dimension %d exceeds limit %d" % (len(basis), CYCLE_SPACE_LIMIT)
+            "cycle walk needs 2^%d x %d vertices = %d edge tests, limit %d"
+            % (len(basis), nverts, tests, CYCLE_WALK_LIMIT)
         )
     cycles = []
-    for combo in range(1, 1 << len(basis)):
-        mask = 0
-        for k in bits(combo):
-            mask ^= basis[k]
-        chosen = [edges[i] for i in bits(mask)]
-        degree = {}
-        for u, v in chosen:
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-        if any(d != 2 for d in degree.values()):
+    mask = 0
+    for step in range(1, 1 << len(basis)):
+        mask ^= basis[(step & -step).bit_length() - 1]
+        size = mask.bit_count()
+        if size > nverts:
             continue
-        # connectivity over the chosen edges
-        seen = {chosen[0][0]}
-        changed = True
-        while changed:
-            changed = False
-            for u, v in chosen:
-                if (u in seen) != (v in seen):
-                    seen.update((u, v))
-                    changed = True
-        if degree.keys() <= seen:
+        unions = connected_unions([ends[i] for i in bits(mask)])
+        if len(unions) == 1 and unions[0].bit_count() == size:
             cycles.append(mask)
     return sorted(cycles)

@@ -16,8 +16,6 @@ Both report the table of the ideal itself (beta_0 counts minimal
 generators), over characteristic 0 by default.
 """
 
-from itertools import combinations
-
 from . import _kernel
 from .complexes import _check_characteristic
 from .errors import BoundError, InputError
@@ -189,48 +187,49 @@ def betti_hochster(ideal, characteristic=0):
 def betti_taylor_oracle(ideal, characteristic=0):
     """Independent Betti oracle: homology of the Taylor complex over the residue field.
 
-    Cells are the nonempty generator subsets graded by their lcm; after
-    tensoring with the residue field only the equal-multidegree part of the
-    differential survives, so the complex splits by multidegree and each
-    piece is finite exact linear algebra.
+    Cells are the nonempty generator subsets as masks, graded by their lcm:
+    that of the mask without its lowest bit, joined with that bit's
+    generator.  After tensoring with the residue field only the
+    equal-multidegree part of the differential survives, so the complex
+    splits by multidegree; a face (the mask less one bit) counts only at
+    the same lcm, signed by the bit's place as in _boundary_rank.  Each
+    piece is a dense matrix for rank_int or rank_mod_p, independent of the
+    Hochster route's sparse kernel.
     """
     _check_characteristic(characteristic)
     if ideal.is_zero:
         return BettiTable({}, characteristic)
-    gens = ideal.gens
+    gens = [g.exps for g in ideal.gens]
     if len(gens) > TAYLOR_GENERATOR_LIMIT:
         raise BoundError(
             "Taylor oracle limited to %d generators, got %d"
             % (TAYLOR_GENERATOR_LIMIT, len(gens))
         )
+    lcms = [(0,) * ideal.nvars] * (1 << len(gens))
     cells = {}
-    for size in range(1, len(gens) + 1):
-        for sub in combinations(range(len(gens)), size):
-            m = gens[sub[0]]
-            for i in sub[1:]:
-                m = m.lcm(gens[i])
-            cells.setdefault(m.exps, {}).setdefault(size, []).append(sub)
+    for sub in range(1, 1 << len(gens)):
+        low = sub & -sub
+        lcms[sub] = exps = tuple(map(max, lcms[sub ^ low], gens[low.bit_length() - 1]))
+        cells.setdefault(exps, {}).setdefault(sub.bit_count(), []).append(sub)
     entries = {}
     for exps, by_size in cells.items():
-        degree = sum(exps)
-        top = max(by_size)
         ranks = {}
-        for size in range(1, top + 1):
-            lower = by_size.get(size - 1, [])
-            upper = by_size.get(size, [])
-            if not lower or not upper:
-                ranks[size] = 0
+        for size, upper in by_size.items():
+            lower = by_size.get(size - 1)
+            if not lower:
                 continue
             index = {s: r for r, s in enumerate(lower)}
             rows = [[0] * len(upper) for _ in lower]
             for col, sub in enumerate(upper):
-                for pos in range(len(sub)):
-                    face = sub[:pos] + sub[pos + 1 :]
-                    m = gens[face[0]]
-                    for i in face[1:]:
-                        m = m.lcm(gens[i])
-                    if m.exps == exps:
-                        rows[index[face]][col] = (-1) ** pos
+                sign = 1
+                rest = sub
+                while rest:
+                    low = rest & -rest
+                    row = index.get(sub ^ low)
+                    if row is not None:
+                        rows[row][col] = sign
+                    sign = -sign
+                    rest ^= low
             if characteristic:
                 ranks[size] = _kernel.rank_mod_p(rows, characteristic)
             else:
@@ -238,7 +237,7 @@ def betti_taylor_oracle(ideal, characteristic=0):
         for size, subs in by_size.items():
             h = len(subs) - ranks.get(size, 0) - ranks.get(size + 1, 0)
             if h:
-                key = (size - 1, degree)
+                key = (size - 1, sum(exps))
                 entries[key] = entries.get(key, 0) + h
     return BettiTable(entries, characteristic)
 

@@ -1,5 +1,11 @@
-"""Shared helpers: the immutable-value base class, binomials, set families,
-polynomial arithmetic."""
+"""Shared helpers: the immutable-value base class, the enumeration bound,
+binomials, set families, polynomial arithmetic."""
+
+from .errors import BoundError
+
+# items a constructor or an ideal operation may list before it refuses;
+# every benchmark input lies far below it
+ENUMERATION_LIMIT = 20000
 
 
 class Frozen:
@@ -10,6 +16,12 @@ class Frozen:
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
+
+
+def check_enumeration(what, items, count):
+    """BoundError, naming the bound, when a routine would list more than ENUMERATION_LIMIT items."""
+    if count > ENUMERATION_LIMIT:
+        raise BoundError("%s has %d %s, limit %d" % (what, count, items, ENUMERATION_LIMIT))
 
 
 def binom(a, b):
@@ -64,6 +76,33 @@ def sorted_masks(labels, masks):
         return sorted(masks, key=lambda m: _set_key([labels[i] for i in bits(m)]))
     except TypeError:  # two sets first differ at labels that do not compare
         return sorted(masks, key=lambda m: _mixed_set_key([labels[i] for i in bits(m)]))
+
+
+def connected_unions(masks):
+    """One union per connected group of nonzero masks, two masks joining when they share
+    a bit.  The unions so far are disjoint, so each mask absorbs those it meets in one pass."""
+    unions = []
+    for m in masks:
+        if not m:
+            continue
+        apart = []
+        for u in unions:
+            if u & m:
+                m |= u
+            else:
+                apart.append(u)
+        apart.append(m)
+        unions = apart
+    return unions
+
+
+def pairwise_disjoint(masks):
+    """Whether no two masks share a bit: their bit counts add up to that of their union."""
+    union = total = 0
+    for m in masks:
+        union |= m
+        total += m.bit_count()
+    return union.bit_count() == total
 
 
 def minimal_transversals(masks):

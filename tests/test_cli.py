@@ -137,6 +137,18 @@ def test_graph_command_exits_2_on_k5(tmp_path, capsys):
     assert "edge choices" in capsys.readouterr().err
 
 
+def test_graph_command_refuses_a_long_cycle_walk_at_once(tmp_path, capsys):
+    # a 21-rung ladder: 42 vertices, 61 edges, cycle space dimension 20
+    rungs = [[2 * i, 2 * i + 1] for i in range(21)]
+    rails = [[i, i + 2] for i in range(40)]
+    ladder = tmp_path / "ladder.json"
+    ladder.write_text(json.dumps({"kind": "graph", "payload": {"edges": rungs + rails}}))
+    start = time.perf_counter()
+    assert main(["graph", str(ladder)]) == 2
+    assert time.perf_counter() - start < 1
+    assert "2^20 x 42 vertices = 44040192 edge tests, limit 4000000" in capsys.readouterr().err
+
+
 def test_main_order_flag(tmp_path, capsys):
     good = tmp_path / "u24.json"
     good.write_text(U24_DOC)

@@ -1,9 +1,11 @@
 """Corpus-wide structural invariants that are not acceptance criteria."""
 
+from itertools import combinations
+
 import pytest
 
 from bcres.complexes import bc_complex, f_h_vectors, independence_complex
-from bcres.corpus import standard_corpus
+from bcres.corpus import MAX_GROUND, connected_graphs, standard_corpus
 from bcres.ideals import stanley_reisner_ideal
 from bcres.matroid import direct_sum, uniform_matroid
 
@@ -116,3 +118,33 @@ def test_homology_field_comparison_reported(corpus):
                 mismatches.append((name, p))
     # torsion may occur in general; for these shellable complexes it does not
     assert mismatches == []
+
+
+def union_find_connected_graphs(nverts):
+    """Connected simple graphs on 1..nverts with at most MAX_GROUND edges, by union-find."""
+    verts = list(range(1, nverts + 1))
+    all_edges = list(combinations(verts, 2))
+    out = []
+    for mask in range(1, 1 << len(all_edges)):
+        edges = [all_edges[i] for i in range(len(all_edges)) if mask >> i & 1]
+        if len(edges) > MAX_GROUND or len(edges) < nverts - 1:
+            continue
+        parent = {v: v for v in verts}
+
+        def find(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        for u, v in edges:
+            parent[find(u)] = find(v)
+        if len({find(v) for v in verts}) == 1:
+            out.append(edges)
+    out.sort(key=lambda es: (len(es), es))
+    return out
+
+
+@pytest.mark.parametrize("nverts", [3, 4, 5])
+def test_connected_graphs_match_union_find(nverts):
+    assert connected_graphs(nverts) == union_find_connected_graphs(nverts)

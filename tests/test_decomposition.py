@@ -327,3 +327,9 @@ def test_matrix_false_premises_that_stay_inconclusive(monkeypatch):
     rep = cross_validate(m, max_power=2)
     assert rep["betti"] is None and rep["componentwise_linear"] is False
     assert rep["consistency"]["componentwise_implies_graded"] == "inconclusive"
+
+
+def test_cube_past_the_enumeration_limit_is_inconclusive():
+    # 56 broken circuits of size 3: the cube would form C(58, 3) = 30856 products
+    rep = cross_validate(uniform_matroid(3, 9), max_power=3)
+    assert rep["powers"][3] == "inconclusive: power 3 of 56 generators has 30856 products, limit 20000"

@@ -1,6 +1,7 @@
 """Monomial ideal operations against hand-checked and enumerated values."""
 
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from bcres.complexes import SimplicialComplex, bc_complex
 from bcres.corpus import standard_corpus
-from bcres.errors import InputError
+from bcres.errors import BoundError, InputError
 from bcres.ideals import (
     Monomial,
     MonomialIdeal,
@@ -266,6 +267,22 @@ def test_component_ideal(golden_ideal):
     )
     assert c3 == expected
     assert component_ideal(g, 1).is_zero
+
+
+def test_component_past_the_enumeration_limit_is_refused():
+    i = ideal(tuple("x%d" % v for v in range(1, 9)), (1,) + (0,) * 7)
+    # C(9 + 7, 7) = 11440 compositions are listed; the multiples of x1 are kept
+    assert len(component_ideal(i, 9).gens) == comb(8 + 7, 7)
+    # C(12 + 7, 7) = 50388 are refused before any is listed
+    with pytest.raises(BoundError, match="^degree 12 on 8 variables has 50388 monomials, limit 20000$"):
+        component_ideal(i, 12)
+
+
+def test_power_past_the_enumeration_limit_is_refused():
+    # the maximal ideal of 40 variables: C(40 + 4 - 1, 4) = 123410 products
+    i = ideal(tuple("x%d" % v for v in range(1, 41)), *[[int(v == w) for v in range(40)] for w in range(40)])
+    with pytest.raises(BoundError, match="^power 4 of 40 generators has 123410 products, limit 20000$"):
+        power_ideal(i, 4)
 
 
 def test_power_ideal():

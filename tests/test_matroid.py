@@ -7,6 +7,7 @@ every fast-path computation is checked against an exhaustive one.
 """
 
 import json
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -21,7 +22,6 @@ from bcres.corpus import standard_corpus
 from bcres.decomposition import extremal_h_check
 from bcres.errors import BoundError, CircuitAxiomError, InputError, LoopError
 from bcres.matroid import (
-    ENUMERATION_LIMIT,
     Matroid,
     TuttePolynomial,
     build_matroid,
@@ -32,7 +32,7 @@ from bcres.matroid import (
     simple_cycle_edge_sets,
     uniform_matroid,
 )
-from bcres.util import binom, bits
+from bcres.util import ENUMERATION_LIMIT, binom, bits, sorted_sets
 
 
 # -- oracles -------------------------------------------------------------
@@ -298,6 +298,44 @@ def test_components_and_coloops(u24_plus_coloop, golden):
     assert coloops == frozenset({1, 2, 3})
 
 
+def union_find_components(matroid):
+    """Components by union-find over ground positions, merged along every circuit."""
+    parent = list(range(len(matroid.ground)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for m in matroid.circuit_masks:
+        first, *rest = bits(m)
+        first = find(first)
+        for i in rest:
+            parent[find(i)] = first
+    comps = {}
+    for i, e in enumerate(matroid.ground):
+        comps.setdefault(find(i), []).append(e)
+    return sorted_sets(frozenset(v) for v in comps.values())
+
+
+def random_circuit_matroids(count, seed=7):
+    """Validated circuit matroids of random multigraphs: loops, parallel pairs and coloops included."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        nverts = rng.randint(1, 6)
+        edges = [(rng.randint(1, nverts), rng.randint(1, nverts)) for _ in range(rng.randint(1, 9))]
+        out.append(circuit_matroid(len(edges), graphic_matroid(edges).circuits))
+    return out
+
+
+def test_components_match_union_find():
+    matroids = [m for _, m in standard_corpus(0)] + random_circuit_matroids(80)
+    for m in matroids:
+        assert m.components_and_coloops()[0] == union_find_components(m), m
+
+
 # -- graphic and linear ----------------------------------------------------------
 
 
@@ -326,6 +364,27 @@ def complete_graph(n):
     return [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
 
 
+def ladder(rungs):
+    """Two paths of `rungs` vertices joined rung by rung: cycle space dimension rungs - 1."""
+    rails = [(2 * i, 2 * i + 2) for i in range(rungs - 1)] + [(2 * i + 1, 2 * i + 3) for i in range(rungs - 1)]
+    return [(2 * i, 2 * i + 1) for i in range(rungs)] + rails
+
+
+def bouquet(triangles):
+    """Triangles sharing vertex 0: cycle space dimension `triangles`."""
+    return [e for i in range(triangles) for e in ((0, 2 * i + 1), (2 * i + 1, 2 * i + 2), (2 * i + 2, 0))]
+
+
+def theta(paths, length):
+    """`paths` internally disjoint paths of `length` edges from vertex 0 to vertex 1."""
+    edges = []
+    for k in range(paths):
+        inner = [2 + k * (length - 1) + j for j in range(length - 1)]
+        chain = [0, *inner, 1]
+        edges.extend(zip(chain, chain[1:]))
+    return edges
+
+
 @pytest.mark.parametrize(
     "edges",
     [
@@ -333,8 +392,14 @@ def complete_graph(n):
         complete_graph(5),
         complete_graph(6),
         [(1, 1), (1, 2), (2, 1), (1, 2), (2, 3), (3, 3), (3, 1), (4, 5)],
+        ladder(4),
+        ladder(6),
+        bouquet(2),
+        bouquet(6),
+        theta(4, 3),
+        theta(7, 2),
     ],
-    ids=["K4", "K5", "K6", "multigraph"],
+    ids=["K4", "K5", "K6", "multigraph", "ladder-d3", "ladder-d5", "bouquet-d2", "bouquet-d6", "theta-d3", "theta-d6"],
 )
 def test_cycle_space_elimination_matches_brute_cycles(edges):
     got = {frozenset(bits(mask)) for mask in simple_cycle_edge_sets(edges)}
@@ -342,7 +407,7 @@ def test_cycle_space_elimination_matches_brute_cycles(edges):
 
 
 def test_cycle_space_past_the_limit_is_refused():
-    with pytest.raises(BoundError, match="^cycle space dimension 21 exceeds limit 20$"):
+    with pytest.raises(BoundError, match="^cycle walk needs 2\\^21 x 8 vertices = 16777216 edge tests, limit 4000000$"):
         simple_cycle_edge_sets(complete_graph(8))
 
 
