@@ -170,21 +170,18 @@ def koszul_report(arrangement, order=None):
     report["two_term"] = cert.as_dict() if cert else None
     try:
         strat = stratify(matroid)
-        report["stratification"] = strat.as_dict(matroid) if strat else None
-        strat_found = strat is not None
+        report["stratification"] = strat.as_dict(matroid)
     except BoundError as exc:
         report["stratification"] = "inconclusive: %s" % exc
-        strat_found = None
+        strat = None
     # the broken-circuit CI test is a labeled proxy, reported alongside the
     # verdict rather than gating it
     if not matroid.circuit_masks:
         report["verdict"] = "Koszul (zero ideals)"
     elif two_term_s2:
         report["verdict"] = "Koszul (s=2 uniform decomposition)"
-    elif strat_found:
-        report["verdict"] = "graded-Koszul (stratified decomposition)"
-    elif strat_found is None:
+    elif strat is None:
         report["verdict"] = "inconclusive: stratification bound"
     else:
-        report["verdict"] = "criteria not met / precondition unverified"
+        report["verdict"] = "graded-Koszul (stratified decomposition)"
     return report

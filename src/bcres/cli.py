@@ -227,25 +227,22 @@ def _cmd_decompose(doc, options):
     cert = two_term_decomposition(m)
     min_circuit = min((c.bit_count() for c in m.circuit_masks), default=None)
     s = (min_circuit - 1) if min_circuit else m.rank
-    out = {
+    return {
         "two_term_decomposition": cert.as_dict() if cert else None,
         "s": s,
         "extremal_h": extremal_h_check(m, s),
+        # no circuit has at most s elements, so the precondition holds
+        "fvector_bound": fvector_bound_check(m, s),
+        "generalized_bound": generalized_bound_check(m, order=doc.order),
     }
-    try:
-        out["fvector_bound"] = fvector_bound_check(m, s)
-    except BoundError as exc:
-        out["fvector_bound"] = "precondition violated: %s" % exc
-    out["generalized_bound"] = generalized_bound_check(m, order=doc.order)
-    return out
 
 
 def _cmd_stratify(doc, options):
     m = _matroid_of(doc, options)
     strat = stratify(m)
     return {
-        "stratification": strat.as_dict(m) if strat else None,
-        "verified": strat.verify(m) if strat else None,
+        "stratification": strat.as_dict(m),
+        "verified": strat.verify(m),
     }
 
 
@@ -260,6 +257,8 @@ def _cmd_ci(doc, options):
 
 def _cmd_cross_validate(doc, options):
     if options.batch:
+        if options.limit < 0:
+            raise InputError("--limit must be nonnegative, got %d" % options.limit)
         corpus = standard_corpus(seed=options.seed)
         if options.limit:
             corpus = corpus[: options.limit]
@@ -309,7 +308,7 @@ def _cmd_graph(doc, options):
         "edges": [[lab, u, v] for lab, u, v in g.edges],
         "cycle_matroid_rank": m.rank,
         "circuits": [sorted(c, key=repr) for c in m.circuits],
-        "report": gnr_report(g, doc.order),
+        "report": gnr_report(m, doc.order),
     }
 
 
@@ -328,7 +327,7 @@ def _cmd_gnr(doc, options):
     g = build_gnr(sizes, bridges)
     return {
         "edges": [[lab, u, v] for lab, u, v in g.edges],
-        "report": gnr_report(g),
+        "report": gnr_report(cycle_matroid(g)),
     }
 
 

@@ -11,6 +11,8 @@ inside S, so no restricted matroid is built.  StratumCertificate.verify
 re-checks through Matroid.restrict, independently.
 """
 
+from itertools import combinations
+
 from .complexes import f_to_h
 from .errors import BoundError, LoopError
 from .hilbert import h_binomial_fit, hilbert_function, linear_value_criterion
@@ -27,7 +29,7 @@ from .resolutions import (
     componentwise_linear_check,
     rows_consecutive_only,
 )
-from .util import Frozen, binom
+from .util import Frozen, binom, bits
 
 STRATIFY_SIZE_LIMIT = 12
 
@@ -81,8 +83,6 @@ class Stratification(Frozen):
         return len(self.strata) - 1
 
     def verify(self, matroid):
-        if not self.strata:
-            return False
         if sum(s.size for s in self.strata) != len(matroid.ground):
             return False
         return all(s.verify(matroid) for s in self.strata)
@@ -201,7 +201,7 @@ def generalized_bound_check(matroid, order=None):
                 for i in range(cutoff)
                 for l in range(1, d + 1)
             )
-            lhs = profile[j - 1] if j - 1 < len(profile) else 0
+            lhs = profile[j - 1]
             literal.append({"j": j, "independent": lhs, "rhs": rhs, "holds": lhs >= rhs})
     return {
         "coefficients": c or None,
@@ -212,55 +212,37 @@ def generalized_bound_check(matroid, order=None):
 
 
 def stratify(matroid):
-    """Depth-first search for a restriction chain with decomposable strata.
+    """Restriction chain whose strata all decompose, peeled off largest first.
 
-    Larger strata are tried first, so the matroid's own decomposition is
-    found at depth 0 when it exists; failed tail sets are memoized.
-    Exhaustive for ground sets within STRATIFY_SIZE_LIMIT.
+    One element of a loopless matroid is always a stratum (U_{0,0} + U_{1,1}),
+    so every nonempty rest has a stratum and the first one peeled always
+    extends to a full chain: nothing is searched and nothing fails.  Each
+    peel takes the largest stratum, and among strata of one size the one
+    whose rest has the numerically largest mask, so the matroid's own
+    decomposition is found at depth 0 when it exists.  A peel tests up to
+    2^n candidates, hence STRATIFY_SIZE_LIMIT.
     """
     if not matroid.is_loopless:
         raise LoopError("stratification needs a loopless matroid")
     n = len(matroid.ground)
     if n > STRATIFY_SIZE_LIMIT:
         raise BoundError("stratification search limited to %d elements" % STRATIFY_SIZE_LIMIT)
-    dead = set()
-
-    def subsets_desc(mask):
-        """Proper submasks of mask, larger complements (strata) first."""
-        subs = []
-        sub = (mask - 1) & mask
-        while True:
-            subs.append(sub)
-            if sub == 0:
+    chain, strata = [], []
+    mask = (1 << n) - 1
+    while mask:
+        chain.append(matroid._labels(mask))
+        # rests of size k in reversed bit order come numerically largest first
+        rests = (
+            sum(1 << i for i in rest)
+            for k in range(mask.bit_count())
+            for rest in combinations(reversed(bits(mask)), k)
+        )
+        for rest in rests:
+            cert = _uniform_plus_free(matroid, mask ^ rest)
+            if cert is not None:
                 break
-            sub = (sub - 1) & mask
-        subs.sort(key=lambda s: bin(s).count("1"))
-        return subs
-
-    def search(mask):
-        if mask == 0:
-            return []
-        if mask in dead:
-            return None
-        for nxt in subsets_desc(mask):
-            cert = _uniform_plus_free(matroid, mask ^ nxt)
-            if cert is None:
-                continue
-            tail = search(nxt)
-            if tail is not None:
-                return [cert] + tail
-        dead.add(mask)
-        return None
-
-    full = (1 << n) - 1
-    strata = search(full)
-    if strata is None:
-        return None
-    chain = []
-    remaining = set(matroid.ground)
-    for s in strata:
-        chain.append(frozenset(remaining))
-        remaining -= s.elements
+        strata.append(cert)
+        mask = rest
     return Stratification(chain, strata)
 
 
@@ -340,11 +322,8 @@ def cross_validate(matroid, order=None, characteristic=0, max_power=3):
     try:
         strat = stratify(matroid)
     except BoundError:
-        strat = False  # bound exceeded, unknown
-    report["stratification"] = (
-        strat.as_dict(matroid) if isinstance(strat, Stratification) else None
-    )
-    strat_known = strat is not False
+        strat = None  # bound exceeded, unknown
+    report["stratification"] = strat.as_dict(matroid) if strat is not None else None
 
     powers = {}
     powers_ok = []
@@ -407,10 +386,11 @@ def cross_validate(matroid, order=None, characteristic=0, max_power=3):
         ),
         # the next three read their premise as unknown, so a false one is
         # inconclusive, when stratify hit its bound, when no graded order
-        # was found, and when the Betti table is unknown
+        # was found, and when the Betti table is unknown; _implies reads
+        # its conclusion even then, so it must not touch a missing strat
         "graded_implies_stratification": _implies(
-            is_graded if strat_known else None,
-            is_graded and isinstance(strat, Stratification) and strat.verify(matroid),
+            is_graded if strat is not None else None,
+            is_graded and strat is not None and strat.verify(matroid),
         ),
         "graded_quotients_imply_colon_graded": _implies(
             True if colon_verdicts is not None else None, _all_known(colon_verdicts or ())

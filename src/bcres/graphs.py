@@ -93,7 +93,7 @@ def build_gnr(cycle_sizes, bridges=None):
 GNR_FACET_LIMIT = 2048
 
 
-def gnr_complex(graph, cycles):
+def gnr_complex(labels, cycles):
     """Facet family from removing one edge of every cycle, over all choices.
 
     The choices number the product of the cycle lengths; above
@@ -105,7 +105,6 @@ def gnr_complex(graph, cycles):
             "%d cycles give %d edge choices, above the limit %d"
             % (len(cycles), choices, GNR_FACET_LIMIT)
         )
-    labels = graph.edge_labels
     all_edges = set(labels)
     facets = []
     for choice in product(*[sorted(c, key=repr) for c in cycles]):
@@ -113,10 +112,10 @@ def gnr_complex(graph, cycles):
     return SimplicialComplex(labels, facets)
 
 
-def gnr_report(graph, order=None):
-    """Complete-intersection report for an r-cycle graph.
+def gnr_report(matroid, order=None):
+    """Complete-intersection report for the cycle matroid of an r-cycle graph.
 
-    Builds the cycle matroid, its broken-circuit ideal and the CI verdict;
+    Builds the broken-circuit ideal and the CI verdict;
     separately builds the one-edge-per-cycle facet complex and reports
     whether its facet ideal coincides with the broken-circuit ideal (an
     identity that is checked per instance, never assumed).  The
@@ -124,10 +123,9 @@ def gnr_report(graph, order=None):
     """
     from .ideals import complete_intersection_check
 
-    matroid = cycle_matroid(graph)
     cycles = matroid.circuits
     report = {
-        "edges": len(graph.edge_labels),
+        "edges": len(matroid.ground),
         "cycles": len(cycles),
         "cycle_edge_sets": [sorted(c, key=repr) for c in cycles],
         "simple": matroid.is_simple,
@@ -141,7 +139,7 @@ def gnr_report(graph, order=None):
     report["complete_intersection"] = ci
     report["cohen_macaulay"] = ci  # CI implies CM; flagged only as the consequence
     if cycles:
-        fideal = facet_ideal(gnr_complex(graph, cycles))
+        fideal = facet_ideal(gnr_complex(matroid.ground, cycles))
         report["facet_ideal_generators"] = len(fideal.gens)
         report["facet_ideal_degree"] = fideal.maxdeg()
         report["facet_ideal_equals_bc_ideal"] = fideal == ideal

@@ -33,7 +33,7 @@ from bcres.decomposition import (
     two_term_decomposition,
 )
 from bcres.errors import BoundError
-from bcres.graphs import Graph, build_gnr, gnr_report
+from bcres.graphs import Graph, build_gnr, cycle_matroid, gnr_report
 from bcres.hilbert import hilbert_function, ideal_monomial_count, linear_value_criterion
 from bcres.ideals import (
     Monomial,
@@ -294,12 +294,12 @@ def test_criterion_8_power_linearity(corpus_data):
 
 def test_criterion_9_gnr_families():
     for sizes in ([3], [3, 3], [3, 4], [4, 4, 4]):
-        rep = gnr_report(build_gnr(sizes))
+        rep = gnr_report(cycle_matroid(build_gnr(sizes)))
         assert rep["cycles"] == len(sizes)
         assert rep["complete_intersection"] is True, sizes
         assert rep["cohen_macaulay"] is True, sizes
     shared = Graph([(1, 4), (4, 5), (5, 3), (1, 2), (2, 3), (1, 3)])
-    rep = gnr_report(shared)
+    rep = gnr_report(cycle_matroid(shared))
     assert rep["complete_intersection"] is False
     _print("PASS criterion 9: CI + CM for families (3), (3,3), (3,4), (4,4,4); shared-edge case CI false")
 

@@ -227,6 +227,37 @@ def test_koszul_golden_realization(golden):
     assert rep["ci_broken_circuits"] is False
 
 
+@pytest.mark.parametrize(
+    "normals, strata",
+    [
+        ([(1, 0), (2, 0), (0, 1)], [[1, 2, 3]]),  # U_{1,2} + U_{1,1}: s = 1
+        ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], [[1, 2, 3, 4]]),  # U_{3,4}: s = 3
+        # U_{2,3} + U_{1,2} has circuits of two sizes, so it peels twice
+        ([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (0, 0, 2)], [[1, 2, 3, 4], [5]]),
+    ],
+    ids=["s1", "s3", "two-sizes"],
+)
+def test_koszul_stratified_verdict_pinned(normals, strata):
+    rep = koszul_report(Arrangement(normals))
+    assert rep["two_term_s2"] is False
+    assert [s["elements"] for s in rep["stratification"]["strata"]] == strata
+    assert rep["verdict"] == "graded-Koszul (stratified decomposition)"
+
+
+@settings(max_examples=100)
+@given(essential_arrangements())
+def test_koszul_verdict_without_s2_is_stratified(arrangement):
+    # stratify cannot fail within its bound, so every arrangement with a
+    # circuit and no s = 2 decomposition reads graded-Koszul
+    rep = koszul_report(arrangement)
+    if not arrangement.matroid.circuit_masks:
+        assert rep["verdict"] == "Koszul (zero ideals)"
+    elif rep["two_term_s2"]:
+        assert rep["verdict"] == "Koszul (s=2 uniform decomposition)"
+    else:
+        assert rep["verdict"] == "graded-Koszul (stratified decomposition)"
+
+
 def test_koszul_iterated_cone_family():
     # U_{2, n-r+2} + U_{r-2, r-2} via coning a generic planar arrangement
     base = Arrangement([(1, 0), (0, 1), (1, 1), (1, 2), (1, 3)])

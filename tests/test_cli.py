@@ -149,6 +149,36 @@ def test_graph_command_refuses_a_long_cycle_walk_at_once(tmp_path, capsys):
     assert "2^20 x 42 vertices = 44040192 edge tests, limit 4000000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edges, code",
+    [
+        ([[0, 1], [1, 2], [2, 0], [2, 3], [3, 4], [4, 2]], 0),
+        # a 17-rung ladder: its cycle walk is admitted, its gnr facets are not
+        ([[2 * i, 2 * i + 1] for i in range(17)] + [[i, i + 2] for i in range(32)], 2),
+    ],
+    ids=["two-triangles", "ladder-17"],
+)
+def test_graph_command_walks_the_cycle_space_once(edges, code, tmp_path, capsys, monkeypatch):
+    import bcres.matroid
+
+    calls = []
+    real = bcres.matroid.simple_cycle_edge_sets
+    monkeypatch.setattr(bcres.matroid, "simple_cycle_edge_sets", lambda e: calls.append(1) or real(e))
+    doc = tmp_path / "graph.json"
+    doc.write_text(json.dumps({"kind": "graph", "payload": {"edges": edges}}))
+    assert main(["graph", str(doc)]) == code
+    assert len(calls) == 1
+
+
+def test_stratify_empty_matroid_verifies(tmp_path, capsys):
+    doc = tmp_path / "empty.json"
+    doc.write_text('{"kind":"matroid","payload":{"type":"uniform","p":0,"n":0}}')
+    assert main(["stratify", str(doc), "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)["result"]
+    assert out["stratification"]["chain"] == [] and out["stratification"]["strata"] == []
+    assert out["verified"] is True
+
+
 def test_main_order_flag(tmp_path, capsys):
     good = tmp_path / "u24.json"
     good.write_text(U24_DOC)
@@ -224,6 +254,14 @@ def test_batch_mode_small(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["result"]["corpus_size"] == 5
     assert len(out["result"]["instances"]) == 5
+
+
+def test_batch_negative_limit_exits_1(capsys):
+    # corpus[:-1] would silently drop the last instance
+    assert main(["cross-validate", "--batch", "--limit=-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --limit must be nonnegative, got -1\n"
+    assert captured.out == ""
 
 
 def test_hilbert_command():

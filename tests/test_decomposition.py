@@ -138,22 +138,6 @@ def test_stratify_bound():
         stratify(uniform_matroid(2, 13))
 
 
-def test_stratify_none_exists():
-    # a single parallel pair inside a triangle-ish circuit structure that
-    # cannot split into uniform-plus-free strata covering everything:
-    # U_{1,2} + U_{2,3} stratifies (both uniform), so use a connected
-    # non-uniform matroid with a non-uniform core everywhere: the golden
-    # matroid minus nothing is stratifiable, so take the prism graph cycle
-    # matroid restricted... simplest known negative: none among n <= 6
-    # connected graphic matroids is guaranteed, so assert search returns
-    # either None or a verifying chain.
-    from bcres.matroid import graphic_matroid
-
-    m = graphic_matroid([(1, 2), (2, 3), (1, 3), (2, 4), (3, 4)])
-    s = stratify(m)
-    assert s is None or s.verify(m)
-
-
 # -- the circuit-mask route against restricted matroids -------------------------
 #
 # The oracle builds the restricted matroid and decomposes it, as stratify
@@ -222,6 +206,18 @@ def restrict_route_stratify(matroid):
         chain.append(frozenset(remaining))
         remaining -= s.elements
     return Stratification(chain, strata)
+
+
+@settings(max_examples=150)
+@given(st.one_of(linear_cases(), graphic_cases(), sum_cases()))
+def test_stratify_peels_what_the_search_finds(case):
+    # one element of a loopless matroid is a free stratum, so the peel
+    # never fails; the search over restricted matroids is the oracle
+    m = case[0]
+    m = m.delete(m.loops())
+    strat = stratify(m)
+    assert isinstance(strat, Stratification) and strat.verify(m)
+    assert strat.as_dict(m) == restrict_route_stratify(m).as_dict(m)
 
 
 def test_stratify_matches_restrict_route_on_corpus():
@@ -299,6 +295,14 @@ def test_cross_validate_nonlinear_sum():
 def test_matrix_rule_truth_tables(a, b, iff, implies):
     assert _iff(a, b) == iff
     assert _implies(a, b) == implies
+
+
+def test_cross_validate_past_the_stratify_bound():
+    # an s-linear table is a true premise, and no stratification is known
+    rep = cross_validate(uniform_matroid(2, 13), max_power=2)
+    assert rep["linearity"]["kind"] == "s-linear" and rep["graded_linear"] is True
+    assert rep["stratification"] is None
+    assert rep["consistency"]["graded_implies_stratification"] == "inconclusive"
 
 
 def _raise_bound(*args, **kwargs):

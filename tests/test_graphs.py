@@ -80,7 +80,7 @@ def test_build_gnr_validation():
 
 
 def test_gnr_report_two_triangles():
-    rep = gnr_report(build_gnr([3, 3]))
+    rep = gnr_report(cycle_matroid(build_gnr([3, 3])))
     assert rep["cycles"] == 2
     assert rep["broken_circuit_ideal"] == "(x2*x3, x5*x6)"
     assert rep["complete_intersection"] is True
@@ -88,14 +88,14 @@ def test_gnr_report_two_triangles():
 
 
 def test_gnr_report_single_cycle():
-    rep = gnr_report(build_gnr([3]))
+    rep = gnr_report(cycle_matroid(build_gnr([3])))
     assert rep["complete_intersection"] is True
     assert rep["broken_circuit_ideal"] == "(x2*x3)"
 
 
 def test_gnr_report_families():
     for sizes in ([3], [3, 3], [3, 4], [4, 4, 4]):
-        rep = gnr_report(build_gnr(sizes))
+        rep = gnr_report(cycle_matroid(build_gnr(sizes)))
         assert rep["cycles"] == len(sizes)
         assert rep["complete_intersection"] is True
         assert rep["cohen_macaulay"] is True
@@ -106,13 +106,13 @@ def test_gnr_report_shared_edge_boundary_case(golden):
     g = Graph([(1, 4), (4, 5), (5, 3), (1, 2), (2, 3), (1, 3)])
     m = cycle_matroid(g)
     assert set(m.circuits) == set(golden.circuits)
-    rep = gnr_report(g)
+    rep = gnr_report(m)
     assert rep["cycles"] == 3
     assert rep["complete_intersection"] is False
 
 
 def test_gnr_facet_ideal_identity_reported():
-    rep = gnr_report(build_gnr([3, 3]))
+    rep = gnr_report(cycle_matroid(build_gnr([3, 3])))
     # the one-edge-per-cycle facet ideal has degree n - r generators, so the
     # claimed identity with the broken-circuit ideal is refuted per instance
     assert rep["facet_ideal_equals_bc_ideal"] is False
@@ -134,7 +134,7 @@ def test_gnr_bc_ideal_matches_broken_circuits():
             frozenset(ideal.names[i] for i in g.support) for g in ideal.gens
         }
         assert got == supports
-        assert gnr_report(g)["broken_circuit_ideal"] == ideal.render()
+        assert gnr_report(m)["broken_circuit_ideal"] == ideal.render()
 
 
 def test_gnr_pairwise_disjoint_implies_ci():
@@ -143,13 +143,13 @@ def test_gnr_pairwise_disjoint_implies_ci():
         m = cycle_matroid(g)
         bcs = m.broken_circuits()
         disjoint = all(a.isdisjoint(b) for i, a in enumerate(bcs) for b in bcs[i + 1 :])
-        rep = gnr_report(g)
+        rep = gnr_report(m)
         assert disjoint
         assert rep["complete_intersection"] is True
 
 
 def test_selfloop_report():
-    rep = gnr_report(Graph([(1, 1), (1, 2)]))
+    rep = gnr_report(cycle_matroid(Graph([(1, 1), (1, 2)])))
     assert rep["verdict"].startswith("not applicable")
 
 
@@ -158,7 +158,7 @@ def test_gnr_report_bounds_the_cycle_product():
     k5 = Graph(list(combinations(range(5), 2)))
     start = time.perf_counter()
     with pytest.raises(BoundError, match="edge choices"):
-        gnr_report(k5)
+        gnr_report(cycle_matroid(k5))
     assert time.perf_counter() - start < 5.0
 
 
@@ -166,7 +166,7 @@ def test_gnr_report_many_edges_few_cycles():
     # five edge-disjoint 4-cycles: 20 edges, so the ideal must not come from
     # a pass over all 2^20 edge subsets
     start = time.perf_counter()
-    rep = gnr_report(build_gnr([4] * 5))
+    rep = gnr_report(cycle_matroid(build_gnr([4] * 5)))
     assert time.perf_counter() - start < 2.0
     assert rep["edges"] == 20
     assert rep["complete_intersection"] is True
@@ -176,7 +176,7 @@ def test_gnr_complex_limit_is_inclusive(monkeypatch):
     g = build_gnr([3, 3])
     cycles = cycle_matroid(g).circuits
     monkeypatch.setattr(graphs, "GNR_FACET_LIMIT", 9)
-    assert len(gnr_complex(g, cycles).facets) == 9
+    assert len(gnr_complex(g.edge_labels, cycles).facets) == 9
     monkeypatch.setattr(graphs, "GNR_FACET_LIMIT", 8)
     with pytest.raises(BoundError):
-        gnr_complex(g, cycles)
+        gnr_complex(g.edge_labels, cycles)
