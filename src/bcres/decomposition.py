@@ -80,7 +80,8 @@ class Stratification(Frozen):
 
     @property
     def depth(self):
-        return len(self.strata) - 1
+        """Strata after the first; 0 for the empty matroid, which has none."""
+        return max(len(self.strata) - 1, 0)
 
     def verify(self, matroid):
         if sum(s.size for s in self.strata) != len(matroid.ground):

@@ -7,7 +7,6 @@ minimal broken circuits of the cycle matroid are pairwise disjoint.
 """
 
 from itertools import product
-from math import prod
 
 from .complexes import SimplicialComplex
 from .errors import BoundError, InputError
@@ -96,15 +95,17 @@ GNR_FACET_LIMIT = 2048
 def gnr_complex(labels, cycles):
     """Facet family from removing one edge of every cycle, over all choices.
 
-    The choices number the product of the cycle lengths; above
-    GNR_FACET_LIMIT this raises BoundError before enumerating any.
+    The choices number the product of the cycle lengths; once that product
+    passes GNR_FACET_LIMIT this raises BoundError, before enumerating any
+    and without forming the rest of the product.
     """
-    choices = prod(len(c) for c in cycles)
-    if choices > GNR_FACET_LIMIT:
-        raise BoundError(
-            "%d cycles give %d edge choices, above the limit %d"
-            % (len(cycles), choices, GNR_FACET_LIMIT)
-        )
+    choices = 1
+    for c in cycles:
+        choices *= len(c)
+        if choices > GNR_FACET_LIMIT:
+            raise BoundError(
+                "%d cycles give more than %d edge choices" % (len(cycles), GNR_FACET_LIMIT)
+            )
     all_edges = set(labels)
     facets = []
     for choice in product(*[sorted(c, key=repr) for c in cycles]):

@@ -2,9 +2,11 @@
 
 Each rational vector is scaled once to coprime integers
 (integer_primitive), which keeps its span.  Ranks go through the
-fraction-free kernel _kernel.rank_int: linear_matroid ranks its column
-subsets that way, and column_rank serves arrangement essentiality.
-echelon is the one reduced form, an integer Gauss-Jordan elimination
+fraction-free kernel _kernel.rank_int: linear_matroid ranks its whole
+matrix that way, and column_rank serves arrangement essentiality.
+echelon_residue reduces one vector against rows in echelon form, which
+is how linear_matroid grows a basis along its independent-set walk.
+echelon is the one full reduced form, an integer Gauss-Jordan elimination
 whose every division is exact (Bareiss); nullspace reads integer kernel
 vectors off it, and detect_product reads a column basis and coordinates.
 No elimination runs over Fraction: Fraction appears only in parsed input
@@ -54,6 +56,22 @@ def echelon(rows):
         d = p
         pivots.append(pc)
     return m, pivots, d
+
+
+def echelon_residue(col, basis):
+    """(pivot, row) of col reduced against echelon rows (pivot, row), or None if it is in their span.
+
+    Each step is fraction-free, and the residue is divided by its gcd.
+    """
+    for p, row in basis:
+        if col[p]:
+            f, g = row[p], col[p]
+            col = [f * a - g * b for a, b in zip(col, row)]
+    g = gcd(*col)
+    if not g:
+        return None
+    col = [a // g for a in col]
+    return next(i for i, a in enumerate(col) if a), col
 
 
 def nullspace(rows):

@@ -17,7 +17,7 @@ from math import comb
 
 from .errors import BoundError, CircuitAxiomError, InputError, LoopError
 from ._kernel import rank_int
-from .linalg import integer_primitive
+from .linalg import echelon_residue, integer_primitive
 from .util import Frozen, bits, check_enumeration, connected_unions, faces_by_size, minimal_masks
 from .util import minimal_transversals, nonface_sieve, sorted_masks, sorted_sets
 
@@ -417,8 +417,14 @@ def linear_matroid(columns, labels=None):
     """Matroid of rational column vectors: circuits are minimal dependent column sets.
 
     Each column is scaled to coprime integers once, which leaves the
-    matroid unchanged.  A circuit C has rank |C| - 1 <= r, so only subsets
-    of at most r + 1 columns are ranked.
+    matroid unchanged.  One depth-first walk visits the independent column
+    sets in increasing column order, reducing each next column against a
+    fraction-free echelon basis of the chosen ones; a basis of r rows ends
+    the branch.  Every circuit C is I + j for the independent I = C - max C
+    and j = max C, so the circuits are the dependent sets I + j met on the
+    walk whose every other one-element deletion is independent.  Each
+    (I, j) is a distinct subset of at most r + 1 columns, which bounds the
+    walk before it starts; the only rank computed is the whole matrix's.
     """
     cols = [integer_primitive(col) for col in columns]
     if any(len(c) != len(cols[0]) for c in cols):
@@ -430,15 +436,23 @@ def linear_matroid(columns, labels=None):
     rank = rank_int(cols)
     ranked = sum(comb(len(cols), size) for size in range(1, rank + 2))
     check_enumeration("a rank-%d matrix of %d columns" % (rank, len(cols)), "column subsets to rank", ranked)
-    circuits = []
-    for size in range(1, rank + 2):
-        for sub in combinations(range(len(cols)), size):
-            mask = sum(1 << i for i in sub)
-            if any(c & mask == c for c in circuits):
-                continue
-            if rank_int([cols[i] for i in sub]) < size:
-                circuits.append(mask)
-    return Matroid.from_masks(ground, circuits)
+    independent = {0}
+    dependent = []
+
+    def walk(chosen, basis, start):
+        for j in range(start, len(cols)):
+            cand = chosen | 1 << j
+            row = echelon_residue(cols[j], basis) if len(basis) < rank else None
+            if row:
+                independent.add(cand)
+                walk(cand, basis + [row], j + 1)
+            else:
+                dependent.append(cand)
+
+    walk(0, [], 0)
+    return Matroid.from_masks(
+        ground, [c for c in dependent if all(c ^ 1 << i in independent for i in bits(c))]
+    )
 
 
 def direct_sum(parts):

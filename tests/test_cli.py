@@ -176,6 +176,7 @@ def test_stratify_empty_matroid_verifies(tmp_path, capsys):
     assert main(["stratify", str(doc), "--format", "json"]) == 0
     out = json.loads(capsys.readouterr().out)["result"]
     assert out["stratification"]["chain"] == [] and out["stratification"]["strata"] == []
+    assert out["stratification"]["depth"] == 0
     assert out["verified"] is True
 
 

@@ -162,6 +162,14 @@ def test_gnr_report_bounds_the_cycle_product():
     assert time.perf_counter() - start < 5.0
 
 
+def test_gnr_refusal_names_the_limit_not_the_product():
+    # a 17-rung ladder: 136 cycles whose lengths multiply to a 150-digit number
+    ladder = Graph([(2 * i, 2 * i + 1) for i in range(17)] + [(i, i + 2) for i in range(32)])
+    with pytest.raises(BoundError) as err:
+        gnr_report(cycle_matroid(ladder))
+    assert str(err.value) == "136 cycles give more than %d edge choices" % graphs.GNR_FACET_LIMIT
+
+
 def test_gnr_report_many_edges_few_cycles():
     # five edge-disjoint 4-cycles: 20 edges, so the ideal must not come from
     # a pass over all 2^20 edge subsets

@@ -755,6 +755,41 @@ def test_linear_matroid_matches_fraction_rank(cols):
     assert m.circuits == brute_linear_circuits(cols, labels)
 
 
+@st.composite
+def walk_columns(draw):
+    """Up to 9 columns of height 1-5, with zero, repeated and scaled columns drawn on purpose."""
+    height = draw(st.integers(1, 5))
+    cols = []
+    for _ in range(draw(st.integers(1, 9))):
+        kind = draw(st.sampled_from(["fresh", "zero", "scaled"] if cols else ["fresh", "zero"]))
+        if kind == "fresh":
+            cols.append(tuple(draw(small_ints) for _ in range(height)))
+        elif kind == "zero":
+            cols.append((0,) * height)
+        else:
+            scale = draw(st.sampled_from([1, -1, 2, Fraction(-3, 2)]))
+            cols.append(tuple(scale * v for v in draw(st.sampled_from(cols))))
+    return cols
+
+
+@settings(max_examples=150)
+@given(walk_columns())
+def test_independent_set_walk_matches_brute_force_circuits(cols):
+    m = linear_matroid(cols)
+    assert m.circuits == brute_linear_circuits(cols, m.ground)
+    assert m.rank == fraction_rank(cols)
+
+
+def test_linear_matroid_ranks_only_the_whole_matrix(monkeypatch):
+    import bcres.matroid
+
+    calls = []
+    real = bcres.matroid.rank_int
+    monkeypatch.setattr(bcres.matroid, "rank_int", lambda rows: calls.append(len(rows)) or real(rows))
+    assert linear_matroid([[1, t, t * t, t**3] for t in range(11)]) == uniform_matroid(4, 11)
+    assert calls == [11]
+
+
 # -- circuit elimination: the subset sieve against the circuit scan ------------
 
 
