@@ -1,16 +1,22 @@
 """Pure-Python exact linear-algebra kernel.
 
-The hot kernels of bcres: exact integer matrix rank
-(fraction-free Bareiss elimination), rank over GF(p), reduced simplicial
+The hot kernels of bcres: dense exact elimination, reduced simplicial
 homology ranks of a complex given by its facet bitmasks, and the Hochster
 summation over the lcm lattice.
+
+`echelon_residue` is the one dense elimination step: it reduces one
+integer vector against rows in echelon form, fraction-free with a gcd
+division over the rationals, and against rows of pivot 1 over GF(p).
+`rank_int` and `rank_mod_p` fold the rows of a matrix through it; a row
+that leaves a residue joins the basis, and the rank is the basis size.
+`linalg` folds columns through the same step.
 
 `homology_ranks` is the one homology entry.  It strongly collapses the
 facets (Barmak-Minian) before listing any face, removes coreduction pairs,
 and ranks every remaining boundary matrix with `rank_sparse`: pivot on a
 shortest live row holding a usable entry (any nonzero over GF(p), +-1 in
 characteristic 0), at that row's column with the fewest live entries.
-Characteristic 0 falls back to Bareiss only on a core with no unit entry.
+Characteristic 0 falls back to `rank_int` only on a core with no unit entry.
 
 The Hochster summation takes the dual form of the formula: for each vertex
 subset sigma it ranks the link of sigma's complement in the Alexander dual,
@@ -24,85 +30,66 @@ renumbered to 0..v-1 in vertex order, is listed, coreduced and ranked
 once.  Nothing is kept between calls.
 """
 
+from math import gcd
+
 from ..util import faces_by_size
 
 BACKEND = "python"
 
 
-def rank_int(rows):
-    """Rank over the rationals of an integer matrix (list of equal-length rows).
+def echelon_residue(vec, basis, characteristic=0):
+    """(pivot, row) of an integer vector reduced against echelon rows (pivot, row), or None.
 
-    Fraction-free (Bareiss) elimination: every intermediate value is an
-    exact minor of the input, so arbitrary-size integers are required in
-    the worst case and Python ints are used throughout.
+    None means the vector lies in the span of the rows.  Over the
+    rationals each step is fraction-free and the residue is divided by the
+    gcd of its entries.  Over GF(p) the stored rows have pivot 1, so a step
+    subtracts a multiple of the row, and the residue is scaled to pivot 1.
     """
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rank = 0
-    prev = 1
-    pr = 0
-    for pc in range(nc):
-        piv = -1
-        for i in range(pr, nr):
-            if m[i][pc]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != pr:
-            m[pr], m[piv] = m[piv], m[pr]
-        pivot = m[pr][pc]
-        for i in range(pr + 1, nr):
-            mi = m[i]
-            mp = m[pr]
-            f = mi[pc]
-            if f:
-                for j in range(pc, nc):
-                    mi[j] = (mi[j] * pivot - f * mp[j]) // prev
+    p = characteristic
+    if p:
+        vec = [a % p for a in vec]
+    for piv, row in basis:
+        g = vec[piv]
+        if g:
+            if p:
+                vec = [(a - g * b) % p for a, b in zip(vec, row)]
             else:
-                for j in range(pc, nc):
-                    mi[j] = (mi[j] * pivot) // prev
-        prev = pivot
-        rank += 1
-        pr += 1
-        if pr == nr:
-            break
-    return rank
+                f = row[piv]
+                vec = [f * a - g * b for a, b in zip(vec, row)]
+    lead = next((i for i, a in enumerate(vec) if a), None)
+    if lead is None:
+        return None
+    if p:
+        inv = pow(vec[lead], p - 2, p)
+        return lead, [a * inv % p for a in vec]
+    g = gcd(*vec)
+    return lead, [a // g for a in vec]
+
+
+def _fold_rank(rows, characteristic):
+    """Rank as the size of the basis the rows fold into, one echelon_residue per row.
+
+    A basis with one row per column spans every later row, so the fold
+    stops there: linear_matroid ranks n columns of height r as n rows.
+    """
+    basis = []
+    for row in rows:
+        residue = echelon_residue(row, basis, characteristic)
+        if residue:
+            basis.append(residue)
+            if len(basis) == len(row):
+                break
+    return len(basis)
+
+
+def rank_int(rows):
+    """Rank over the rationals of an integer matrix (list of equal-length rows)."""
+    return _fold_rank(rows, 0)
 
 
 def rank_mod_p(rows, p):
     """Rank of an integer matrix over GF(p), p prime."""
-    m = [[v % p for v in r] for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rank = 0
-    pr = 0
-    for pc in range(nc):
-        piv = -1
-        for i in range(pr, nr):
-            if m[i][pc]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != pr:
-            m[pr], m[piv] = m[piv], m[pr]
-        inv = pow(m[pr][pc], p - 2, p)
-        mp = m[pr]
-        for j in range(pc, nc):
-            mp[j] = mp[j] * inv % p
-        for i in range(pr + 1, nr):
-            f = m[i][pc]
-            if f:
-                mi = m[i]
-                for j in range(pc, nc):
-                    mi[j] = (mi[j] - f * mp[j]) % p
-        rank += 1
-        pr += 1
-        if pr == nr:
-            break
-    return rank
+    return _fold_rank(rows, p)
 
 
 def rank_sparse(entries, characteristic):
@@ -114,7 +101,7 @@ def rank_sparse(entries, characteristic):
     Choosing a pivot thus costs one row scan, not a pass over every entry.
     Elimination by unit pivots keeps all arithmetic in the integers; if no
     unit entry remains (impossible over GF(p)) the leftover core is handed
-    to dense fraction-free elimination.
+    to the dense rank_int.
     """
     p = characteristic
     rows = {}
@@ -147,7 +134,7 @@ def rank_sparse(entries, characteristic):
             if r0 is not None:
                 break
         if r0 is None:
-            # no unit pivot left: dense fraction-free pass on the remaining core
+            # no unit pivot left: the dense fold ranks the remaining core
             live_rows = sorted(rows)
             live_cols = sorted({c for row in rows.values() for c in row})
             cix = {c: i for i, c in enumerate(live_cols)}

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .decomposition import stratify, two_term_decomposition
 from .errors import BoundError, InputError
-from .linalg import column_rank, echelon, integer_primitive, nullspace
+from .linalg import column_rank, column_relations, nullspace
 from .matroid import linear_matroid, normalize_order
 from .util import Frozen, pairwise_disjoint
 
@@ -91,7 +91,7 @@ def detect_product(arrangement):
     """Factor the arrangement along the connected components of its matroid.
 
     Each factor is re-expressed in the basis of its own span formed by its
-    first independent normals, read off one integer echelon form, so
+    first independent normals, read off its integer column relations, so
     factors are genuine lower-dimensional arrangements whose matroid
     direct sum reproduces the whole.  A change of basis keeps every
     dependency, so a factor's matroid is the restriction to its labels.
@@ -105,10 +105,13 @@ def detect_product(arrangement):
     for comp in components:
         labels = tuple(lab for lab in arrangement.labels if lab in comp)
         cols = [by_label[lab] for lab in labels]
-        # the pivot columns are the greedy basis of the span; column j of
-        # the reduced matrix, over d, holds its coordinates in that basis
-        m, pivots, d = echelon([[col[i] for col in cols] for i in range(len(cols[0]))])
-        coords = tuple(tuple(Fraction(m[t][j], d) for t in range(len(pivots))) for j in range(len(cols)))
+        # the kept columns are the greedy basis of the span; a column j with
+        # relation a has coordinates -a_b / a_j in that basis
+        kept, rel = column_relations([[col[i] for col in cols] for i in range(len(cols[0]))])
+        coords = tuple(
+            tuple(Fraction(-rel[j][b], rel[j][j]) if j in rel else Fraction(int(b == j)) for b in kept)
+            for j in range(len(cols))
+        )
         factors.append(Arrangement._from_matroid(coords, labels, matroid.restrict(labels)))
     return factors
 
@@ -132,7 +135,8 @@ def os_ot_generators(arrangement, order=None):
         kernel = nullspace([[col[i] for col in cols] for i in range(len(cols[0]))])
         if len(kernel) != 1:
             raise AssertionError("circuit dependency space must be one-dimensional")
-        coeffs = integer_primitive(kernel[0])
+        # the relation is primitive and, on a circuit, nonzero everywhere
+        coeffs = kernel[0] if kernel[0][0] > 0 else [-c for c in kernel[0]]
         os_terms = []
         ot_terms = []
         for j, lab in enumerate(elems):

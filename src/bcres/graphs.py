@@ -12,7 +12,7 @@ from .complexes import SimplicialComplex
 from .errors import BoundError, InputError
 from .ideals import broken_circuit_ideal, facet_ideal
 from .matroid import graphic_matroid
-from .util import Frozen
+from .util import Frozen, connected_unions
 
 
 class Graph(Frozen):
@@ -90,6 +90,26 @@ def build_gnr(cycle_sizes, bridges=None):
 # facets of gnr_complex, one per choice of an edge in every cycle; the facet
 # ideal's minimalization is quadratic in their number
 GNR_FACET_LIMIT = 2048
+
+
+def check_cycle_space(graph):
+    """BoundError, before any cycle walk, when the gnr facets of a loopless graph pass GNR_FACET_LIMIT.
+
+    The d = |E| - |V| + (components) fundamental cycles are distinct
+    simple cycles of at least two edges, so gnr_complex has at least 2^d
+    edge choices.  A graph with a self-loop passes: gnr_report builds no
+    facets for it.
+    """
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    ends = [1 << index[u] | 1 << index[v] for _, u, v in graph.edges]
+    if any(e.bit_count() == 1 for e in ends):
+        return
+    d = len(ends) - len(index) + len(connected_unions(ends))
+    if 1 << d > GNR_FACET_LIMIT:
+        raise BoundError(
+            "a cycle space of dimension %d gives at least 2^%d edge choices, above the limit %d"
+            % (d, d, GNR_FACET_LIMIT)
+        )
 
 
 def gnr_complex(labels, cycles):

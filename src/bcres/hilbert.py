@@ -13,7 +13,7 @@ that plays the role of the Hilbert coefficients.
 
 from .complexes import f_h_vectors
 from .errors import InputError
-from .ideals import Monomial, complex_of_ideal
+from .ideals import complex_of_ideal
 from .util import Frozen, binom, poly_mul, poly_pow, poly_shift_basis, poly_trim
 
 
@@ -41,18 +41,14 @@ class HilbertData(Frozen):
         )
 
 
-def standard_monomial_count(ideal, degree):
-    """Number of degree-d monomials outside the ideal (brute force)."""
-    from .ideals import _compositions
-
-    return sum(
-        1 for exps in _compositions(degree, ideal.nvars) if not ideal.contains(Monomial(exps))
-    )
-
-
 def ideal_monomial_count(ideal, degree):
-    """dim_k of the ideal's degree-d graded piece, by enumeration."""
-    return binom(degree + ideal.nvars - 1, degree) - standard_monomial_count(ideal, degree)
+    """dim_k of the ideal's degree-d graded piece: its monomials of that degree, listed."""
+    return len(ideal.monomials_of_degree(degree))
+
+
+def standard_monomial_count(ideal, degree):
+    """Number of degree-d monomials outside the ideal, by enumeration."""
+    return binom(degree + ideal.nvars - 1, degree) - ideal_monomial_count(ideal, degree)
 
 
 def series_values_from_numerator(numerator, dim, horizon):

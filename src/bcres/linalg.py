@@ -1,22 +1,22 @@
 """Exact linear algebra over the rationals, eliminated over the integers.
 
 Each rational vector is scaled once to coprime integers
-(integer_primitive), which keeps its span.  Ranks go through the
-fraction-free kernel _kernel.rank_int: linear_matroid ranks its whole
-matrix that way, and column_rank serves arrangement essentiality.
-echelon_residue reduces one vector against rows in echelon form, which
-is how linear_matroid grows a basis along its independent-set walk.
-echelon is the one full reduced form, an integer Gauss-Jordan elimination
-whose every division is exact (Bareiss); nullspace reads integer kernel
-vectors off it, and detect_product reads a column basis and coordinates.
-No elimination runs over Fraction: Fraction appears only in parsed input
-and in the coordinates of product factors.  Everything is dense and small.
+(integer_primitive), which keeps its span.  All elimination is the one
+fraction-free step _kernel.echelon_residue.  column_rank folds column
+vectors through it as the rows of _kernel.rank_int and serves
+arrangement essentiality.  column_relations folds the columns of a
+matrix with unit coordinates appended: a residue that vanishes on the
+matrix part is an integer relation among the columns.  nullspace returns
+these relations, and detect_product reads a column basis and coordinates
+off them.  No elimination runs over Fraction: Fraction appears only in
+parsed input and in the coordinates of product factors.  Everything is
+dense and small.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from ._kernel import rank_int
+from ._kernel import echelon_residue, rank_int
 
 
 def column_rank(cols):
@@ -28,71 +28,44 @@ def column_rank(cols):
     return rank_int([integer_primitive(col) for col in cols])
 
 
-def echelon(rows):
-    """Integer reduced row echelon form of a rational matrix: (matrix, pivot columns, d).
+def column_relations(rows):
+    """(kept, relations) of the columns of a rational matrix, folded left to right.
 
-    The rows are scaled to integers, then each Gauss-Jordan step
-    multiplies by the new pivot and divides exactly by the previous one,
-    so entries stay minors of the scaled matrix.  Every pivot ends equal
-    to d, and matrix / d is the reduced row echelon form over the
-    rationals.
+    The rows are scaled to integers, which keeps every column relation.
+    Column j, with the unit vector e_j appended, is reduced against the
+    rows of the columns kept before it.  A residue nonzero on the matrix
+    part keeps column j: kept lists the greedy basis of the column span.
+    Otherwise the appended part of the residue is a primitive integer
+    vector a with sum_b a_b col_b = 0, nonzero at j and zero outside j and
+    the kept columns before it.  relations maps each other column j to its
+    a; they form a basis of the right kernel, and -a_b / a_j over the kept
+    b are the coordinates of column j in the greedy basis.
     """
     m = [integer_primitive(row) for row in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    pivots = []
-    d = 1
-    for pc in range(nc):
-        r = len(pivots)
-        piv = next((i for i in range(r, nr) if m[i][pc]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        p = m[r][pc]
-        for i in range(nr):
-            if i != r:
-                f = m[i][pc]
-                m[i] = [(p * a - f * b) // d for a, b in zip(m[i], m[r])]
-        d = p
-        pivots.append(pc)
-    return m, pivots, d
-
-
-def echelon_residue(col, basis):
-    """(pivot, row) of col reduced against echelon rows (pivot, row), or None if it is in their span.
-
-    Each step is fraction-free, and the residue is divided by its gcd.
-    """
-    for p, row in basis:
-        if col[p]:
-            f, g = row[p], col[p]
-            col = [f * a - g * b for a, b in zip(col, row)]
-    g = gcd(*col)
-    if not g:
-        return None
-    col = [a // g for a in col]
-    return next(i for i, a in enumerate(col) if a), col
+    kept = []
+    relations = {}
+    basis = []
+    for j in range(nc):
+        unit = [0] * nc
+        unit[j] = 1
+        lead, residue = echelon_residue([row[j] for row in m] + unit, basis)
+        if lead < nr:
+            kept.append(j)
+            basis.append((lead, residue))
+        else:
+            relations[j] = residue[nr:]
+    return kept, relations
 
 
 def nullspace(rows):
     """Basis of the right kernel of a rational matrix, as integer column vectors.
 
-    The vector of a free column has d there and minus that column of the
-    reduced matrix at the pivot columns.
+    These are the column relations, one per column outside the greedy
+    basis, in column order.
     """
-    if not rows:
-        return []
-    m, pivots, d = echelon(rows)
-    basis = []
-    for fc in range(len(m[0])):
-        if fc in pivots:
-            continue
-        vec = [0] * len(m[0])
-        vec[fc] = d
-        for r, pc in enumerate(pivots):
-            vec[pc] = -m[r][fc]
-        basis.append(vec)
-    return basis
+    return list(column_relations(rows)[1].values())
 
 
 def integer_primitive(vec):

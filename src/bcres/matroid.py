@@ -16,8 +16,8 @@ from itertools import combinations
 from math import comb
 
 from .errors import BoundError, CircuitAxiomError, InputError, LoopError
-from ._kernel import rank_int
-from .linalg import echelon_residue, integer_primitive
+from ._kernel import echelon_residue, rank_int
+from .linalg import integer_primitive
 from .util import Frozen, bits, check_enumeration, connected_unions, faces_by_size, minimal_masks
 from .util import minimal_transversals, nonface_sieve, sorted_masks, sorted_sets
 

@@ -146,19 +146,21 @@ def test_graph_command_refuses_a_long_cycle_walk_at_once(tmp_path, capsys):
     start = time.perf_counter()
     assert main(["graph", str(ladder)]) == 2
     assert time.perf_counter() - start < 1
-    assert "2^20 x 42 vertices = 44040192 edge tests, limit 4000000" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "a cycle space of dimension 20 gives at least 2^20 edge choices, above the limit 2048" in err
 
 
 @pytest.mark.parametrize(
-    "edges, code",
+    "edges, code, walks",
     [
-        ([[0, 1], [1, 2], [2, 0], [2, 3], [3, 4], [4, 2]], 0),
-        # a 17-rung ladder: its cycle walk is admitted, its gnr facets are not
-        ([[2 * i, 2 * i + 1] for i in range(17)] + [[i, i + 2] for i in range(32)], 2),
+        ([[0, 1], [1, 2], [2, 0], [2, 3], [3, 4], [4, 2]], 0, 1),
+        # a 17-rung ladder: 2^16 edge choices at least, so its gnr facets are
+        # refused before the walk
+        ([[2 * i, 2 * i + 1] for i in range(17)] + [[i, i + 2] for i in range(32)], 2, 0),
     ],
     ids=["two-triangles", "ladder-17"],
 )
-def test_graph_command_walks_the_cycle_space_once(edges, code, tmp_path, capsys, monkeypatch):
+def test_graph_command_walks_the_cycle_space_once(edges, code, walks, tmp_path, capsys, monkeypatch):
     import bcres.matroid
 
     calls = []
@@ -166,8 +168,21 @@ def test_graph_command_walks_the_cycle_space_once(edges, code, tmp_path, capsys,
     monkeypatch.setattr(bcres.matroid, "simple_cycle_edge_sets", lambda e: calls.append(1) or real(e))
     doc = tmp_path / "graph.json"
     doc.write_text(json.dumps({"kind": "graph", "payload": {"edges": edges}}))
+    start = time.perf_counter()
     assert main(["graph", str(doc)]) == code
-    assert len(calls) == 1
+    assert time.perf_counter() - start < 0.2
+    assert len(calls) == walks
+
+
+def test_gnr_command_refuses_before_the_cycle_walk(tmp_path, capsys, monkeypatch):
+    import bcres.matroid
+
+    monkeypatch.setattr(bcres.matroid, "simple_cycle_edge_sets", mock.Mock(side_effect=AssertionError))
+    doc = tmp_path / "u24.json"
+    doc.write_text(U24_DOC)
+    # twelve 2-cycles on 12 components: d = 24 - 24 + 12
+    assert main(["gnr", str(doc), "--cycles", ",".join(["2"] * 12)]) == 2
+    assert "a cycle space of dimension 12" in capsys.readouterr().err
 
 
 def test_stratify_empty_matroid_verifies(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from bcres import graphs
 from bcres.errors import BoundError, InputError
-from bcres.graphs import Graph, build_gnr, cycle_matroid, gnr_complex, gnr_report
+from bcres.graphs import Graph, build_gnr, check_cycle_space, cycle_matroid, gnr_complex, gnr_report
 from bcres.matroid import uniform_matroid
 
 
@@ -168,6 +168,44 @@ def test_gnr_refusal_names_the_limit_not_the_product():
     with pytest.raises(BoundError) as err:
         gnr_report(cycle_matroid(ladder))
     assert str(err.value) == "136 cycles give more than %d edge choices" % graphs.GNR_FACET_LIMIT
+
+
+def ladder(rungs):
+    """A ladder with `rungs` rungs: 2 * rungs vertices, cycle space of dimension rungs - 1."""
+    return Graph([(2 * i, 2 * i + 1) for i in range(rungs)] + [(i, i + 2) for i in range(2 * rungs - 2)])
+
+
+def test_check_cycle_space_admits_exactly_the_limit():
+    assert graphs.GNR_FACET_LIMIT == 2**11
+    check_cycle_space(ladder(12))  # d = 11
+    check_cycle_space(build_gnr([2] * 11))  # 11 components, d = 11
+    with pytest.raises(BoundError, match="^a cycle space of dimension 12 gives at least 2\\^12 edge choices"):
+        check_cycle_space(ladder(13))
+    with pytest.raises(BoundError, match="dimension 12"):
+        check_cycle_space(build_gnr([2] * 12))
+    # a self-loop keeps the not-applicable route, however large the cycle space
+    check_cycle_space(Graph(ladder(17).edges + ((0, 5, 5),)))
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        build_gnr([3, 3]),
+        build_gnr([3, 4], [2]),
+        Graph(list(combinations(range(4), 2))),
+        Graph([(0, 1), (0, 1), (1, 2), (3, 4), (4, 5), (5, 3)]),
+        Graph([(1, 2), (2, 3)]),
+    ],
+    ids=["two-triangles", "bridged", "K4", "multigraph-two-components", "path"],
+)
+def test_check_cycle_space_dimension_is_the_nullity(graph, monkeypatch):
+    # the bound is 2^d for d = |E| - rank of the cycle matroid
+    d = len(graph.edges) - cycle_matroid(graph).rank
+    monkeypatch.setattr(graphs, "GNR_FACET_LIMIT", 2**d)
+    check_cycle_space(graph)
+    monkeypatch.setattr(graphs, "GNR_FACET_LIMIT", 2**d - 1)
+    with pytest.raises(BoundError, match="dimension %d" % d):
+        check_cycle_space(graph)
 
 
 def test_gnr_report_many_edges_few_cycles():

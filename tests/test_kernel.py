@@ -103,7 +103,7 @@ def test_rank_int_singular_structured(impl):
 
 @KERNEL
 def test_rank_int_big_values(impl):
-    # Bareiss minors of such entries overflow 64 bits; Python ints keep them exact
+    # products of such entries overflow 64 bits; Python ints keep them exact
     big = 10**25
     m = [[big, 2 * big], [big, big]]
     assert impl.rank_int(m) == 2
@@ -119,6 +119,41 @@ def test_rank_mod_p_random(impl, p):
         nr, nc = rng.randint(1, 7), rng.randint(1, 7)
         m = random_matrix(rng, nr, nc, -6, 6)
         assert impl.rank_mod_p(m, p) == fraction_rank_mod_p(m, p)
+
+
+@st.composite
+def combination_matrices(draw, p=1):
+    """Rows that are integer combinations of one to three base rows.
+
+    Base entries are small, above 2^64 in size, or multiples of p, and a
+    coefficient may be p, so rank deficiency is common in every
+    characteristic and the dense fold meets big and vanishing entries.
+    """
+    nc = draw(st.integers(1, 6))
+    big = st.integers(2**64, 2**70)
+    entry = st.one_of(
+        st.integers(-4, 4), big, big.map(lambda v: -v), st.integers(-(2**70), 2**70).map(lambda k: k * p)
+    )
+    base = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=1, max_size=3))
+    coefficient = st.one_of(st.integers(-3, 3), st.just(p))
+    combos = draw(
+        st.lists(st.lists(coefficient, min_size=len(base), max_size=len(base)), min_size=1, max_size=7)
+    )
+    return [[sum(c * row[k] for c, row in zip(cs, base)) for k in range(nc)] for cs in combos]
+
+
+@settings(max_examples=200)
+@given(combination_matrices())
+def test_rank_int_matches_fraction_rank(rows):
+    assert _kernel.rank_int(rows) == fraction_rank(rows)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+@settings(max_examples=150)
+@given(data=st.data())
+def test_rank_mod_p_matches_fraction_rank_mod_p(p, data):
+    rows = data.draw(combination_matrices(p))
+    assert _kernel.rank_mod_p(rows, p) == fraction_rank_mod_p(rows, p)
 
 
 @KERNEL

@@ -1,4 +1,4 @@
-"""Integer elimination: echelon and nullspace against Gauss-Jordan over Fraction.
+"""Integer elimination: column relations and nullspace against the Fraction route.
 
 The oracle is the Fraction route the integer elimination replaced: a
 reduced row echelon form over the rationals, the kernel read off it, and
@@ -11,7 +11,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcres.linalg import column_rank, echelon, integer_primitive, nullspace
+from bcres.linalg import column_rank, column_relations, integer_primitive, nullspace
 
 
 # -- the Fraction route ----------------------------------------------------------
@@ -90,16 +90,19 @@ def rational_matrices(draw, max_rows=5, max_cols=6):
 
 @settings(max_examples=150)
 @given(rational_matrices())
-def test_echelon_over_d_is_the_fraction_rref(rows):
-    m, pivots, d = echelon(rows)
+def test_column_relations_match_the_fraction_rref(rows):
+    kept, relations = column_relations(rows)
     ref, ref_pivots = fraction_rref(rows)
-    assert pivots == ref_pivots
-    assert all(isinstance(v, int) for row in m for v in row)
-    assert all(m[r][pc] == d for r, pc in enumerate(pivots))
-    for r in range(len(pivots)):
-        assert [Fraction(v, d) for v in m[r]] == ref[r]
-    assert not any(any(row) for row in m[len(pivots):])
-    assert len(pivots) == column_rank([list(col) for col in zip(*rows)])
+    nc = len(rows[0])
+    assert kept == ref_pivots
+    assert len(kept) == column_rank([list(col) for col in zip(*rows)])
+    assert sorted(kept + list(relations)) == list(range(nc))
+    for j, a in relations.items():
+        assert len(a) == nc and all(isinstance(v, int) for v in a)
+        assert a[j]
+        assert not any(a[b] for b in range(nc) if b != j and b not in kept)
+        # column j over the greedy basis: RREF column j
+        assert [Fraction(-a[b], a[j]) for b in kept] == [ref[t][j] for t in range(len(kept))]
 
 
 @settings(max_examples=150)
@@ -113,7 +116,7 @@ def test_nullspace_matches_fraction_route(rows):
         assert all(sum(Fraction(a) * b for a, b in zip(row, vec)) == 0 for row in rows)
 
 
-def test_echelon_empty_and_zero():
-    assert echelon([]) == ([], [], 1)
-    assert echelon([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], [], 1)
+def test_column_relations_empty_and_zero():
+    assert column_relations([]) == ([], {})
+    assert column_relations([[0, 0], [0, 0]]) == ([], {0: [1, 0], 1: [0, 1]})
     assert nullspace([[0, 0]]) == [[1, 0], [0, 1]]
