@@ -256,6 +256,8 @@ def _cmd_ci(doc, options):
 
 
 def _cmd_cross_validate(doc, options):
+    if options.max_power < 1:
+        raise InputError("--max-power must be at least 1, got %d" % options.max_power)
     if options.batch:
         if options.limit < 0:
             raise InputError("--limit must be nonnegative, got %d" % options.limit)

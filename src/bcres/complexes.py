@@ -98,15 +98,8 @@ class SimplicialComplex(Frozen):
             return None
         return max(m.bit_count() for m in self.facet_masks) - 1
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SimplicialComplex)
-            and self.vertices == other.vertices
-            and self.facet_masks == other.facet_masks
-        )
-
-    def __hash__(self):
-        return hash((self.vertices, self.facet_masks))
+    def _identity(self):
+        return (self.vertices, self.facet_masks)  # facets are derived on first read; nonfaces a cache
 
     def __repr__(self):
         return "SimplicialComplex(vertices=%r, facets=%s)" % (
@@ -130,13 +123,6 @@ class FHVectors(Frozen):
         object.__setattr__(self, "f", tuple(f))
         object.__setattr__(self, "h", tuple(h))
         object.__setattr__(self, "dim", dim)
-
-    def __eq__(self, other):
-        return isinstance(other, FHVectors) and (self.f, self.h, self.dim) == (
-            other.f,
-            other.h,
-            other.dim,
-        )
 
     def __repr__(self):
         return "FHVectors(f=%s, h=%s)" % (self.f, self.h)

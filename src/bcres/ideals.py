@@ -30,11 +30,8 @@ class Monomial(Frozen):
         object.__setattr__(self, "exps", exps)
         object.__setattr__(self, "degree", sum(exps))
 
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __hash__(self):
-        return hash(self.exps)
+    def _identity(self):
+        return self.exps  # the degree is their sum
 
     def __repr__(self):
         return "Monomial(%r)" % (self.exps,)
@@ -117,16 +114,6 @@ class MonomialIdeal(Frozen):
             gens.append(g)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "gens", minimalize(gens))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MonomialIdeal)
-            and self.names == other.names
-            and self.gens == other.gens
-        )
-
-    def __hash__(self):
-        return hash((self.names, self.gens))
 
     def __repr__(self):
         return "MonomialIdeal(%s)" % self.render()

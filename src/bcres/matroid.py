@@ -27,11 +27,13 @@ ELIMINATION_EXHAUSTIVE_LIMIT = 12
 CYCLE_WALK_LIMIT = 4000000
 
 
-class TuttePolynomial:
+class TuttePolynomial(Frozen):
     """Two-variable integer polynomial, stored as {(x_exp, y_exp): coeff}."""
 
+    __slots__ = ("coeffs",)
+
     def __init__(self, coeffs=None):
-        self.coeffs = {k: v for k, v in (coeffs or {}).items() if v}
+        object.__setattr__(self, "coeffs", {k: v for k, v in (coeffs or {}).items() if v})
 
     @classmethod
     def one(cls):
@@ -54,11 +56,8 @@ class TuttePolynomial:
                 out[key] = out.get(key, 0) + a * b
         return TuttePolynomial(out)
 
-    def __eq__(self, other):
-        return isinstance(other, TuttePolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+    def _identity(self):
+        return frozenset(self.coeffs.items())
 
     def evaluate(self, x, y):
         return sum(c * x**i * y**j for (i, j), c in self.coeffs.items())
@@ -219,15 +218,8 @@ class Matroid(Frozen):
     def coloops(self):
         return frozenset(e for e, through in zip(self.ground, self._by_elem) if not through)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matroid)
-            and self.ground == other.ground
-            and self.circuit_masks == other.circuit_masks
-        )
-
-    def __hash__(self):
-        return hash((self.ground, self.circuit_masks))
+    def _identity(self):
+        return (self.ground, self.circuit_masks)  # the other slots derive from these
 
     def __repr__(self):
         return "Matroid(n=%d, r=%d, circuits=%s)" % (
@@ -398,6 +390,8 @@ def uniform_matroid(p, n):
 
 def circuit_matroid(n, circuits):
     """Matroid from an explicit circuit family on labels 1..n (validated)."""
+    if n < 0:
+        raise InputError("circuit matroid needs n >= 0, got %d" % n)
     check_enumeration("a circuit matroid", "elements", n)
     return Matroid(range(1, n + 1), circuits)
 

@@ -38,8 +38,8 @@ class BettiTable(Frozen):
         object.__setattr__(self, "entries", dict(sorted(clean.items())))
         object.__setattr__(self, "characteristic", characteristic)
 
-    def __eq__(self, other):
-        return isinstance(other, BettiTable) and self.entries == other.entries
+    def _identity(self):
+        return self.entries  # not the characteristic; the dict leaves tables unhashable
 
     def __repr__(self):
         return "BettiTable(%r)" % (self.entries,)
@@ -90,13 +90,6 @@ class LinearityVerdict(Frozen):
     @property
     def is_graded_linear(self):
         return self.kind in ("s-linear", "graded-linear", "zero")
-
-    def __eq__(self, other):
-        return isinstance(other, LinearityVerdict) and (
-            self.kind,
-            self.s,
-            self.row_set,
-        ) == (other.kind, other.s, other.row_set)
 
     def __repr__(self):
         if self.kind == "s-linear":

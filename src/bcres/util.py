@@ -10,12 +10,23 @@ ENUMERATION_LIMIT = 20000
 
 class Frozen:
     """Base of the immutable value classes: constructors set their slots
-    through object.__setattr__, and any later assignment raises."""
+    through object.__setattr__, and any later assignment raises.  Values of
+    one type are equal when their _identity() is, and hash as it; the
+    identity is the slots in __slots__ order unless a class overrides it."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def _identity(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._identity() == other._identity()
+
+    def __hash__(self):
+        return hash(self._identity())
 
 
 def check_enumeration(what, items, count):

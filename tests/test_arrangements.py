@@ -1,9 +1,10 @@
 """Arrangements: associated matroids, coning, products, OS/OT generators, Koszul reports."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_linalg import fraction_solve
 
@@ -113,26 +114,35 @@ def solve_route_factors(arrangement):
 
 
 small = st.integers(-2, 2)
+NONZERO = {d: [v for v in product((0, 1, -1, 2, -2), repeat=d) if any(v)] for d in (1, 2)}
 
 
 @st.composite
 def essential_arrangements(draw):
-    """Block-diagonal normals (so products occur) seen through a random change of basis."""
-    blocks = draw(st.lists(st.tuples(st.integers(1, 2), st.integers(1, 4)), min_size=1, max_size=3))
-    dim = sum(d for d, _ in blocks)
+    """Block-diagonal normals (so products occur) seen through a random change of basis.
+
+    Each block's columns are nonzero, and a plane block has two independent
+    ones, so every block is spanned; the change of basis is unit lower- times
+    unit upper-triangular, hence invertible.  The normals are then nonzero
+    and essential by construction, and nothing is assumed.
+    """
+    dims = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    dim = sum(dims)
     cols = []
     top = 0
-    for d, n in blocks:
-        for _ in range(n):
-            part = [draw(small) for _ in range(d)]
-            cols.append([0] * top + part + [0] * (dim - top - d))
+    for d in dims:
+        block = [draw(st.sampled_from(NONZERO[d]))]
+        if d == 2:
+            u = block[0]
+            block.append(draw(st.sampled_from([v for v in NONZERO[2] if u[0] * v[1] != u[1] * v[0]])))
+        block = draw(st.permutations(block + draw(st.lists(st.sampled_from(NONZERO[d]), max_size=4 - d))))
+        cols += [[0] * top + list(part) + [0] * (dim - top - d) for part in block]
         top += d
-    change = [[draw(small) for _ in range(dim)] for _ in range(dim)]
-    assume(column_rank(change) == dim)
-    cols = [[sum(change[i][k] * col[k] for k in range(dim)) for i in range(dim)] for col in cols]
-    assume(all(any(col) for col in cols))
-    arrangement = Arrangement(cols)
-    assume(arrangement.is_essential)
+    lower = [[draw(small) if k < i else int(k == i) for k in range(dim)] for i in range(dim)]
+    upper = [[draw(small) if k > i else int(k == i) for k in range(dim)] for i in range(dim)]
+    change = [[sum(lower[i][t] * upper[t][k] for t in range(dim)) for k in range(dim)] for i in range(dim)]
+    arrangement = Arrangement([[sum(change[i][k] * col[k] for k in range(dim)) for i in range(dim)] for col in cols])
+    assert arrangement.is_essential
     return arrangement
 
 

@@ -185,6 +185,47 @@ def test_gnr_command_refuses_before_the_cycle_walk(tmp_path, capsys, monkeypatch
     assert "a cycle space of dimension 12" in capsys.readouterr().err
 
 
+def test_arrangement_past_the_stratify_bound_is_inconclusive(tmp_path, capsys):
+    # 13 points on the moment curve: U(3,13) decomposes with s = 3, not 2,
+    # and stratify refuses more than 12 elements
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"kind": "arrangement", "payload": {"normals": [[1, t, t * t] for t in range(1, 14)]}}))
+    assert main(["arrangement", str(doc), "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)["result"]
+    labels = sorted(range(1, 14), key=repr)
+    assert out["koszul"] == {
+        "n": 13,
+        "dimension": 3,
+        "simple": True,
+        "ci_broken_circuits": False,
+        "two_term_s2": False,
+        "two_term": {"elements": labels, "s": 3, "rank": 3, "size": 13, "uniform_part": labels, "free_part": []},
+        "stratification": "inconclusive: stratification search limited to 12 elements",
+        "verdict": "inconclusive: stratification bound",
+    }
+    assert out["factors"] == [{"labels": list(range(1, 14)), "dimension": 3}]
+
+
+def test_graphic_payload_with_labelled_edges(tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_text('{"kind":"matroid","payload":{"type":"graphic","edges":[["a",1,2],["b",2,3],["c",3,1],["d",3,4]]}}')
+    assert main(["info", str(doc), "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)["result"]
+    assert out == {
+        "ground": ["a", "b", "c", "d"],
+        "rank": 3,
+        "circuits": [["a", "b", "c"]],
+        "loopless": True,
+        "simple": True,
+        "components": [["d"], ["a", "b", "c"]],
+        "coloops": ["d"],
+        "tutte": "x^3 + x^2 + xy",
+        "tutte_coefficients": {"3,0": 1, "2,0": 1, "1,1": 1},
+        "independence_profile": [1, 4, 6, 3],
+        "bases": 3,
+    }
+
+
 def test_stratify_empty_matroid_verifies(tmp_path, capsys):
     doc = tmp_path / "empty.json"
     doc.write_text('{"kind":"matroid","payload":{"type":"uniform","p":0,"n":0}}')
@@ -280,6 +321,19 @@ def test_batch_negative_limit_exits_1(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("power", [0, -1])
+@pytest.mark.parametrize("batch", [False, True], ids=["document", "batch"])
+def test_cross_validate_max_power_below_1_exits_1(power, batch, tmp_path, capsys):
+    # range(2, power + 1) is empty: powers_linear would be confirmed over no powers
+    doc = tmp_path / "u24.json"
+    doc.write_text(U24_DOC)
+    args = ["--batch", "--limit", "1"] if batch else [str(doc)]
+    assert main(["cross-validate", *args, "--max-power=%d" % power]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --max-power must be at least 1, got %d\n" % power
+    assert captured.out == ""
+
+
 def test_hilbert_command():
     rep = run_command("hilbert", parse_input(U24_DOC), Options())
     res = rep["result"]
@@ -295,6 +349,7 @@ MALFORMED = {
     "zero-denominator": '{"kind":"matroid","payload":{"type":"linear","matrix":[["1/0","1"],["1","2"]]}}',
     "uniform-p-string": '{"kind":"matroid","payload":{"type":"uniform","p":"2","n":4}}',
     "circuits-not-a-list": '{"kind":"matroid","payload":{"type":"circuits","n":3,"circuits":5}}',
+    "circuits-negative-n": '{"kind":"matroid","payload":{"type":"circuits","n":-1,"circuits":[]}}',
     "graphic-short-edge": '{"kind":"matroid","payload":{"type":"graphic","edges":[[1,2],[1]]}}',
     "graph-short-edge": '{"kind":"graph","payload":{"edges":[[1,2],[1]]}}',
     "graph-list-vertex": '{"kind":"graph","payload":{"edges":[[1,[2]],[2,3]]}}',

@@ -868,38 +868,75 @@ def test_accepted_antichain_has_one_greedy_rank(family):
     assert m._greedy_rank(positions) == m._greedy_rank(reversed(positions)) == brute_rank(m, ground)
 
 
-def test_value_classes_refuse_assignment(golden):
+def value_class_pairs(golden):
+    """One value of each immutable class, each with a copy rebuilt independently."""
     from bcres.arrangements import Arrangement
-    from bcres.complexes import bc_complex, f_h_vectors
+    from bcres.complexes import SimplicialComplex, bc_complex, f_h_vectors
     from bcres.decomposition import stratify
     from bcres.graphs import Graph
     from bcres.hilbert import hilbert_function
-    from bcres.ideals import broken_circuit_ideal
+    from bcres.ideals import Monomial, MonomialIdeal, broken_circuit_ideal
     from bcres.resolutions import betti_table, classify_linearity
 
     ideal = broken_circuit_ideal(golden)
     table = betti_table(ideal)
-    strat = stratify(uniform_matroid(2, 4))
-    values = [
-        Arrangement([[1, 0], [0, 1]]),
-        bc_complex(golden),
-        f_h_vectors(bc_complex(golden)),
-        strat.strata[0],
-        strat,
-        Graph([(1, 2)]),
-        hilbert_function(ideal),
-        ideal.gens[0],
-        ideal,
-        golden,
-        table,
-        classify_linearity(table),
+    complex_ = bc_complex(golden)  # from its minimal nonfaces; the copy from its facets
+    return [
+        (Arrangement([[1, 0], [0, 1]]), Arrangement([[1, 0], [0, 1]])),
+        (complex_, SimplicialComplex(golden.ground, bc_complex(golden).facets)),
+        (f_h_vectors(complex_), f_h_vectors(SimplicialComplex(golden.ground, complex_.facets))),
+        (stratify(uniform_matroid(2, 4)).strata[0], stratify(uniform_matroid(2, 4)).strata[0]),
+        (stratify(uniform_matroid(2, 4)), stratify(uniform_matroid(2, 4))),
+        (Graph([(1, 2)]), Graph([(1, 1, 2)])),
+        (hilbert_function(ideal), hilbert_function(broken_circuit_ideal(golden))),
+        (ideal.gens[0], Monomial(list(ideal.gens[0].exps))),
+        (ideal, MonomialIdeal(ideal.names, [g.exps for g in reversed(ideal.gens)])),
+        (golden, Matroid(golden.ground, golden.circuits)),
+        (table, betti_table(ideal, characteristic=2)),
+        (classify_linearity(table), classify_linearity(betti_table(ideal, characteristic=2))),
+        (golden.tutte_polynomial(), TuttePolynomial(dict(golden.tutte_polynomial().items()))),
     ]
-    names = {type(v).__name__ for v in values}
-    assert len(names) == 12
+
+
+def test_value_classes_refuse_assignment(golden):
+    values = [value for value, _ in value_class_pairs(golden)]
+    assert len({type(v).__name__ for v in values}) == 13
     for value in values:
         assert not hasattr(value, "__dict__")
         with pytest.raises(AttributeError, match="^%s is immutable$" % type(value).__name__):
             value.rank = 0
+
+
+def test_value_classes_compare_and_hash_by_their_fields(golden):
+    from bcres.decomposition import Stratification
+    from bcres.graphs import Graph
+
+    pairs = value_class_pairs(golden)
+    values = [value for value, _ in pairs]
+    for value, copy in pairs:
+        assert copy is not value and copy == value and not copy != value
+        # no value equals one of another class
+        assert [other == value for other in values] == [other is value for other in values]
+        if type(value).__name__ == "BettiTable":
+            # equal across characteristics, and unhashable: the entries are a dict
+            assert (value.characteristic, copy.characteristic) == (0, 2)
+            with pytest.raises(TypeError):
+                hash(value)
+        else:
+            assert hash(copy) == hash(value)
+    by_class = {type(v).__name__: v for v in values}
+    monomial, ideal, matroid, complex_, tutte = (
+        by_class[name] for name in ("Monomial", "MonomialIdeal", "Matroid", "SimplicialComplex", "TuttePolynomial")
+    )
+    assert hash(monomial) == hash(monomial.exps)
+    assert hash(ideal) == hash((ideal.names, ideal.gens))
+    assert hash(matroid) == hash((matroid.ground, matroid.circuit_masks))
+    assert hash(complex_) == hash((complex_.vertices, complex_.facet_masks))
+    assert hash(tutte) == hash(frozenset(tutte.coeffs.items()))
+    assert TuttePolynomial({(1, 0): 1}) != TuttePolynomial({(0, 1): 1})
+    assert golden != Matroid(golden.ground, [{4, 5, 6}])
+    # both identities are ((), ()): only the type tells them apart
+    assert Graph([]) != Stratification([], [])
 
 
 # -- enumeration bounds and labels of mixed types ------------------------------
