@@ -42,8 +42,9 @@ def echelon_residue(vec, basis, characteristic=0):
 
     None means the vector lies in the span of the rows.  Over the
     rationals each step is fraction-free and the residue is divided by the
-    gcd of its entries.  Over GF(p) the stored rows have pivot 1, so a step
-    subtracts a multiple of the row, and the residue is scaled to pivot 1.
+    gcd of its entries.  Over GF(p) the stored rows have pivot 1 and zeros
+    left of it, so a step subtracts a multiple of the row from the entries
+    from the pivot on, and the residue is scaled to pivot 1.
     """
     p = characteristic
     if p:
@@ -52,7 +53,7 @@ def echelon_residue(vec, basis, characteristic=0):
         g = vec[piv]
         if g:
             if p:
-                vec = [(a - g * b) % p for a, b in zip(vec, row)]
+                vec[piv:] = [(a - g * b) % p for a, b in zip(vec[piv:], row[piv:])]
             else:
                 f = row[piv]
                 vec = [f * a - g * b for a, b in zip(vec, row)]

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .decomposition import stratify, two_term_decomposition
 from .errors import BoundError, InputError
-from .linalg import column_rank, column_relations, nullspace
+from .linalg import column_rank, column_relations, integer_primitive, nullspace
 from .matroid import linear_matroid, normalize_order
 from .util import Frozen, pairwise_disjoint
 
@@ -122,17 +122,21 @@ def os_ot_generators(arrangement, order=None):
     The OS generator of a circuit is its alternating boundary; the OT
     generator weights the boundary with the (unique up to scale) rational
     dependency of the normals, normalized to coprime integers whose
-    leading coefficient (at the order-minimal element) is positive.
+    leading coefficient (at the order-minimal element) is positive.  The
+    rows of the normal matrix are cleared to integers once per
+    arrangement: scaling a row keeps every column relation, so each
+    circuit's dependency is the relation among its columns of those rows.
     """
     matroid = arrangement.matroid
-    by_label = dict(zip(arrangement.labels, arrangement.normals))
+    rows = [integer_primitive(row) for row in zip(*arrangement.normals)]
+    position = {lab: k for k, lab in enumerate(arrangement.labels)}
     rank_in_order = {lab: i for i, lab in enumerate(normalize_order(matroid, order))}
     os_gens = []
     ot_gens = []
     for circuit in matroid.circuits:
         elems = sorted(circuit, key=rank_in_order.get)
-        cols = [by_label[lab] for lab in elems]
-        kernel = nullspace([[col[i] for col in cols] for i in range(len(cols[0]))])
+        cols = [position[lab] for lab in elems]
+        kernel = nullspace([[row[k] for k in cols] for row in rows])
         if len(kernel) != 1:
             raise AssertionError("circuit dependency space must be one-dimensional")
         # the relation is primitive and, on a circuit, nonzero everywhere

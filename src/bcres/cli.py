@@ -4,8 +4,9 @@ reports out.
 Exit codes: 0 completed with verdicts, 1 input error, 2 a size or oracle
 bound made the requested verdict inconclusive.  Handlers return plain
 JSON values (dicts, lists, tuples, strings, integers, booleans, None), so
-render_report encodes each report once, and reports are deterministic
-byte-for-byte for a fixed input and option set.
+render_report writes each report in one pass, as the bytes of
+json.dumps(report, indent=2), and reports are deterministic byte-for-byte
+for a fixed input and option set.
 """
 
 import argparse
@@ -458,12 +459,73 @@ def _scalar(v):
     return str(v)
 
 
+# json.dumps with an indent runs json's pure-Python encoder; without one,
+# a scalar goes through the C encoder and keeps json's text and errors
+_encode_scalar = json.JSONEncoder().encode
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_key(key):
+    """A dict key as json writes it: a string, or a scalar's text in quotes."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"%s"' % _encode_scalar(key)
+    raise TypeError("keys must be str, int, float, bool or None, not %s" % type(key).__name__)
+
+
+def _json_indented(report):
+    """The text of json.dumps(report, indent=2), written in one pass."""
+    pieces = []
+    append = pieces.append
+
+    def encode(value, newline):
+        # newline is "\n" and the indent of the value's own line
+        if isinstance(value, str):
+            append(_encode_str(value))
+        elif type(value) is int:
+            append(str(value))
+        elif isinstance(value, dict):
+            if not value:
+                append("{}")
+                return
+            inner = newline + "  "
+            sep = "{" + inner
+            for key, item in value.items():
+                append(sep + _json_key(key) + ": ")
+                encode(item, inner)
+                sep = "," + inner
+            append(newline + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                append("[]")
+                return
+            inner = newline + "  "
+            if all(type(item) is int for item in value):
+                append("[" + inner + ("," + inner).join(map(str, value)) + newline + "]")
+                return
+            sep = "[" + inner
+            for item in value:
+                append(sep)
+                encode(item, inner)
+                sep = "," + inner
+            append(newline + "]")
+        else:
+            append(_encode_scalar(value))
+
+    encode(report, "\n")
+    return "".join(pieces)
+
+
 def render_report(report, format_):
-    """Render the report envelope; json is the canonical serialization."""
+    """Render the report envelope; json is the canonical serialization.
+
+    The json text is json.dumps(report, indent=2)'s, byte for byte.
+    """
     import io
 
     if format_ == "json":
-        return json.dumps(report, indent=2) + "\n"
+        return _json_indented(report) + "\n"
     buf = io.StringIO()
     _render_human(report["result"], buf)
     return buf.getvalue()

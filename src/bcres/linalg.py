@@ -1,7 +1,9 @@
 """Exact linear algebra over the rationals, eliminated over the integers.
 
 Each rational vector is scaled once to coprime integers
-(integer_primitive), which keeps its span.  All elimination is the one
+(integer_primitive), which keeps its span; its entries are
+numbers.Rational (int or Fraction), scaled through their numerators and
+denominators with no Fraction built per entry.  All elimination is the one
 fraction-free step _kernel.echelon_residue.  column_rank folds column
 vectors through it as the rows of _kernel.rank_int and serves
 arrangement essentiality.  column_relations folds the columns of a
@@ -13,7 +15,6 @@ parsed input and in the coordinates of product factors.  Everything is
 dense and small.
 """
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from ._kernel import echelon_residue, rank_int
@@ -69,10 +70,13 @@ def nullspace(rows):
 
 
 def integer_primitive(vec):
-    """Scale a rational vector to coprime integers with positive first nonzero entry."""
-    fracs = [Fraction(v) for v in vec]
-    den = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * den) for f in fracs]
+    """Scale a rational vector to coprime integers with positive first nonzero entry.
+
+    The entries are numbers.Rational (int or Fraction): their numerators
+    are scaled by the lcm of their denominators, and no Fraction is built.
+    """
+    den = lcm(*(v.denominator for v in vec))
+    ints = [v.numerator * (den // v.denominator) for v in vec]
     g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]

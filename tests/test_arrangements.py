@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from bcres.arrangements import (
     os_ot_generators,
 )
 from bcres.errors import InputError
-from bcres.linalg import column_rank
+from bcres.linalg import column_rank, nullspace
 from bcres.matroid import direct_sum, linear_matroid, uniform_matroid
 
 GENERIC4 = Arrangement([(1, 0), (0, 1), (1, 1), (1, -1)])
@@ -179,16 +180,33 @@ def test_os_ot_boolean_empty():
     assert os_ot_generators(COORD3) == {"orlik_solomon": [], "orlik_terao": []}
 
 
-def test_ot_dependency_identity():
-    # the recorded dependency must actually kill the normals
-    a = Arrangement([(1, 2), (Fraction(1, 2), 1), (3, 5), (2, 2)])
-    gens = os_ot_generators(a)
+@st.composite
+def fraction_arrangements(draw):
+    """Nonzero Fraction normals of height 1-3, with an element order drawn over them."""
+    dim = draw(st.integers(1, 3))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    column = st.lists(entry, min_size=dim, max_size=dim).filter(any)
+    arrangement = Arrangement(draw(st.lists(column, min_size=1, max_size=6)))
+    return arrangement, draw(st.permutations(arrangement.labels))
+
+
+@settings(max_examples=150)
+@given(fraction_arrangements())
+def test_ot_dependency_identity(drawn):
+    # the recorded dependency kills the normals, and it is the relation the
+    # circuit's own Fraction columns give, before the rows were cleared once
+    arrangement, order = drawn
+    gens = os_ot_generators(arrangement, order)
+    position = {lab: k for k, lab in enumerate(order)}
     for g in gens["orlik_terao"]:
         circuit = g["circuit"]
         dep = g["dependency"]
-        cols = [a.normals[lab - 1] for lab in circuit]
-        for row in range(2):
-            assert sum(d * c[row] for d, c in zip(dep, cols)) == 0
+        assert list(circuit) == sorted(circuit, key=position.get)
+        assert gcd(*dep) == 1 and dep[0] > 0 and all(dep)
+        cols = [arrangement.normals[lab - 1] for lab in circuit]
+        assert all(sum(d * c[i] for d, c in zip(dep, cols)) == 0 for i in range(arrangement.dimension))
+        (kernel,) = nullspace([[c[i] for c in cols] for i in range(arrangement.dimension)])
+        assert list(dep) == (kernel if kernel[0] > 0 else [-c for c in kernel])
 
 
 def test_os_generator_count_matches_circuits():

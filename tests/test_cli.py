@@ -4,6 +4,7 @@ import io
 import json
 import sys
 import time
+from collections import OrderedDict
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations
@@ -470,9 +471,52 @@ def test_reports_encode_as_the_normalized_reports_did():
     seen = set()
     for report in reports_of_every_command():
         seen.add(report["command"])
+        assert render_report(report, "json") == json.dumps(report, indent=2) + "\n", report["command"]
         for fmt in ("json", "human"):
             assert render_report(report, fmt) == render_report(old_jsonable(report), fmt), report["command"]
     assert seen == set(HANDLERS)
+
+
+# -- the json text is json.dumps(value, indent=2)'s ---------------------------
+
+
+class Pair(tuple):
+    """A tuple subclass: json writes it as a list."""
+
+
+JSON_STRINGS = st.one_of(st.text(), st.sampled_from(["", "\x00\t\n\x1f\x7f\"\\", "é", "\u2028", "\U0001f600", "\ud800"]))
+JSON_KEYS = st.one_of(JSON_STRINGS, st.integers(), st.floats(), st.booleans(), st.none())
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2**64), st.floats(), JSON_STRINGS
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.lists(inner).map(Pair),
+        st.lists(st.integers()),
+        st.lists(st.one_of(st.integers(), st.booleans())),
+        st.dictionaries(JSON_KEYS, inner),
+        st.dictionaries(JSON_KEYS, inner).map(OrderedDict),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200)
+@given(JSON_VALUES)
+def test_json_report_is_json_dumps_with_indent(value):
+    assert render_report(value, "json") == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [{"a": [1, {2, 3}]}, {(1, 2): 0}, [{"k": {1: object()}}]])
+def test_json_report_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError) as want:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError) as got:
+        render_report(value, "json")
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 
 # -- robustness: every small document ends in an exit code, never a traceback --

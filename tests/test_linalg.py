@@ -7,6 +7,7 @@ import it as the reference for the routes built on it before.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,6 +56,22 @@ def fraction_nullspace(rows):
             vec[pc] = -m[r][fc]
         basis.append(vec)
     return basis
+
+
+def fraction_integer_primitive(vec):
+    """Coprime integers with positive first nonzero entry, scaled through Fraction."""
+    fracs = [Fraction(v) for v in vec]
+    den = lcm(*(f.denominator for f in fracs))
+    ints = [int(f * den) for f in fracs]
+    g = gcd(*ints)
+    if g > 1:
+        ints = [v // g for v in ints]
+    for v in ints:
+        if v:
+            if v < 0:
+                ints = [-w for w in ints]
+            break
+    return ints
 
 
 def fraction_solve(rows, rhs):
@@ -114,6 +131,20 @@ def test_nullspace_matches_fraction_route(rows):
     assert [integer_primitive(v) for v in got] == [integer_primitive(v) for v in want]
     for vec in got:
         assert all(sum(Fraction(a) * b for a, b in zip(row, vec)) == 0 for row in rows)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.integers(-10**20, 10**20), rationals, st.fractions(max_denominator=10**6)), max_size=6))
+def test_integer_primitive_matches_the_fraction_route(vec):
+    got = integer_primitive(vec)
+    assert got == fraction_integer_primitive(vec)
+    assert all(type(v) is int for v in got)
+
+
+def test_integer_primitive_empty_and_zero():
+    assert integer_primitive([]) == []
+    assert integer_primitive([0, Fraction(0), 0]) == [0, 0, 0]
+    assert integer_primitive([Fraction(-2, 3), 0, Fraction(4, 9)]) == [3, 0, -2]
 
 
 def test_column_relations_empty_and_zero():
