@@ -10,7 +10,7 @@ from itertools import product
 
 from .complexes import SimplicialComplex
 from .errors import BoundError, InputError
-from .ideals import broken_circuit_ideal, facet_ideal
+from .ideals import broken_circuit_ideal, complete_intersection_check, facet_ideal
 from .matroid import graphic_matroid
 from .util import Frozen, connected_unions
 
@@ -142,8 +142,6 @@ def gnr_report(matroid, order=None):
     identity that is checked per instance, never assumed).  The
     Cohen-Macaulay flag is the standard consequence of CI.
     """
-    from .ideals import complete_intersection_check
-
     cycles = matroid.circuits
     report = {
         "edges": len(matroid.ground),

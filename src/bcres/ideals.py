@@ -8,6 +8,7 @@ every operation, since all the linearity criteria are phrased on minimal
 generators.
 """
 
+from functools import cache
 from itertools import combinations_with_replacement
 
 from .complexes import complex_from_nonfaces
@@ -322,88 +323,88 @@ def _colon_generated_linearly(prefix, nxt, graded):
     return all(not linear.isdisjoint(support) for support in supports)
 
 
-def _exhaustive_quotient_order(gens, graded):
-    """DFS over prefix sets: whether some ordering makes every colon ideal linear.
+def _graded_quotient_order(gens, candidates):
+    """First fit: an order with graded linear quotients, or None when there is none.
 
-    The colon ideal (a_1..a_{l-1} : a_l) depends only on the prefix set,
-    so failed prefix sets can be memoized and the search is 2^m, not m!.
+    Exact when candidates[0] has minimal degree.  Say h -> k when h / gcd(h, k) has
+    degree 1: (prefix) : k contains a variable iff some h in the prefix has h -> k,
+    so a generator that fits once fits every larger prefix, and an order exists iff
+    some root reaches all generators along arrows.  Arrows never lower the degree
+    and run both ways between equal degrees, so if there is a root, every generator
+    of minimal degree is one, and a walk from it never runs out of generators that
+    fit: a first fit never has to be undone.
     """
-    m = len(gens)
-    dead = set()
-
-    def extend(chosen_mask, order):
-        if len(order) == m:
-            return list(order)
-        if chosen_mask in dead:
+    order, rest = [], list(candidates)
+    while rest:
+        prefix = [gens[i] for i in order]
+        i = next((i for i in rest if _colon_generated_linearly(prefix, gens[i], True)), None)
+        if i is None:
             return None
-        prefix = [gens[i] for i in range(m) if chosen_mask >> i & 1]
-        for i in range(m):
-            if chosen_mask >> i & 1:
-                continue
-            if _colon_generated_linearly(prefix, gens[i], graded):
-                order.append(i)
-                got = extend(chosen_mask | (1 << i), order)
-                if got is not None:
-                    return got
-                order.pop()
-        dead.add(chosen_mask)
+        order.append(i)
+        rest.remove(i)
+    return order
+
+
+def _exhaustive_quotient_order(gens, candidates):
+    """DFS for an order whose colon ideals are all linear, or None; each colon depends
+    only on its prefix set, so memoizing on that set makes the search 2^m, not m!."""
+
+    @cache
+    def completion(mask):
+        if mask == (1 << len(gens)) - 1:
+            return ()
+        prefix = [gens[i] for i in candidates if mask >> i & 1]
+        for i in candidates:
+            if not mask >> i & 1 and _colon_generated_linearly(prefix, gens[i], False):
+                rest = completion(mask | 1 << i)
+                if rest is not None:
+                    return (i,) + rest
         return None
 
-    return extend(0, [])
+    return completion(0)
 
 
-def _greedy_quotient_order(gens, graded):
-    """Smallest-degree-first greedy with single-level backtracking; may be inconclusive."""
-    m = len(gens)
-    ranked = sorted(range(m), key=lambda i: (gens[i].degree, gens[i].exps))
-    order = []
-    chosen = set()
-    for step in range(m):
+def _greedy_quotient_order(gens, candidates):
+    """First fit for linear quotients, placing a generator only when another fits after
+    it: one step of lookahead, but never backing up, so a miss is inconclusive."""
+    order, rest = [], list(candidates)
+    while rest:
         prefix = [gens[i] for i in order]
-        placed = False
-        for i in ranked:
-            if i in chosen:
-                continue
-            if _colon_generated_linearly(prefix, gens[i], graded):
-                # single-level lookahead: some continuation must exist
-                if step == m - 1 or any(
-                    j not in chosen
-                    and j != i
-                    and _colon_generated_linearly(prefix + [gens[i]], gens[j], graded)
-                    for j in ranked
+        for i in rest:
+            if _colon_generated_linearly(prefix, gens[i], False):
+                after = prefix + [gens[i]]
+                if len(rest) == 1 or any(
+                    j != i and _colon_generated_linearly(after, gens[j], False) for j in rest
                 ):
-                    order.append(i)
-                    chosen.add(i)
-                    placed = True
                     break
-        if not placed:
+        else:
             return None
+        order.append(i)
+        rest.remove(i)
     return order
 
 
 def quotients_analysis(ideal):
     """Search generator orderings for linear and graded linear quotients.
 
-    Exhaustive (prefix-set DFS) up to EXHAUSTIVE_QUOTIENT_LIMIT generators;
-    greedy with backtracking beyond, where a failed search is reported as
-    inconclusive rather than absent.
+    The graded first fit is exact, and a linear order is a graded one, so the linear
+    search (exhaustive up to EXHAUSTIVE_QUOTIENT_LIMIT generators, greedy past it) runs
+    only when it finds one.  Past the limit any miss, even graded, reads inconclusive.
     """
+    gens, m = ideal.gens, len(ideal.gens)
+    exhaustive = m <= EXHAUSTIVE_QUOTIENT_LIMIT
+    # the generators come sorted by degree, so both orders start at a minimal one
+    ranked = range(m) if exhaustive else sorted(range(m), key=lambda i: (gens[i].degree, gens[i].exps))
+    graded = _graded_quotient_order(gens, ranked)
+    linear_search = _exhaustive_quotient_order if exhaustive else _greedy_quotient_order
+    linear = None if graded is None else linear_search(gens, ranked)
     report = {}
-    gens = list(ideal.gens)
-    exhaustive = len(gens) <= EXHAUSTIVE_QUOTIENT_LIMIT
-    for key, graded in (("linear_quotients", False), ("graded_linear_quotients", True)):
-        if exhaustive:
-            order = _exhaustive_quotient_order(gens, graded)
-            status = "found" if order is not None else "none"
+    for key, order in (("linear_quotients", linear), ("graded_linear_quotients", graded)):
+        if order is None:
+            report[key] = {"status": "none" if exhaustive else "inconclusive", "order": None}
         else:
-            order = _greedy_quotient_order(gens, graded)
-            status = "found" if order is not None else "inconclusive"
-        report[key] = {
-            "status": status,
-            "order": [gens[i].render(ideal.names) for i in order] if order is not None else None,
-        }
-        if order is not None:
-            report[key]["order_indices"] = list(order)
+            rendered = [gens[i].render(ideal.names) for i in order]
+            report[key] = {"status": "found", "order": rendered, "order_indices": list(order)}
     report["search"] = "exhaustive" if exhaustive else "greedy"
     return report
 

@@ -1,19 +1,22 @@
 """Monomial ideal operations against hand-checked and enumerated values."""
 
-from itertools import combinations
+import json
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bcres.complexes import SimplicialComplex, bc_complex
 from bcres.corpus import standard_corpus
 from bcres.errors import BoundError, InputError
 from bcres.ideals import (
+    EXHAUSTIVE_QUOTIENT_LIMIT,
     Monomial,
     MonomialIdeal,
     _colon_generated_linearly,
+    _graded_quotient_order,
     broken_circuit_ideal,
     colon_ideal,
     complete_intersection_check,
@@ -28,6 +31,7 @@ from bcres.ideals import (
     quotients_analysis,
     stanley_reisner_ideal,
 )
+from bcres.matroid import direct_sum, uniform_matroid
 
 
 def ideal(names, *exp_tuples):
@@ -229,6 +233,230 @@ def test_quotients_negative():
     rep = quotients_analysis(i)
     assert rep["linear_quotients"]["status"] == "none"
     assert rep["graded_linear_quotients"]["status"] == "none"
+
+
+# -- generator-order searches against brute force and the searches they replaced
+
+
+def exhaustive_quotient_order_oracle(gens, graded):
+    """The memoized prefix-set DFS that answered both questions up to the limit."""
+    m = len(gens)
+    dead = set()
+
+    def extend(chosen_mask, order):
+        if len(order) == m:
+            return list(order)
+        if chosen_mask in dead:
+            return None
+        prefix = [gens[i] for i in range(m) if chosen_mask >> i & 1]
+        for i in range(m):
+            if chosen_mask >> i & 1:
+                continue
+            if _colon_generated_linearly(prefix, gens[i], graded):
+                order.append(i)
+                got = extend(chosen_mask | (1 << i), order)
+                if got is not None:
+                    return got
+                order.pop()
+        dead.add(chosen_mask)
+        return None
+
+    return extend(0, [])
+
+
+def greedy_quotient_order_oracle(gens, graded):
+    """The smallest-degree-first search with one step of lookahead that answered both past it."""
+    m = len(gens)
+    ranked = sorted(range(m), key=lambda i: (gens[i].degree, gens[i].exps))
+    order = []
+    chosen = set()
+    for step in range(m):
+        prefix = [gens[i] for i in order]
+        placed = False
+        for i in ranked:
+            if i in chosen:
+                continue
+            if _colon_generated_linearly(prefix, gens[i], graded):
+                if step == m - 1 or any(
+                    j not in chosen
+                    and j != i
+                    and _colon_generated_linearly(prefix + [gens[i]], gens[j], graded)
+                    for j in ranked
+                ):
+                    order.append(i)
+                    chosen.add(i)
+                    placed = True
+                    break
+        if not placed:
+            return None
+    return order
+
+
+def quotients_report_oracle(ideal_):
+    """The report as built from running both searches for both keys."""
+    report = {}
+    gens = list(ideal_.gens)
+    exhaustive = len(gens) <= EXHAUSTIVE_QUOTIENT_LIMIT
+    for key, graded in (("linear_quotients", False), ("graded_linear_quotients", True)):
+        if exhaustive:
+            order = exhaustive_quotient_order_oracle(gens, graded)
+            status = "found" if order is not None else "none"
+        else:
+            order = greedy_quotient_order_oracle(gens, graded)
+            status = "found" if order is not None else "inconclusive"
+        report[key] = {
+            "status": status,
+            "order": [gens[i].render(ideal_.names) for i in order] if order is not None else None,
+        }
+        if order is not None:
+            report[key]["order_indices"] = list(order)
+    report["search"] = "exhaustive" if exhaustive else "greedy"
+    return report
+
+
+def monomial_ideals(nvars=st.integers(1, 6), degrees=st.integers(1, 4), raw_sizes=st.integers(1, 14)):
+    """Ideals in n variables from k words of d or d + 1 variable indices, exponents capped
+    at 2: close degrees keep most generators minimal, and mixed degrees still occur."""
+
+    def with_shape(n, d, k):
+        word = st.lists(st.integers(0, n - 1), min_size=d, max_size=d + 1)
+        exps = word.map(lambda w: tuple(min(2, w.count(i)) for i in range(n)))
+        return st.lists(exps, min_size=k, max_size=k).map(
+            lambda gens: MonomialIdeal(["x%d" % i for i in range(n)], gens)
+        )
+
+    return st.tuples(nvars, degrees, raw_sizes).flatmap(lambda t: with_shape(*t))
+
+
+def assert_order_passes(ideal_, entry, graded):
+    """A found order lists every generator once, and each colon ideal along it is linear
+    (graded: contains a variable), read off the minimal generators of the colon."""
+    order = entry["order_indices"]
+    assert sorted(order) == list(range(len(ideal_.gens)))
+    assert entry["order"] == [ideal_.gens[i].render(ideal_.names) for i in order]
+    for colon in ordered_colon_ideals(ideal_, order):
+        degrees = [g.degree for g in colon.gens]
+        assert (min(degrees) if graded else max(degrees)) == 1
+
+
+def some_permutation_passes(gens, graded):
+    """Brute force: whether any permutation passes the minimalize oracle at every colon."""
+    fits = {}
+
+    def fit(prefix, nxt):
+        key = (frozenset(prefix), nxt)
+        if key not in fits:
+            fits[key] = colon_generated_linearly_oracle([gens[i] for i in prefix], gens[nxt], graded)
+        return fits[key]
+
+    return any(
+        all(fit(p[:l], p[l]) for l in range(len(p))) for p in permutations(range(len(gens)))
+    )
+
+
+def graded_order_reaches_all(gens):
+    """Subset DP: a set of generators has a graded order when one of them fits after the
+    others (their colon contains a variable: some g / gcd(g, it) has degree 1) and the
+    others have one."""
+    m = len(gens)
+    into = [
+        sum(1 << h for h in range(m) if gens[h].div(gens[h].gcd(gens[k])).degree == 1)
+        for k in range(m)
+    ]
+    reached = [False] * (1 << m)
+    reached[0] = True
+    for mask in range(1 << m):
+        if reached[mask]:
+            for k in range(m):
+                if not mask >> k & 1 and (mask == 0 or into[k] & mask):
+                    reached[mask | 1 << k] = True
+    return reached[-1]
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        monomial_ideals(),
+        # 5 or 6 variables in degrees 2 to 4 keep most of 12 to 14 generators minimal
+        monomial_ideals(st.integers(5, 6), st.integers(2, 3), st.integers(12, 14)),
+    )
+)
+def test_quotients_report_matches_the_replaced_searches(ideal_):
+    # the JSON text, key order included, on both sides of EXHAUSTIVE_QUOTIENT_LIMIT
+    assert json.dumps(quotients_analysis(ideal_)) == json.dumps(quotients_report_oracle(ideal_))
+
+
+def test_quotients_report_matches_the_replaced_searches_on_corpus():
+    # the corpus holds the greedy route's found orders, which random ideals rarely have
+    for name, m in standard_corpus(0):
+        i = broken_circuit_ideal(m)
+        assert json.dumps(quotients_analysis(i)) == json.dumps(quotients_report_oracle(i)), name
+
+
+@settings(max_examples=150)
+@given(monomial_ideals(raw_sizes=st.integers(1, 7)))
+def test_quotient_statuses_match_brute_force_over_permutations(ideal_):
+    rep = quotients_analysis(ideal_)
+    assert rep["search"] == "exhaustive"
+    for key, graded in (("linear_quotients", False), ("graded_linear_quotients", True)):
+        found = rep[key]["status"] == "found"
+        assert found == some_permutation_passes(ideal_.gens, graded)
+        assert rep[key]["status"] == ("found" if found else "none")
+        if found:
+            assert_order_passes(ideal_, rep[key], graded)
+
+
+@settings(max_examples=60)
+@given(
+    monomial_ideals(st.integers(5, 6), st.integers(2, 3), st.integers(16, 30)),
+    st.randoms(use_true_random=False),
+)
+def test_graded_walk_matches_subset_dp(ideal_, rng):
+    gens = rng.sample(ideal_.gens, min(13, len(ideal_.gens)))
+    assume(len(gens) >= 10)
+    sub = MonomialIdeal(ideal_.names, gens)
+    exists = graded_order_reaches_all(sub.gens)
+    rep = quotients_analysis(sub)
+    assert rep["search"] == "greedy"
+    graded = rep["graded_linear_quotients"]
+    assert (graded["status"] == "found") == exists
+    if exists:
+        assert_order_passes(sub, graded, True)
+    else:
+        assert rep["linear_quotients"]["status"] == "inconclusive"
+    if rep["linear_quotients"]["status"] == "found":
+        assert_order_passes(sub, rep["linear_quotients"], False)
+    # the walk is exact from any start of minimal degree, whatever order follows
+    candidates = list(range(len(sub.gens)))
+    rng.shuffle(candidates)
+    first = min(candidates, key=lambda i: sub.gens[i].degree)
+    candidates.remove(first)
+    order = _graded_quotient_order(sub.gens, [first] + candidates)
+    assert (order is not None) == exists
+
+
+def test_quotients_greedy_route_u26():
+    i = broken_circuit_ideal(uniform_matroid(2, 6))
+    assert len(i.gens) == EXHAUSTIVE_QUOTIENT_LIMIT + 1
+    rep = quotients_analysis(i)
+    assert rep["search"] == "greedy"
+    assert rep["linear_quotients"]["status"] == "found"
+    assert rep["graded_linear_quotients"]["status"] == "found"
+    assert_order_passes(i, rep["linear_quotients"], False)
+    assert_order_passes(i, rep["graded_linear_quotients"], True)
+
+
+def test_quotients_greedy_route_miss_reads_inconclusive():
+    # x8*x9, from the U(2,3) summand, shares no variable with the other ten generators,
+    # so no colon into or out of it contains a variable: the subset DP proves there is no
+    # graded order, hence no linear one, but past the limit a miss still reads inconclusive
+    i = broken_circuit_ideal(direct_sum([uniform_matroid(2, 6), uniform_matroid(2, 3)]))
+    assert len(i.gens) == 11
+    assert not graded_order_reaches_all(i.gens)
+    rep = quotients_analysis(i)
+    assert rep["search"] == "greedy"
+    for key in ("linear_quotients", "graded_linear_quotients"):
+        assert rep[key] == {"status": "inconclusive", "order": None}
 
 
 def test_complete_intersection():
