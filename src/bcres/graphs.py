@@ -140,7 +140,9 @@ def gnr_report(matroid, order=None):
     separately builds the one-edge-per-cycle facet complex and reports
     whether its facet ideal coincides with the broken-circuit ideal (an
     identity that is checked per instance, never assumed).  The
-    Cohen-Macaulay flag is the standard consequence of CI.
+    Cohen-Macaulay flag copies the CI answer, so it reads False on
+    Cohen-Macaulay rings that are not complete intersections, although
+    every broken-circuit complex is shellable, so its ring is Cohen-Macaulay.
     """
     cycles = matroid.circuits
     report = {
@@ -156,7 +158,7 @@ def gnr_report(matroid, order=None):
     report["broken_circuit_ideal"] = ideal.render()
     ci = complete_intersection_check(ideal)
     report["complete_intersection"] = ci
-    report["cohen_macaulay"] = ci  # CI implies CM; flagged only as the consequence
+    report["cohen_macaulay"] = ci  # the CI answer, not a CM test: False misses CM rings
     if cycles:
         fideal = facet_ideal(gnr_complex(matroid.ground, cycles))
         report["facet_ideal_generators"] = len(fideal.gens)

@@ -323,21 +323,26 @@ def _colon_generated_linearly(prefix, nxt, graded):
     return all(not linear.isdisjoint(support) for support in supports)
 
 
-def _graded_quotient_order(gens, candidates):
-    """First fit: an order with graded linear quotients, or None when there is none.
+def _first_fit_order(gens, candidates, graded):
+    """First fit: append the first candidate whose colon is linear (graded: contains a
+    variable), or return None when none fits.
 
-    Exact when candidates[0] has minimal degree.  Say h -> k when h / gcd(h, k) has
-    degree 1: (prefix) : k contains a variable iff some h in the prefix has h -> k,
-    so a generator that fits once fits every larger prefix, and an order exists iff
-    some root reaches all generators along arrows.  Arrows never lower the degree
-    and run both ways between equal degrees, so if there is a root, every generator
-    of minimal degree is one, and a walk from it never runs out of generators that
-    fit: a first fit never has to be undone.
+    Graded, it is exact when candidates[0] has minimal degree.  Say h -> k when
+    h / gcd(h, k) has degree 1: (prefix) : k contains a variable iff some h in the
+    prefix has h -> k, so a generator that fits once fits every larger prefix, and an
+    order exists iff some root reaches all generators along arrows.  Arrows never lower
+    the degree and run both ways between equal degrees, so if there is a root, every
+    generator of minimal degree is one, and a walk from it never has to be undone.
+
+    Linear, a miss proves nothing, but a found order is the one _exhaustive_quotient_order
+    returns over the same candidates.  That search takes the first candidate that fits
+    and has a completion; first fit takes the first that fits, and when it completes,
+    the rest of its order completes each choice, so by induction both choose alike.
     """
     order, rest = [], list(candidates)
     while rest:
         prefix = [gens[i] for i in order]
-        i = next((i for i in rest if _colon_generated_linearly(prefix, gens[i], True)), None)
+        i = next((i for i in rest if _colon_generated_linearly(prefix, gens[i], graded)), None)
         if i is None:
             return None
         order.append(i)
@@ -364,40 +369,21 @@ def _exhaustive_quotient_order(gens, candidates):
     return completion(0)
 
 
-def _greedy_quotient_order(gens, candidates):
-    """First fit for linear quotients, placing a generator only when another fits after
-    it: one step of lookahead, but never backing up, so a miss is inconclusive."""
-    order, rest = [], list(candidates)
-    while rest:
-        prefix = [gens[i] for i in order]
-        for i in rest:
-            if _colon_generated_linearly(prefix, gens[i], False):
-                after = prefix + [gens[i]]
-                if len(rest) == 1 or any(
-                    j != i and _colon_generated_linearly(after, gens[j], False) for j in rest
-                ):
-                    break
-        else:
-            return None
-        order.append(i)
-        rest.remove(i)
-    return order
-
-
 def quotients_analysis(ideal):
     """Search generator orderings for linear and graded linear quotients.
 
-    The graded first fit is exact, and a linear order is a graded one, so the linear
-    search (exhaustive up to EXHAUSTIVE_QUOTIENT_LIMIT generators, greedy past it) runs
-    only when it finds one.  Past the limit any miss, even graded, reads inconclusive.
+    The graded walk is exact, and a linear order is a graded one, so the linear walk
+    runs only when it finds one; the exhaustive search certifies a linear miss up to
+    EXHAUSTIVE_QUOTIENT_LIMIT generators.  Past it any miss, even graded, is inconclusive.
     """
     gens, m = ideal.gens, len(ideal.gens)
     exhaustive = m <= EXHAUSTIVE_QUOTIENT_LIMIT
     # the generators come sorted by degree, so both orders start at a minimal one
     ranked = range(m) if exhaustive else sorted(range(m), key=lambda i: (gens[i].degree, gens[i].exps))
-    graded = _graded_quotient_order(gens, ranked)
-    linear_search = _exhaustive_quotient_order if exhaustive else _greedy_quotient_order
-    linear = None if graded is None else linear_search(gens, ranked)
+    graded = _first_fit_order(gens, ranked, True)
+    linear = None if graded is None else _first_fit_order(gens, ranked, False)
+    if linear is None and graded is not None and exhaustive:
+        linear = _exhaustive_quotient_order(gens, ranked)
     report = {}
     for key, order in (("linear_quotients", linear), ("graded_linear_quotients", graded)):
         if order is None:

@@ -186,12 +186,23 @@ class Matroid(Frozen):
                 raise InputError("unknown element label %r" % (e,))
         return subset
 
+    def _closes_circuit(self, i, cand):
+        """Whether cand, an independent set plus i, holds a circuit: one through i and no
+        larger than cand, so the walk stops at the first larger (fewest elements first)."""
+        size = cand.bit_count()
+        for m in self._by_elem[i]:
+            if m.bit_count() > size:
+                return False
+            if m & cand == m:
+                return True
+        return False
+
     def _greedy_rank(self, positions):
         mask = 0
         count = 0
         for i in positions:
             cand = mask | 1 << i
-            if not any(m & cand == m for m in self._by_elem[i]):
+            if not self._closes_circuit(i, cand):
                 mask = cand
                 count += 1
         return count
@@ -291,7 +302,7 @@ class Matroid(Frozen):
                 return
             for i in range(start, n - (r - size) + 1):
                 cand = mask | 1 << i
-                if not any(m & cand == m for m in self._by_elem[i]):
+                if not self._closes_circuit(i, cand):
                     extend(i + 1, cand, size + 1)
 
         extend(0, 0, 0)

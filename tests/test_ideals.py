@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bcres import ideals
 from bcres.complexes import SimplicialComplex, bc_complex
 from bcres.corpus import standard_corpus
 from bcres.errors import BoundError, InputError
@@ -16,7 +17,8 @@ from bcres.ideals import (
     Monomial,
     MonomialIdeal,
     _colon_generated_linearly,
-    _graded_quotient_order,
+    _exhaustive_quotient_order,
+    _first_fit_order,
     broken_circuit_ideal,
     colon_ideal,
     complete_intersection_check,
@@ -31,7 +33,7 @@ from bcres.ideals import (
     quotients_analysis,
     stanley_reisner_ideal,
 )
-from bcres.matroid import direct_sum, uniform_matroid
+from bcres.matroid import direct_sum, graphic_matroid, uniform_matroid
 
 
 def ideal(names, *exp_tuples):
@@ -431,8 +433,66 @@ def test_graded_walk_matches_subset_dp(ideal_, rng):
     rng.shuffle(candidates)
     first = min(candidates, key=lambda i: sub.gens[i].degree)
     candidates.remove(first)
-    order = _graded_quotient_order(sub.gens, [first] + candidates)
+    order = _first_fit_order(sub.gens, [first] + candidates, True)
     assert (order is not None) == exists
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(
+        monomial_ideals(raw_sizes=st.integers(1, 9)),
+        # few variables in low degrees give linear orders of several generators
+        monomial_ideals(st.integers(3, 5), st.integers(1, 2), st.integers(4, 12)),
+    )
+)
+def test_linear_first_fit_order_is_the_exhaustive_order(ideal_):
+    gens = ideal_.gens[:EXHAUSTIVE_QUOTIENT_LIMIT]
+    order = _first_fit_order(gens, range(len(gens)), False)
+    if order is not None:
+        assert tuple(order) == _exhaustive_quotient_order(gens, range(len(gens)))
+
+
+def _exhaustive_search_forbidden(gens, candidates):
+    raise AssertionError("exhaustive quotient search ran")
+
+
+@pytest.mark.parametrize(
+    "ideal_, linear",
+    [
+        (broken_circuit_ideal(uniform_matroid(2, 4)), "found"),
+        (ideal(V4, (1, 1, 0, 0), (0, 0, 1, 1)), "none"),  # no graded order
+        (broken_circuit_ideal(uniform_matroid(2, 6)), "found"),  # past the limit
+        # 10 generators with a graded order, where a linear miss stays unproven
+        (
+            broken_circuit_ideal(
+                graphic_matroid([(1, 3), (1, 6), (2, 3), (2, 5), (2, 6), (3, 6), (4, 5), (4, 6), (5, 6)])
+            ),
+            "inconclusive",
+        ),
+    ],
+    ids=["u24", "coprime-quadrics", "u26", "graph-past-the-limit"],
+)
+def test_quotients_answer_without_the_exhaustive_search(monkeypatch, ideal_, linear):
+    expected = quotients_analysis(ideal_)
+    assert expected["linear_quotients"]["status"] == linear
+    monkeypatch.setattr(ideals, "_exhaustive_quotient_order", _exhaustive_search_forbidden)
+    assert quotients_analysis(ideal_) == expected
+
+
+def test_exhaustive_search_certifies_a_linear_miss(monkeypatch):
+    # the bc ideal of the graph with edges 12, 13, 14, 24, 25, 34, 35 has a graded order
+    # but no linear one, so the linear first fit misses and only the search can say none
+    graph = graphic_matroid([(1, 2), (1, 3), (1, 4), (2, 4), (2, 5), (3, 4), (3, 5)])
+    i = broken_circuit_ideal(graph)
+    assert i.render() == "(x3*x4, x3*x6, x2*x4*x6, x2*x5*x7, x5*x6*x7)"
+    rep = quotients_analysis(i)
+    assert rep["search"] == "exhaustive"
+    assert rep["linear_quotients"] == {"status": "none", "order": None}
+    assert rep["graded_linear_quotients"]["status"] == "found"
+    assert not some_permutation_passes(i.gens, False)
+    monkeypatch.setattr(ideals, "_exhaustive_quotient_order", _exhaustive_search_forbidden)
+    with pytest.raises(AssertionError, match="exhaustive quotient search ran"):
+        quotients_analysis(i)
 
 
 def test_quotients_greedy_route_u26():
