@@ -32,7 +32,7 @@ once.  Nothing is kept between calls.
 
 from math import gcd
 
-from ..util import faces_by_size
+from ..util import check_enumeration, faces_by_size
 
 BACKEND = "python"
 
@@ -251,7 +251,10 @@ def _strong_core(facets):
     vertex u; deleting v keeps the strong homotopy type, and u keeps at
     least one vertex alive.  Facets are pairwise incomparable, so a shrunk
     facet F - v can only lie inside a facet G without v: if v is in G and
-    F - v is inside G, then F is inside G.
+    F - v is inside G, then F is inside G.  Every F - v holds u, the lowest
+    vertex of the shared intersection besides v, so only the facets without
+    v that hold u are tested.  The scan of v stops once the running
+    intersection is v alone: intersecting further cannot bring a vertex back.
     """
     verts = 0
     for f in facets:
@@ -267,10 +270,22 @@ def _strong_core(facets):
             for f in facets:
                 if f & v:
                     common &= f
+                    if common == v:
+                        break
             if common != v:
+                other = common ^ v
+                u = other & (-other)
                 keep = [g for g in facets if not g & v]
-                shrunk = [f ^ v for f in facets if f & v]
-                facets = keep + [f for f in shrunk if not any(not f & ~g for g in keep)]
+                through = [g for g in keep if g & u]
+                for f in facets:
+                    if f & v:
+                        f ^= v
+                        for g in through:
+                            if not f & ~g:
+                                break
+                        else:
+                            keep.append(f)
+                facets = keep
                 verts ^= v
                 deleted = True
     return facets
@@ -303,7 +318,17 @@ def _core_key(core):
 
 
 def _core_ranks(core, characteristic):
-    """Reduced homology ranks of a core of two or more facets, up to its largest face."""
+    """Reduced homology ranks of a core of two or more facets, up to its largest face.
+
+    Before any face is listed, the faces the core can have, at most
+    2^(vertices) and at most the sum of 2^|F| over its facets, are checked
+    against the enumeration limit (BoundError past it).
+    """
+    verts = 0
+    for f in core:
+        verts |= f
+    bound = min(1 << verts.bit_count(), sum(1 << f.bit_count() for f in core))
+    check_enumeration("a collapsed complex", "possible faces", bound)
     faces = _coreduce(faces_by_size(core))
     ranks = [0] * (len(faces) + 1)  # ranks[c] = rank of boundary C_c -> C_{c-1}
     for c in range(1, len(faces)):
@@ -319,7 +344,8 @@ def homology_ranks(facets, characteristic, memo=None):
     left by the strong collapse is a simplex, acyclic unless it is empty;
     otherwise the core's faces are listed and coreduced, and boundary
     matrices are built only for what is left.  Dimensions lost to the
-    collapse have rank 0.
+    collapse have rank 0.  A core that could have more faces than
+    util.ENUMERATION_LIMIT raises BoundError before any face is listed.
 
     memo, a dict owned by the caller for calls in one characteristic,
     holds the ranks of the cores already seen.  A core of two or more

@@ -209,7 +209,9 @@ def reduced_homology_ranks(complex_, characteristic=0):
     first entry is dimension -1); [] for the void complex.  The kernel
     strongly collapses the facets, then ranks what is left by sparse
     elimination: unit pivots over the integers in characteristic 0, GF(p)
-    arithmetic for a prime p.
+    arithmetic for a prime p.  BoundError if what is left could have more
+    than util.ENUMERATION_LIMIT faces (2^vertices, or the sum of 2^|F| over
+    its facets, whichever is smaller).
     """
     _check_characteristic(characteristic)
     return _kernel.homology_ranks(complex_.facet_masks, characteristic)

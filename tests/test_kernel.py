@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from bcres import _kernel
 from bcres._kernel.pykernel import _core_key, _strong_core
 from bcres.complexes import SimplicialComplex, reduced_homology_ranks
+from bcres.errors import BoundError
 from bcres.ideals import ideal_from_supports, stanley_reisner_ideal
 from bcres.resolutions import (
     TAYLOR_GENERATOR_LIMIT,
@@ -553,6 +554,63 @@ def test_strong_core_of_a_cone_is_one_facet():
     assert sorted(_strong_core(hollow)) == sorted(hollow)
     octahedron = facet_masks(OCTAHEDRON_FACETS)
     assert sorted(_strong_core(octahedron)) == sorted(octahedron)
+
+
+def strong_core_oracle(facets):
+    """The strong collapse with the full filter: each shrunk facet against every facet without v."""
+    verts = 0
+    for f in facets:
+        verts |= f
+    deleted = True
+    while deleted and len(facets) > 1:
+        deleted = False
+        rest = verts
+        while rest and len(facets) > 1:
+            v = rest & (-rest)
+            rest ^= v
+            common = verts
+            for f in facets:
+                if f & v:
+                    common &= f
+            if common != v:
+                keep = [g for g in facets if not g & v]
+                shrunk = [f ^ v for f in facets if f & v]
+                facets = keep + [f for f in shrunk if not any(not f & ~g for g in keep)]
+                verts ^= v
+                deleted = True
+    return facets
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.integers(1, (1 << 10) - 1), min_size=1, max_size=12))
+def test_strong_core_matches_the_full_filter(masks):
+    # the same list in the same order, so the per-call memo keys do not move
+    facets = [m for m in dict.fromkeys(masks) if not any(m != g and m & g == m for g in masks)]
+    assert _strong_core(facets) == strong_core_oracle(facets)
+
+
+def test_strong_core_drops_a_shrunk_facet_inside_a_facet_through_the_dominating_vertex():
+    # vertex 0 is dominated by 1; {1, 2} lies in {1, 2, 3}, which holds 1
+    facets = facet_masks([(0, 1, 2), (1, 2, 3)])
+    assert _strong_core(facets) == strong_core_oracle(facets) == [0b1110]
+
+
+def test_face_listing_is_bounded(monkeypatch):
+    """A core that could have more faces than the enumeration limit is refused before any face is listed."""
+    sphere = SimplicialComplex(range(14), combinations(range(14), 13))
+    assert reduced_homology_ranks(sphere) == [0] * 13 + [1]  # 2^14 = 16,384 possible faces
+    # 40 vertices but only 40 * 2^2 possible faces
+    cycle = SimplicialComplex(range(40), [(i, (i + 1) % 40) for i in range(40)])
+    for p in (0, 2):
+        assert reduced_homology_ranks(cycle, p) == [0, 0, 1]
+
+    def no_faces(facets):
+        raise AssertionError("a refused core lists no face")
+
+    monkeypatch.setattr(_kernel.pykernel, "faces_by_size", no_faces)
+    sphere = SimplicialComplex(range(16), combinations(range(16), 15))
+    with pytest.raises(BoundError, match="65536 possible faces, limit 20000"):
+        reduced_homology_ranks(sphere)
 
 
 def test_empty_link_gives_a_generator_without_homology(monkeypatch):
