@@ -161,7 +161,7 @@ def gnr_report(matroid, order=None):
     report["cohen_macaulay"] = ci  # the CI answer, not a CM test: False misses CM rings
     if cycles:
         fideal = facet_ideal(gnr_complex(matroid.ground, cycles))
-        report["facet_ideal_generators"] = len(fideal.gens)
+        report["facet_ideal_generators"] = len(fideal.masks)
         report["facet_ideal_degree"] = fideal.maxdeg()
         report["facet_ideal_equals_bc_ideal"] = fideal == ideal
     else:

@@ -144,7 +144,7 @@ def linear_value_criterion(ideal, q):
     if ideal.is_unit:
         return True
     s = ideal.indeg()
-    return sum(1 for g in ideal.gens if g.degree == s) == binom(s + q - 1, s)
+    return ideal.degrees().count(s) == binom(s + q - 1, s)
 
 
 def h_binomial_fit(h, q):

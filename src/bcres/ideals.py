@@ -2,18 +2,24 @@
 ideals, quotient linearity search, complete-intersection test, polarization,
 degree components and powers.
 
-Monomials are dense exponent tuples over the ideal's named variables;
-generator lists are kept minimal (no generator divides another) under
+Generator lists are kept minimal (no generator divides another) under
 every operation, since all the linearity criteria are phrased on minimal
-generators.
+generators.  A squarefree monomial is a vertex subset, so a squarefree
+ideal is held as the support masks of its minimal generators (bit i =
+variable i), and its colon ideals, squarefree components and quotient
+walks are mask operations.  Monomials, dense exponent tuples over the
+ideal's named variables, are built only where a caller reads gens:
+powers, degree components I_<d>, and ideals with a generator that is not
+squarefree, before polarization.
 """
 
 from functools import cache
 from itertools import combinations_with_replacement
+from operator import le
 
 from .complexes import complex_from_nonfaces
 from .errors import InputError
-from .util import Frozen, binom, bits, check_enumeration, pairwise_disjoint
+from .util import Frozen, binom, bits, check_enumeration, minimal_masks, pairwise_disjoint
 
 EXHAUSTIVE_QUOTIENT_LIMIT = 9
 _COPY_SUFFIX = "abcdefghijklmnopqrstuvwxyz"
@@ -98,14 +104,18 @@ def minimalize(monomials):
 
 
 class MonomialIdeal(Frozen):
-    """Finitely generated monomial ideal with an eagerly minimalized generator list."""
+    """Finitely generated monomial ideal with an eagerly minimalized generator list.
 
-    __slots__ = ("names", "gens")
+    masks holds the minimal generators' supports (bit i = variable i) when
+    every minimal generator is squarefree, else None; it is set once, at
+    construction.  A squarefree ideal keeps nothing else: its Monomial
+    generators are built from the masks on first read of gens.
+    """
+
+    __slots__ = ("names", "masks", "_gens")
 
     def __init__(self, names, generators):
-        names = tuple(names)
-        if len(set(names)) != len(names):
-            raise InputError("duplicate variable names")
+        names = _checked_names(names)
         gens = []
         for g in generators:
             if not isinstance(g, Monomial):
@@ -113,16 +123,54 @@ class MonomialIdeal(Frozen):
             if len(g.exps) != len(names):
                 raise InputError("generator arity does not match variable count")
             gens.append(g)
+        if all(g.is_squarefree for g in gens):
+            self._init(names, [_support_mask(g) for g in gens])
+            return
+        gens = minimalize(gens)
+        squarefree = all(g.is_squarefree for g in gens)
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "gens", minimalize(gens))
+        object.__setattr__(self, "masks", tuple(map(_support_mask, gens)) if squarefree else None)
+        object.__setattr__(self, "_gens", gens)
+
+    @classmethod
+    def from_masks(cls, names, masks):
+        """Squarefree ideal generated by the given support masks, without building a Monomial."""
+        ideal = object.__new__(cls)
+        ideal._init(_checked_names(names), masks)
+        return ideal
+
+    def _init(self, names, masks):
+        # minimalize's order: by degree, then by the variable indices compared as lists
+        keep = sorted(minimal_masks(masks), key=lambda m: (m.bit_count(), bits(m)))
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "masks", tuple(keep))
+        object.__setattr__(self, "_gens", None)
+
+    def _identity(self):
+        return (self.names, self._gens if self.masks is None else self.masks)  # squarefree: gens are a cache
+
+    @property
+    def gens(self):
+        """Minimal generators as Monomials, in minimalize's order."""
+        if self._gens is None:
+            n = len(self.names)
+            gens = tuple(Monomial([m >> i & 1 for i in range(n)]) for m in self.masks)
+            object.__setattr__(self, "_gens", gens)
+        return self._gens
 
     def __repr__(self):
         return "MonomialIdeal(%s)" % self.render()
 
+    def render_generators(self):
+        """Each minimal generator as text, in generator order."""
+        if self.masks is None:
+            return [g.render(self.names) for g in self._gens]
+        return ["*".join(self.names[i] for i in bits(m)) or "1" for m in self.masks]
+
     def render(self):
-        if not self.gens:
+        if self.is_zero:
             return "(0)"
-        return "(%s)" % ", ".join(g.render(self.names) for g in self.gens)
+        return "(%s)" % ", ".join(self.render_generators())
 
     @property
     def nvars(self):
@@ -130,43 +178,52 @@ class MonomialIdeal(Frozen):
 
     @property
     def is_zero(self):
-        return not self.gens
+        return self.masks == ()
 
     @property
     def is_unit(self):
-        return any(g.is_one for g in self.gens)
+        return self.masks == (0,)  # 1 divides every other generator
 
     @property
     def squarefree(self):
-        return all(g.is_squarefree for g in self.gens)
+        return self.masks is not None
+
+    def degrees(self):
+        """Generator degrees, in generator order (ascending)."""
+        if self.masks is None:
+            return [g.degree for g in self._gens]
+        return [m.bit_count() for m in self.masks]
 
     def indeg(self):
-        return min((g.degree for g in self.gens), default=None)
+        return self.degrees()[0] if not self.is_zero else None
 
     def maxdeg(self):
-        return max((g.degree for g in self.gens), default=None)
+        return self.degrees()[-1] if not self.is_zero else None
 
     def contains(self, monomial):
         return any(g.divides(monomial) for g in self.gens)
 
     def support_masks(self):
-        out = []
-        for g in self.gens:
-            m = 0
-            for i in g.support:
-                m |= 1 << i
-            out.append(m)
-        return out
+        if self.masks is None:
+            return [_support_mask(g) for g in self._gens]
+        return list(self.masks)
 
     def monomials_of_degree(self, d):
         """All degree-d monomials of the ideal, by listing the C(d + n - 1, d) exponent vectors."""
         check_enumeration("degree %d on %d variables" % (d, self.nvars), "monomials", binom(d + self.nvars - 1, d))
-        out = []
-        for exps in _compositions(d, self.nvars):
-            m = Monomial(exps)
-            if self.contains(m):
-                out.append(m)
-        return out
+        gens = [g.exps for g in self.gens]
+        return [Monomial(e) for e in _compositions(d, self.nvars) if any(all(map(le, g, e)) for g in gens)]
+
+
+def _checked_names(names):
+    names = tuple(names)
+    if len(set(names)) != len(names):
+        raise InputError("duplicate variable names")
+    return names
+
+
+def _support_mask(monomial):
+    return sum(1 << i for i, e in enumerate(monomial.exps) if e)
 
 
 def _compositions(total, parts):
@@ -184,14 +241,7 @@ def _compositions(total, parts):
 
 def ideal_from_supports(names, supports):
     """Squarefree ideal generated by the given variable-index sets."""
-    names = tuple(names)
-    gens = []
-    for s in supports:
-        exps = [0] * len(names)
-        for i in s:
-            exps[i] = 1
-        gens.append(Monomial(exps))
-    return MonomialIdeal(names, gens)
+    return MonomialIdeal.from_masks(names, [sum(1 << i for i in s) for s in supports])
 
 
 def var_name(label):
@@ -202,25 +252,18 @@ def var_name(label):
 def stanley_reisner_ideal(complex_):
     """Squarefree ideal of the minimal nonfaces of a complex (a void complex
     gives the unit ideal)."""
-    return ideal_from_supports(
-        [var_name(v) for v in complex_.vertices], [bits(t) for t in complex_.nonface_masks]
-    )
+    return MonomialIdeal.from_masks([var_name(v) for v in complex_.vertices], complex_.nonface_masks)
 
 
 def broken_circuit_ideal(matroid, order=None):
     """Stanley-Reisner ideal of the broken-circuit complex, straight from the
     minimal broken circuits (its minimal nonfaces), one variable per element."""
-    return ideal_from_supports(
-        [var_name(e) for e in matroid.ground],
-        [bits(b) for b in matroid.broken_circuit_masks(order)],
-    )
+    return MonomialIdeal.from_masks([var_name(e) for e in matroid.ground], matroid.broken_circuit_masks(order))
 
 
 def facet_ideal(complex_):
     """Squarefree ideal generated by the facets."""
-    return ideal_from_supports(
-        [var_name(v) for v in complex_.vertices], [bits(f) for f in complex_.facet_masks]
-    )
+    return MonomialIdeal.from_masks([var_name(v) for v in complex_.vertices], complex_.facet_masks)
 
 
 def complex_of_ideal(ideal):
@@ -236,7 +279,21 @@ def colon_ideal(ideal, monomial):
         monomial = Monomial(monomial)
     if len(monomial.exps) != ideal.nvars:
         raise InputError("monomial arity mismatch")
-    return MonomialIdeal(ideal.names, [g.div(g.gcd(monomial)) for g in ideal.gens])
+    if ideal.squarefree:  # g / gcd(g, m) keeps the variables of g outside the support of m
+        monomial = _support_mask(monomial)
+    return _colon(ideal.names, _generators(ideal), monomial)
+
+
+def _colon(names, gens, nxt):
+    """((gens) : nxt) for Monomials, or for support masks, where g / gcd(g, nxt) is g & ~nxt."""
+    if isinstance(nxt, int):
+        return MonomialIdeal.from_masks(names, [g & ~nxt for g in gens])
+    return MonomialIdeal(names, [g.div(g.gcd(nxt)) for g in gens])
+
+
+def _generators(ideal):
+    """The minimal generators the quotient routines work on: support masks when squarefree."""
+    return ideal.masks if ideal.squarefree else ideal.gens
 
 
 def complete_intersection_check(ideal):
@@ -306,10 +363,18 @@ def _colon_generated_linearly(prefix, nxt, graded):
 
     The colon is generated by q_g = max(g - nxt, 0), never 1 for minimal
     generators.  Its minimal generators are linear iff every q_g is divisible
-    by a linear one x_i; it has indeg 1 iff some q_g is linear.
+    by a linear one x_i; it has indeg 1 iff some q_g is linear.  On support
+    masks q_g is g & ~nxt, linear when it has one bit.
     """
     if not prefix:
         return True
+    if isinstance(nxt, int):
+        quotients = [g & ~nxt for g in prefix]
+        linear = 0
+        for q in quotients:
+            if not q & (q - 1):
+                linear |= q
+        return bool(linear) if graded else all(q & linear for q in quotients)
     b = nxt.exps
     supports = []
     linear = set()
@@ -376,10 +441,14 @@ def quotients_analysis(ideal):
     runs only when it finds one; the exhaustive search certifies a linear miss up to
     EXHAUSTIVE_QUOTIENT_LIMIT generators.  Past it any miss, even graded, is inconclusive.
     """
-    gens, m = ideal.gens, len(ideal.gens)
+    gens = _generators(ideal)
+    m = len(gens)
     exhaustive = m <= EXHAUSTIVE_QUOTIENT_LIMIT
-    # the generators come sorted by degree, so both orders start at a minimal one
-    ranked = range(m) if exhaustive else sorted(range(m), key=lambda i: (gens[i].degree, gens[i].exps))
+    # the generators come sorted by degree, so both orders start at a minimal one; past
+    # the limit they are ranked by degree, then exponent tuple: within a degree minimalize
+    # orders the exponent tuples descending, so that is the reverse generator order
+    degrees = ideal.degrees()
+    ranked = range(m) if exhaustive else sorted(range(m), key=lambda i: (degrees[i], -i))
     graded = _first_fit_order(gens, ranked, True)
     linear = None if graded is None else _first_fit_order(gens, ranked, False)
     if linear is None and graded is not None and exhaustive:
@@ -389,16 +458,14 @@ def quotients_analysis(ideal):
         if order is None:
             report[key] = {"status": "none" if exhaustive else "inconclusive", "order": None}
         else:
-            rendered = [gens[i].render(ideal.names) for i in order]
-            report[key] = {"status": "found", "order": rendered, "order_indices": list(order)}
+            rendered = ideal.render_generators()
+            report[key] = {"status": "found", "order": [rendered[i] for i in order], "order_indices": list(order)}
     report["search"] = "exhaustive" if exhaustive else "greedy"
     return report
 
 
 def ordered_colon_ideals(ideal, order_indices):
     """The successive colon ideals J_l for a given generator order (l >= 2)."""
-    gens = [ideal.gens[i] for i in order_indices]
-    out = []
-    for l in range(1, len(gens)):
-        out.append(MonomialIdeal(ideal.names, [g.div(g.gcd(gens[l])) for g in gens[:l]]))
-    return out
+    gens = _generators(ideal)
+    gens = [gens[i] for i in order_indices]
+    return [_colon(ideal.names, gens[:l], gens[l]) for l in range(1, len(gens))]

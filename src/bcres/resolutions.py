@@ -19,7 +19,7 @@ generators), over characteristic 0 by default.
 from . import _kernel
 from .complexes import _check_characteristic
 from .errors import BoundError, InputError
-from .ideals import component_ideal, ideal_from_supports, polarize
+from .ideals import MonomialIdeal, component_ideal, polarize
 from .util import Frozen, bits
 
 TAYLOR_GENERATOR_LIMIT = 12
@@ -128,18 +128,15 @@ def rows_consecutive_only(table):
 
 
 def _lcm_lattice_masks(support_masks):
-    """All unions of generator supports: the only multidegrees carrying Betti numbers."""
-    closure = set(support_masks)
-    frontier = set(support_masks)
-    while frontier:
-        new = set()
-        for u in frontier:
-            for s in support_masks:
-                w = u | s
-                if w not in closure:
-                    closure.add(w)
-                    new.add(w)
-        frontier = new
+    """All unions of generator supports: the only multidegrees carrying Betti numbers.
+
+    Each support is folded in once: the unions of the supports so far, each
+    joined with it, and the support itself.
+    """
+    closure = set()
+    for s in support_masks:
+        closure |= {u | s for u in closure}
+        closure.add(s)
     return sorted(closure)
 
 
@@ -164,12 +161,11 @@ def betti_hochster(ideal, characteristic=0):
         return BettiTable({}, characteristic)
     if ideal.is_unit:
         return BettiTable({(0, 0): 1}, characteristic)  # the whole ring, free
-    supports = ideal.support_masks()
     nonfaces = [[] for _ in range(ideal.maxdeg() + 1)]
-    for g in supports:
+    for g in ideal.masks:
         nonfaces[g.bit_count()].append(g)
     entries = _kernel.hochster_betti(
-        ideal.nvars, nonfaces, _lcm_lattice_masks(supports), characteristic
+        ideal.nvars, nonfaces, _lcm_lattice_masks(ideal.masks), characteristic
     )
     return BettiTable(entries, characteristic)
 
@@ -271,20 +267,19 @@ def _components_verdict(components, characteristic, betti):
 
 
 def _squarefree_components(ideal):
-    """{d: generator supports of I_[d]} for d = indeg .. maxdeg of a squarefree ideal.
+    """{d: support masks of I_[d]} for d = indeg .. maxdeg of a squarefree ideal.
 
     I_[d] is generated by the degree-d vertex masks that contain the
     support mask of some generator: the degree-d generators and the masks
     of I_[d-1] extended by one vertex.
     """
     full = (1 << ideal.nvars) - 1
-    supports = ideal.support_masks()
     comps = {}
     level = set()
     for d in range(ideal.indeg(), ideal.maxdeg() + 1):
         level = {m | 1 << i for m in level for i in bits(full ^ m)}
-        level.update(g for g in supports if g.bit_count() == d)
-        comps[d] = [bits(m) for m in sorted(level)]
+        level.update(g for g in ideal.masks if g.bit_count() == d)
+        comps[d] = list(level)
     return comps
 
 
@@ -327,7 +322,7 @@ def componentwise_linear_check(ideal, characteristic=0):
             % (HOCHSTER_VARIABLE_LIMIT, ideal.nvars)
         }
     components = (
-        (d, ideal_from_supports(ideal.names, supports))
-        for d, supports in _squarefree_components(ideal).items()
+        (d, MonomialIdeal.from_masks(ideal.names, masks))
+        for d, masks in _squarefree_components(ideal).items()
     )
     return _components_verdict(components, characteristic, betti_hochster)

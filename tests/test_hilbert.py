@@ -126,7 +126,8 @@ def test_linear_value_criterion(u24_ideal):
 
 def test_indeg_generator_count_matches_enumeration():
     # linear_value_criterion reads dim_k I_s at s = indeg off the generators.
-    # Squares stop at 7 variables: enumerating the 38 squares on 8 takes ~30 s.
+    # Squares stop at 7 variables: of the 38 squares on 8, 3 list more monomials
+    # than the enumeration bound allows, and the other 35 take ~4 s.
     ideals = set()
     for _, m in standard_corpus(0):
         base = broken_circuit_ideal(m)

@@ -34,6 +34,7 @@ from bcres.ideals import (
     stanley_reisner_ideal,
 )
 from bcres.matroid import direct_sum, graphic_matroid, uniform_matroid
+from bcres.resolutions import _squarefree_components
 
 
 def ideal(names, *exp_tuples):
@@ -591,3 +592,60 @@ def test_power_membership_bruteforce():
     assert set(p2.gens) <= products
     for m in products:
         assert p2.contains(m)
+
+
+# -- squarefree ideals on support masks against the Monomial route ------------
+
+
+def monomial_of_mask(n, mask):
+    return Monomial([mask >> i & 1 for i in range(n)])
+
+
+def test_mask_order_is_minimalize_order_not_numeric():
+    # a*e (mask 17) precedes b*c (mask 6): generators compare by their variable indices
+    five_cycle = MonomialIdeal.from_masks("abcde", [3, 6, 12, 24, 17])
+    assert five_cycle.masks == (3, 17, 6, 12, 24)
+    assert five_cycle.render() == "(a*b, a*e, b*c, c*d, d*e)"
+    assert five_cycle.gens == minimalize(monomial_of_mask(5, m) for m in (3, 6, 12, 24, 17))
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(0, (1 << n) - 1), max_size=12),
+            st.tuples(*[st.integers(0, 2)] * n),
+        )
+    )
+)
+def test_mask_route_matches_the_monomial_route(case):
+    n, masks, divisor = case
+    names = ["x%d" % i for i in range(n)]
+    gens = minimalize(monomial_of_mask(n, m) for m in masks)  # the Monomial route's generators
+    i = MonomialIdeal.from_masks(names, masks)
+    assert i.squarefree and i.gens == gens
+    assert i.render() == "(%s)" % ", ".join(g.render(names) for g in gens) if gens else i.render() == "(0)"
+    assert i.support_masks() == [sum(1 << v for v in g.support) for g in gens]
+    assert i.degrees() == [g.degree for g in gens]
+    # equal and hashed alike however it is built: Monomials, or with a redundant
+    # generator that is not squarefree, which sends the constructor through minimalize
+    for other in (MonomialIdeal(names, gens), MonomialIdeal(names, list(gens) + [g.mul(g) for g in gens[:1]])):
+        assert other == i and hash(other) == hash(i) and other.masks == i.masks
+    m = Monomial(divisor)
+    assert colon_ideal(i, m).gens == minimalize(g.div(g.gcd(m)) for g in gens)
+    for d, component in (_squarefree_components(i) if gens else {}).items():
+        # I_[d]: the squarefree degree-d monomials some generator divides
+        brute = [monomial_of_mask(n, s) for s in range(1 << n) if s.bit_count() == d]
+        expected = minimalize(b for b in brute if any(g.divides(b) for g in gens))
+        assert MonomialIdeal.from_masks(names, component).gens == expected
+    report = quotients_analysis(i)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ideals, "_generators", lambda ideal_: ideal_.gens)  # walk on Monomials
+        assert json.dumps(quotients_analysis(i)) == json.dumps(report)
+    order = list(range(len(gens)))
+    ordered = [gens[k] for k in order[::-1]]
+    colons = ordered_colon_ideals(i, order[::-1])
+    assert [c.gens for c in colons] == [
+        minimalize(g.div(g.gcd(ordered[l])) for g in ordered[:l]) for l in range(1, len(ordered))
+    ]

@@ -929,7 +929,7 @@ def test_value_classes_compare_and_hash_by_their_fields(golden):
         by_class[name] for name in ("Monomial", "MonomialIdeal", "Matroid", "SimplicialComplex", "TuttePolynomial")
     )
     assert hash(monomial) == hash(monomial.exps)
-    assert hash(ideal) == hash((ideal.names, ideal.gens))
+    assert hash(ideal) == hash((ideal.names, ideal.masks))
     assert hash(matroid) == hash((matroid.ground, matroid.circuit_masks))
     assert hash(complex_) == hash((complex_.vertices, complex_.facet_masks))
     assert hash(tutte) == hash(frozenset(tutte.coeffs.items()))

@@ -32,6 +32,7 @@ from bcres.resolutions import (
     HOCHSTER_VARIABLE_LIMIT,
     TAYLOR_GENERATOR_LIMIT,
     BettiTable,
+    _lcm_lattice_masks,
     _polarized_componentwise_check,
     _squarefree_components,
     betti_hochster,
@@ -327,11 +328,24 @@ def test_squarefree_components_match_support_containment(i):
     assert sorted(comps) == list(range(i.indeg(), i.maxdeg() + 1))
     for d, component in comps.items():
         brute = [
-            [v for v in range(i.nvars) if mask >> v & 1]
+            mask
             for mask in range(1 << i.nvars)
             if mask.bit_count() == d and any(g & mask == g for g in supports)
         ]
-        assert component == brute, (i.render(), d)
+        assert sorted(component) == brute, (i.render(), d)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(0, 255), max_size=9))
+def test_lcm_lattice_is_every_union_of_a_nonempty_subset(supports):
+    unions = set()
+    for sub in range(1, 1 << len(supports)):
+        union = 0
+        for k, s in enumerate(supports):
+            if sub >> k & 1:
+                union |= s
+        unions.add(union)
+    assert _lcm_lattice_masks(supports) == sorted(unions)
 
 
 def beyond_both_routes(component):
