@@ -13,8 +13,8 @@ that leaves a residue joins the basis, and the rank is the basis size.
 
 `homology_ranks` is the one homology entry.  It strongly collapses the
 facets (Barmak-Minian) before listing any face, removes coreduction pairs,
-and ranks every remaining boundary matrix with `rank_sparse`: pivot on a
-shortest live row holding a usable entry (any nonzero over GF(p), +-1 in
+and ranks every remaining boundary matrix with `rank_sparse`: pivot on the
+first live row holding a usable entry (any nonzero over GF(p), +-1 in
 characteristic 0), at that row's column with the fewest live entries.
 Characteristic 0 falls back to `rank_int` only on a core with no unit entry.
 
@@ -96,10 +96,10 @@ def rank_mod_p(rows, p):
 def rank_sparse(entries, characteristic):
     """Exact rank of a sparse integer matrix given as {(row, col): value}.
 
-    Pivot rule: live rows sit in buckets by length, and each step pivots on
-    a shortest row holding a usable entry (any nonzero over GF(p), +-1 in
-    characteristic 0), at that row's column with the fewest live entries.
-    Choosing a pivot thus costs one row scan, not a pass over every entry.
+    Pivot rule: each step pivots on the first live row holding a usable
+    entry (any nonzero over GF(p), +-1 in characteristic 0), at that row's
+    column with the fewest live entries.  Over GF(p) that is the first live
+    row, so choosing a pivot costs one row scan.
     Elimination by unit pivots keeps all arithmetic in the integers; if no
     unit entry remains (impossible over GF(p)) the leftover core is handed
     to the dense rank_int.
@@ -113,26 +113,13 @@ def rank_sparse(entries, characteristic):
         if v:
             rows.setdefault(r, {})[c] = v
             cols.setdefault(c, set()).add(r)
-    buckets = {}
-    for r, row in rows.items():
-        buckets.setdefault(len(row), set()).add(r)
-
-    def unbucket(r, length):
-        bucket = buckets[length]
-        bucket.discard(r)
-        if not bucket:
-            del buckets[length]
-
     rank = 0
     while rows:
         r0 = None
-        for length in sorted(buckets):
-            for r in buckets[length]:
-                usable = rows[r] if p else [c for c, v in rows[r].items() if v == 1 or v == -1]
-                if usable:
-                    r0, c0 = r, min(usable, key=lambda c: len(cols[c]))
-                    break
-            if r0 is not None:
+        for r, row in rows.items():
+            usable = row if p else [c for c, v in row.items() if v == 1 or v == -1]
+            if usable:
+                r0, c0 = r, min(usable, key=lambda c: len(cols[c]))
                 break
         if r0 is None:
             # no unit pivot left: the dense fold ranks the remaining core
@@ -145,14 +132,12 @@ def rank_sparse(entries, characteristic):
                     dense[i][cix[c]] = v
             return rank + rank_int(dense)
         piv_row = rows.pop(r0)
-        unbucket(r0, len(piv_row))
         piv = piv_row[c0]
         inv = pow(piv, p - 2, p) if p else piv  # in characteristic 0, piv is +-1
         for c in piv_row:
             cols[c].discard(r0)
         for r in cols.pop(c0):
             row = rows[r]
-            unbucket(r, len(row))
             f = row.pop(c0) * inv
             if p:
                 f %= p
@@ -168,9 +153,7 @@ def rank_sparse(entries, characteristic):
                 elif c in row:
                     del row[c]
                     cols[c].discard(r)
-            if row:
-                buckets.setdefault(len(row), set()).add(r)
-            else:
+            if not row:
                 del rows[r]
         rank += 1
     return rank

@@ -20,6 +20,7 @@ from .complexes import bc_complex, f_h_vectors, f_to_h
 from .corpus import standard_corpus
 from .decomposition import (
     cross_validate,
+    expected_s,
     fvector_bound_check,
     generalized_bound_check,
     extremal_h_check,
@@ -31,7 +32,6 @@ from .graphs import Graph, build_gnr, check_cycle_space, cycle_matroid, gnr_repo
 from .hilbert import binomial_form_fit, h_binomial_fit, hilbert_function, linear_value_criterion
 from .ideals import (
     MonomialIdeal,
-    Monomial,
     broken_circuit_ideal,
     complete_intersection_check,
     quotients_analysis,
@@ -109,7 +109,7 @@ def materialize(doc):
             for g in gens
         ):
             raise InputError("ideal payload needs 'generators', a list of integer exponent lists")
-        return MonomialIdeal(tuple(names), [Monomial(tuple(g)) for g in gens])
+        return MonomialIdeal(tuple(names), gens)
     raise InputError("unsupported kind %r" % doc.kind)
 
 
@@ -176,8 +176,8 @@ def _cmd_ideal(doc, options):
     ideal = _bc_ideal(doc, options)
     return {
         "variables": list(ideal.names),
-        "generators": [g.render(ideal.names) for g in ideal.gens],
-        "generator_exponents": [list(g.exps) for g in ideal.gens],
+        "generators": ideal.render_generators(),
+        "generator_exponents": [list(e) for e in ideal.exponents()],
         "squarefree": ideal.squarefree,
         "indeg": ideal.indeg(),
         "maxdeg": ideal.maxdeg(),
@@ -226,13 +226,11 @@ def _cmd_hilbert(doc, options):
 def _cmd_decompose(doc, options):
     m = _matroid_of(doc, options)
     cert = two_term_decomposition(m)
-    min_circuit = min((c.bit_count() for c in m.circuit_masks), default=None)
-    s = (min_circuit - 1) if min_circuit else m.rank
+    s = expected_s(m)
     return {
         "two_term_decomposition": cert.as_dict() if cert else None,
         "s": s,
         "extremal_h": extremal_h_check(m, s),
-        # no circuit has at most s elements, so the precondition holds
         "fvector_bound": fvector_bound_check(m, s),
         "generalized_bound": generalized_bound_check(m, order=doc.order),
     }

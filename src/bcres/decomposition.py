@@ -134,6 +134,17 @@ def two_term_decomposition(matroid):
     return _uniform_plus_free(matroid, (1 << len(matroid.ground)) - 1)
 
 
+def expected_s(matroid):
+    """The s of the paper's bounds: the smallest circuit size less one, or the rank
+    when there is no circuit.
+
+    No circuit then has at most s elements, so the precondition of
+    fvector_bound_check holds.
+    """
+    min_circuit = min((c.bit_count() for c in matroid.circuit_masks), default=None)
+    return (min_circuit - 1) if min_circuit else matroid.rank
+
+
 def fvector_bound_check(matroid, s):
     """Independence-count lower bound sum_i C(n-r+i-1, i) C(r-i, k-i) for k = 0..r."""
     ground = matroid.ground
@@ -304,8 +315,7 @@ def cross_validate(matroid, order=None, characteristic=0, max_power=3):
     cert = two_term_decomposition(matroid)
     report["two_term_decomposition"] = cert.as_dict() if cert else None
 
-    min_circuit = min((c.bit_count() for c in matroid.circuit_masks), default=None)
-    s_expected = (min_circuit - 1) if min_circuit else matroid.rank
+    s_expected = expected_s(matroid)
     extremal = extremal_h_check(matroid, s_expected)
     report["extremal_h"] = {"s": s_expected, "holds": extremal}
 

@@ -7,10 +7,11 @@ every operation, since all the linearity criteria are phrased on minimal
 generators.  A squarefree monomial is a vertex subset, so a squarefree
 ideal is held as the support masks of its minimal generators (bit i =
 variable i), and its colon ideals, squarefree components and quotient
-walks are mask operations.  Monomials, dense exponent tuples over the
-ideal's named variables, are built only where a caller reads gens:
-powers, degree components I_<d>, and ideals with a generator that is not
-squarefree, before polarization.
+walks are mask operations.  Every ideal reads the same way through
+exponents(), dense exponent tuples over its named variables, and polarize,
+powers and degree components I_<d> are built from that view.  Monomials
+are stored only for ideals with a generator that is not squarefree, and
+built for a squarefree one only where a caller reads gens.
 """
 
 from functools import cache
@@ -151,12 +152,17 @@ class MonomialIdeal(Frozen):
 
     @property
     def gens(self):
-        """Minimal generators as Monomials, in minimalize's order."""
+        """Minimal generators as Monomials of exponents(), in minimalize's order."""
         if self._gens is None:
-            n = len(self.names)
-            gens = tuple(Monomial([m >> i & 1 for i in range(n)]) for m in self.masks)
-            object.__setattr__(self, "_gens", gens)
+            object.__setattr__(self, "_gens", tuple(map(Monomial, self.exponents())))
         return self._gens
+
+    def exponents(self):
+        """Minimal generators as exponent tuples, in generator order, without building a Monomial."""
+        if self.masks is None:
+            return [g.exps for g in self._gens]
+        n = len(self.names)
+        return [tuple(m >> i & 1 for i in range(n)) for m in self.masks]
 
     def __repr__(self):
         return "MonomialIdeal(%s)" % self.render()
@@ -201,7 +207,7 @@ class MonomialIdeal(Frozen):
         return self.degrees()[-1] if not self.is_zero else None
 
     def contains(self, monomial):
-        return any(g.divides(monomial) for g in self.gens)
+        return any(all(map(le, g, monomial.exps)) for g in self.exponents())
 
     def support_masks(self):
         if self.masks is None:
@@ -209,10 +215,21 @@ class MonomialIdeal(Frozen):
         return list(self.masks)
 
     def monomials_of_degree(self, d):
-        """All degree-d monomials of the ideal, by listing the C(d + n - 1, d) exponent vectors."""
+        """All degree-d monomials of the ideal, in increasing exponent-tuple order.
+
+        Those of degree t are the degree-t generators and those of degree t - 1
+        times one more variable, built up from the initial degree.
+        """
         check_enumeration("degree %d on %d variables" % (d, self.nvars), "monomials", binom(d + self.nvars - 1, d))
-        gens = [g.exps for g in self.gens]
-        return [Monomial(e) for e in _compositions(d, self.nvars) if any(all(map(le, g, e)) for g in gens)]
+        if self.is_zero:
+            return []
+        n = self.nvars
+        gens = list(zip(self.degrees(), self.exponents()))
+        level = set()
+        for t in range(self.indeg(), d + 1):
+            level = {e[:i] + (e[i] + 1,) + e[i + 1 :] for e in level for i in range(n)}
+            level.update(g for degree, g in gens if degree == t)
+        return [Monomial(e) for e in sorted(level)]
 
 
 def _checked_names(names):
@@ -224,19 +241,6 @@ def _checked_names(names):
 
 def _support_mask(monomial):
     return sum(1 << i for i, e in enumerate(monomial.exps) if e)
-
-
-def _compositions(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def ideal_from_supports(names, supports):
@@ -309,8 +313,8 @@ def polarize(ideal):
     """
     if ideal.squarefree:
         return ideal
-    tops = [max((g.exps[i] for g in ideal.gens), default=0) for i in range(ideal.nvars)]
-    tops = [max(t, 1) for t in tops]
+    exps = ideal.exponents()
+    tops = [max(1, *column) for column in zip(*exps)]
     if max(tops) > len(_COPY_SUFFIX):
         raise InputError("polarization exponent above %d" % len(_COPY_SUFFIX))
     names = []
@@ -321,14 +325,8 @@ def polarize(ideal):
             names.append(name)
         else:
             names.extend("%s%s" % (name, _COPY_SUFFIX[k]) for k in range(tops[i]))
-    gens = []
-    for g in ideal.gens:
-        exps = [0] * len(names)
-        for i, e in enumerate(g.exps):
-            for k in range(e):
-                exps[slot[i] + k] = 1
-        gens.append(Monomial(exps))
-    return MonomialIdeal(names, gens)
+    # exponent e of variable i becomes the copies slot[i] .. slot[i] + e - 1
+    return MonomialIdeal.from_masks(names, [sum(((1 << e) - 1) << s for e, s in zip(g, slot)) for g in exps])
 
 
 def component_ideal(ideal, d):
@@ -344,14 +342,10 @@ def power_ideal(ideal, k):
         raise InputError("power must be >= 1")
     if ideal.is_zero:
         return ideal
-    n = len(ideal.gens)
+    gens = ideal.exponents()
+    n = len(gens)
     check_enumeration("power %d of %d generators" % (k, n), "products", binom(n + k - 1, k))
-    products = set()
-    for combo in combinations_with_replacement(ideal.gens, k):
-        m = combo[0]
-        for g in combo[1:]:
-            m = m.mul(g)
-        products.add(m)
+    products = {tuple(map(sum, zip(*combo))) for combo in combinations_with_replacement(gens, k)}
     return MonomialIdeal(ideal.names, products)
 
 
@@ -403,6 +397,11 @@ def _first_fit_order(gens, candidates, graded):
     returns over the same candidates.  That search takes the first candidate that fits
     and has a completion; first fit takes the first that fits, and when it completes,
     the rest of its order completes each choice, so by induction both choose alike.
+    No walk of polynomially many colon tests decides linear quotients unless P = NP:
+    a complex is shellable iff the ideal of its Alexander dual has linear quotients,
+    with shelling orders matching quotient orders (Herzog-Hibi-Zheng 2004), and
+    shellability of 2-complexes is NP-complete (Goaoc-Patak-Patakova-Tancer-Wagner
+    2019).  First fit makes at most m(m + 1)/2, so _exhaustive_quotient_order stays.
     """
     order, rest = [], list(candidates)
     while rest:

@@ -188,7 +188,7 @@ def betti_taylor_oracle(ideal, characteristic=0):
     _check_characteristic(characteristic)
     if ideal.is_zero:
         return BettiTable({}, characteristic)
-    gens = [g.exps for g in ideal.gens]
+    gens = ideal.exponents()
     if len(gens) > TAYLOR_GENERATOR_LIMIT:
         raise BoundError(
             "Taylor oracle limited to %d generators, got %d"

@@ -1,11 +1,12 @@
 """Monomial ideal operations against hand-checked and enumerated values."""
 
 import json
-from itertools import combinations, permutations
+from functools import reduce
+from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bcres import ideals
@@ -35,6 +36,7 @@ from bcres.ideals import (
 )
 from bcres.matroid import direct_sum, graphic_matroid, uniform_matroid
 from bcres.resolutions import _squarefree_components
+from bcres.util import ENUMERATION_LIMIT
 
 
 def ideal(names, *exp_tuples):
@@ -560,7 +562,8 @@ def test_component_ideal(golden_ideal):
 
 def test_component_past_the_enumeration_limit_is_refused():
     i = ideal(tuple("x%d" % v for v in range(1, 9)), (1,) + (0,) * 7)
-    # C(9 + 7, 7) = 11440 compositions are listed; the multiples of x1 are kept
+    # C(9 + 7, 7) = 11440 is within the limit; the degree-9 multiples of x1 are
+    # built from x1 one variable at a time
     assert len(component_ideal(i, 9).gens) == comb(8 + 7, 7)
     # C(12 + 7, 7) = 50388 are refused before any is listed
     with pytest.raises(BoundError, match="^degree 12 on 8 variables has 50388 monomials, limit 20000$"):
@@ -592,6 +595,73 @@ def test_power_membership_bruteforce():
     assert set(p2.gens) <= products
     for m in products:
         assert p2.contains(m)
+
+
+# -- the exponent view against the Monomial route -------------------------------
+
+
+def polarize_oracle(names, gens):
+    """polarize as a loop over Monomials: exponent e of variable i becomes e copies."""
+    tops = [max([g.exps[i] for g in gens] + [1]) for i in range(len(names))]
+    new_names, slot = [], []
+    for i, name in enumerate(names):
+        slot.append(len(new_names))
+        new_names.extend([name] if tops[i] == 1 else [name + c for c in "abcdefghijklmnopqrstuvwxyz"[: tops[i]]])
+    polarized = []
+    for g in gens:
+        exps = [0] * len(new_names)
+        for i, e in enumerate(g.exps):
+            for k in range(e):
+                exps[slot[i] + k] = 1
+        polarized.append(Monomial(exps))
+    return MonomialIdeal(new_names, polarized)
+
+
+def compositions(total, parts):
+    """Exponent vectors of the given degree, in increasing tuple order."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def assert_exponent_view(i, gens):
+    """exponents, polarize, powers and degree components of i against the Monomial
+    route, given i's minimal generators as that route computes them."""
+    n = i.nvars
+    assert i.exponents() == [g.exps for g in gens]
+    assert polarize(i) == polarize_oracle(i.names, gens)
+    for k in (2, 3):
+        products = (reduce(Monomial.mul, combo) for combo in combinations_with_replacement(gens, k))
+        assert power_ideal(i, k).gens == minimalize(products)
+    indeg = gens[0].degree if gens else 0
+    for d in range(max(indeg - 1, 0), indeg + 4):
+        if comb(d + n - 1, d) > ENUMERATION_LIMIT:
+            with pytest.raises(BoundError):
+                i.monomials_of_degree(d)
+            continue
+        filtered = [m for m in map(Monomial, compositions(d, n)) if any(g.divides(m) for g in gens)]
+        assert i.monomials_of_degree(d) == filtered
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=8))
+    )
+)
+@example((3, []))  # the zero ideal
+@example((3, [(0, 0, 0), (2, 1, 0)]))  # the unit ideal
+def test_exponent_view_matches_the_monomial_route(case):
+    n, exps = case
+    names = ["x%d" % v for v in range(n)]
+    gens = minimalize(map(Monomial, exps))
+    i = MonomialIdeal(names, exps)
+    assert i.gens == gens
+    assert_exponent_view(i, gens)
 
 
 # -- squarefree ideals on support masks against the Monomial route ------------
@@ -628,6 +698,7 @@ def test_mask_route_matches_the_monomial_route(case):
     assert i.render() == "(%s)" % ", ".join(g.render(names) for g in gens) if gens else i.render() == "(0)"
     assert i.support_masks() == [sum(1 << v for v in g.support) for g in gens]
     assert i.degrees() == [g.degree for g in gens]
+    assert_exponent_view(i, gens)
     # equal and hashed alike however it is built: Monomials, or with a redundant
     # generator that is not squarefree, which sends the constructor through minimalize
     for other in (MonomialIdeal(names, gens), MonomialIdeal(names, list(gens) + [g.mul(g) for g in gens[:1]])):
