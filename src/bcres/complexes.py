@@ -107,12 +107,6 @@ class SimplicialComplex(Frozen):
             [sorted(f, key=repr) for f in self.facets],
         )
 
-    def ghost_vertices(self):
-        covered = 0
-        for f in self.facet_masks:
-            covered |= f
-        return frozenset(v for i, v in enumerate(self.vertices) if not covered >> i & 1)
-
 
 class FHVectors(Frozen):
     """Face counts f_-1..f_d and the h-vector h_0..h_{d+1} of a complex."""

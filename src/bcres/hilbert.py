@@ -47,7 +47,8 @@ def ideal_monomial_count(ideal, degree):
 
 
 def standard_monomial_count(ideal, degree):
-    """Number of degree-d monomials outside the ideal, by enumeration."""
+    """Number of degree-d monomials outside the ideal, by enumeration; an
+    oracle in tests/test_hilbert.py (test_values_match_bruteforce), which src never calls."""
     return binom(degree + ideal.nvars - 1, degree) - ideal_monomial_count(ideal, degree)
 
 

@@ -6,16 +6,17 @@ Generator lists are kept minimal (no generator divides another) under
 every operation, since all the linearity criteria are phrased on minimal
 generators.  A squarefree monomial is a vertex subset, so a squarefree
 ideal is held as the support masks of its minimal generators (bit i =
-variable i), and its colon ideals, squarefree components and quotient
-walks are mask operations.  Every ideal reads the same way through
-exponents(), dense exponent tuples over its named variables, and polarize,
-powers and degree components I_<d> are built from that view.  Monomials
-are stored only for ideals with a generator that is not squarefree, and
-built for a squarefree one only where a caller reads gens.
+variable i), and any other ideal as their exponent tuples.  Every ideal
+reads the same way through exponents(), dense exponent tuples over its
+named variables, and polarize, powers and degree components I_<d> are
+built from that view.  Polarization is the one path from exponents to
+masks: colon ideals of a squarefree ideal and every quotient walk are mask
+operations, the walks on the masks of the polarized ideal.  Monomial is the
+API's value type; no ideal stores one, and gens builds them on each read.
 """
 
 from functools import cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, count, islice
 from operator import le
 
 from .complexes import complex_from_nonfaces
@@ -23,7 +24,6 @@ from .errors import InputError
 from .util import Frozen, binom, bits, check_enumeration, minimal_masks, pairwise_disjoint
 
 EXHAUSTIVE_QUOTIENT_LIMIT = 9
-_COPY_SUFFIX = "abcdefghijklmnopqrstuvwxyz"
 
 
 class Monomial(Frozen):
@@ -32,11 +32,8 @@ class Monomial(Frozen):
     __slots__ = ("exps", "degree")
 
     def __init__(self, exps):
-        exps = tuple(int(e) for e in exps)
-        if any(e < 0 for e in exps):
-            raise InputError("negative exponent")
-        object.__setattr__(self, "exps", exps)
-        object.__setattr__(self, "degree", sum(exps))
+        object.__setattr__(self, "exps", _exponents_of(exps))
+        object.__setattr__(self, "degree", sum(self.exps))
 
     def _identity(self):
         return self.exps  # the degree is their sum
@@ -67,71 +64,74 @@ class Monomial(Frozen):
 
     @property
     def is_squarefree(self):
-        return all(e <= 1 for e in self.exps)
+        return _is_squarefree(self.exps)
 
     @property
     def is_one(self):
         return self.degree == 0
 
     def render(self, names):
-        if self.is_one:
-            return "1"
-        parts = []
-        for i, e in enumerate(self.exps):
-            if e == 1:
-                parts.append(names[i])
-            elif e > 1:
-                parts.append("%s^%d" % (names[i], e))
-        return "*".join(parts)
+        return _render(self.exps, names)
 
 
-def _word(m):
+def _exponents_of(monomial):
+    """The exponent tuple of a Monomial, or of a sequence of nonnegative integers."""
+    if isinstance(monomial, Monomial):
+        return monomial.exps
+    exps = tuple(map(int, monomial))
+    if any(e < 0 for e in exps):
+        raise InputError("negative exponent")
+    return exps
+
+
+def _render(exps, names):
+    return "*".join(names[i] if e == 1 else "%s^%d" % (names[i], e) for i, e in enumerate(exps) if e) or "1"
+
+
+def _word(exps):
     """Variable indices with multiplicity; gives the conventional generator order."""
-    return tuple(i for i, e in enumerate(m.exps) for _ in range(e))
+    return tuple(i for i, e in enumerate(exps) for _ in range(e))
 
 
-def minimalize(monomials):
-    """Minimal generators: drop every monomial divisible by another."""
-    by_degree = sorted(set(monomials), key=lambda m: (m.degree, _word(m)))
+def minimalize(exps):
+    """Minimal generators of exponent tuples, in generator order: by degree, then _word;
+    every tuple another one divides is dropped."""
     keep = []
-    lower = 0  # keep[:lower] are the kept monomials of lower degree than m
-    for m in by_degree:
-        while lower < len(keep) and keep[lower].degree < m.degree:
+    lower = 0  # keep[:lower] are the kept tuples of lower degree than e
+    for degree, _, e in sorted((sum(e), _word(e), e) for e in set(exps)):
+        while lower < len(keep) and keep[lower][0] < degree:
             lower += 1
-        # a distinct monomial of the same degree never divides m
-        if not any(k.divides(m) for k in keep[:lower]):
-            keep.append(m)
-    return tuple(keep)
+        # a distinct tuple of the same degree never divides e
+        if not any(all(map(le, k, e)) for _, k in keep[:lower]):
+            keep.append((degree, e))
+    return tuple(e for _, e in keep)
 
 
 class MonomialIdeal(Frozen):
     """Finitely generated monomial ideal with an eagerly minimalized generator list.
 
-    masks holds the minimal generators' supports (bit i = variable i) when
-    every minimal generator is squarefree, else None; it is set once, at
-    construction.  A squarefree ideal keeps nothing else: its Monomial
-    generators are built from the masks on first read of gens.
+    Generators are Monomials or exponent sequences.  masks holds the minimal
+    generators' supports (bit i = variable i) when every minimal generator is
+    squarefree, else None, and _exps then holds their exponent tuples; both
+    are set once, at construction.  No slot holds a Monomial: gens builds
+    them from exponents() on each read.
     """
 
-    __slots__ = ("names", "masks", "_gens")
+    __slots__ = ("names", "masks", "_exps")
 
     def __init__(self, names, generators):
         names = _checked_names(names)
-        gens = []
-        for g in generators:
-            if not isinstance(g, Monomial):
-                g = Monomial(g)
-            if len(g.exps) != len(names):
-                raise InputError("generator arity does not match variable count")
-            gens.append(g)
-        if all(g.is_squarefree for g in gens):
-            self._init(names, [_support_mask(g) for g in gens])
-            return
-        gens = minimalize(gens)
-        squarefree = all(g.is_squarefree for g in gens)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "masks", tuple(map(_support_mask, gens)) if squarefree else None)
-        object.__setattr__(self, "_gens", gens)
+        exps = [_exponents_of(g) for g in generators]
+        if any(len(e) != len(names) for e in exps):
+            raise InputError("generator arity does not match variable count")
+        if not all(map(_is_squarefree, exps)):
+            exps = minimalize(exps)
+            if not all(map(_is_squarefree, exps)):
+                object.__setattr__(self, "names", names)
+                object.__setattr__(self, "masks", None)
+                object.__setattr__(self, "_exps", exps)
+                return
+        self._init(names, map(_support_mask, exps))
 
     @classmethod
     def from_masks(cls, names, masks):
@@ -145,22 +145,20 @@ class MonomialIdeal(Frozen):
         keep = sorted(minimal_masks(masks), key=lambda m: (m.bit_count(), bits(m)))
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "masks", tuple(keep))
-        object.__setattr__(self, "_gens", None)
+        object.__setattr__(self, "_exps", None)
 
     def _identity(self):
-        return (self.names, self._gens if self.masks is None else self.masks)  # squarefree: gens are a cache
+        return (self.names, self._exps if self.masks is None else self.masks)
 
     @property
     def gens(self):
-        """Minimal generators as Monomials of exponents(), in minimalize's order."""
-        if self._gens is None:
-            object.__setattr__(self, "_gens", tuple(map(Monomial, self.exponents())))
-        return self._gens
+        """Minimal generators as Monomials of exponents(), in minimalize's order, built on each read."""
+        return tuple(map(Monomial, self.exponents()))
 
     def exponents(self):
         """Minimal generators as exponent tuples, in generator order, without building a Monomial."""
         if self.masks is None:
-            return [g.exps for g in self._gens]
+            return list(self._exps)
         n = len(self.names)
         return [tuple(m >> i & 1 for i in range(n)) for m in self.masks]
 
@@ -170,7 +168,7 @@ class MonomialIdeal(Frozen):
     def render_generators(self):
         """Each minimal generator as text, in generator order."""
         if self.masks is None:
-            return [g.render(self.names) for g in self._gens]
+            return [_render(e, self.names) for e in self._exps]
         return ["*".join(self.names[i] for i in bits(m)) or "1" for m in self.masks]
 
     def render(self):
@@ -197,7 +195,7 @@ class MonomialIdeal(Frozen):
     def degrees(self):
         """Generator degrees, in generator order (ascending)."""
         if self.masks is None:
-            return [g.degree for g in self._gens]
+            return [sum(e) for e in self._exps]
         return [m.bit_count() for m in self.masks]
 
     def indeg(self):
@@ -211,7 +209,7 @@ class MonomialIdeal(Frozen):
 
     def support_masks(self):
         if self.masks is None:
-            return [_support_mask(g) for g in self._gens]
+            return [_support_mask(e) for e in self._exps]
         return list(self.masks)
 
     def monomials_of_degree(self, d):
@@ -239,8 +237,12 @@ def _checked_names(names):
     return names
 
 
-def _support_mask(monomial):
-    return sum(1 << i for i, e in enumerate(monomial.exps) if e)
+def _support_mask(exps):
+    return sum(1 << i for i, e in enumerate(exps) if e)
+
+
+def _is_squarefree(exps):
+    return all(e <= 1 for e in exps)
 
 
 def ideal_from_supports(names, supports):
@@ -279,25 +281,20 @@ def complex_of_ideal(ideal):
 
 def colon_ideal(ideal, monomial):
     """(I : m), generated by g / gcd(g, m) over the generators g."""
-    if not isinstance(monomial, Monomial):
-        monomial = Monomial(monomial)
-    if len(monomial.exps) != ideal.nvars:
+    b = _exponents_of(monomial)
+    if len(b) != ideal.nvars:
         raise InputError("monomial arity mismatch")
     if ideal.squarefree:  # g / gcd(g, m) keeps the variables of g outside the support of m
-        monomial = _support_mask(monomial)
-    return _colon(ideal.names, _generators(ideal), monomial)
+        return _colon(ideal.names, ideal.masks, _support_mask(b))
+    return _colon(ideal.names, ideal.exponents(), b)
 
 
 def _colon(names, gens, nxt):
-    """((gens) : nxt) for Monomials, or for support masks, where g / gcd(g, nxt) is g & ~nxt."""
+    """((gens) : nxt) on exponent tuples, where g / gcd(g, nxt) is g - min(g, nxt), or on
+    support masks, where it is g & ~nxt."""
     if isinstance(nxt, int):
         return MonomialIdeal.from_masks(names, [g & ~nxt for g in gens])
-    return MonomialIdeal(names, [g.div(g.gcd(nxt)) for g in gens])
-
-
-def _generators(ideal):
-    """The minimal generators the quotient routines work on: support masks when squarefree."""
-    return ideal.masks if ideal.squarefree else ideal.gens
+    return MonomialIdeal(names, [tuple(a - min(a, b) for a, b in zip(g, nxt)) for g in gens])
 
 
 def complete_intersection_check(ideal):
@@ -306,27 +303,35 @@ def complete_intersection_check(ideal):
 
 
 def polarize(ideal):
-    """Betti-preserving squarefree reduction: exponent k of a variable becomes k copies.
+    """Betti-preserving squarefree reduction: exponent e of a variable becomes e copies.
 
-    Variables with top exponent 1 keep their name; higher ones get letter
-    suffixes (x^2 -> xa*xb).  Squarefree ideals come back unchanged.
+    A variable with top exponent 1 keeps its name; one with top exponent t > 1 becomes
+    t copies, named by it and the first t suffixes a, ..., z, aa, ab, ... that no kept
+    name or earlier copy has taken (x^2 -> xa*xb).  Past ENUMERATION_LIMIT variables
+    in all it raises BoundError.  Squarefree ideals come back unchanged.
     """
     if ideal.squarefree:
         return ideal
     exps = ideal.exponents()
     tops = [max(1, *column) for column in zip(*exps)]
-    if max(tops) > len(_COPY_SUFFIX):
-        raise InputError("polarization exponent above %d" % len(_COPY_SUFFIX))
-    names = []
-    slot = []  # slot[i] = first new index for copies of variable i
-    for i, name in enumerate(ideal.names):
+    check_enumeration("polarization", "copy variables", sum(tops))
+    taken = {name for name, top in zip(ideal.names, tops) if top == 1}
+    names, slot = [], []  # slot[i] = first new index for copies of variable i
+    for name, top in zip(ideal.names, tops):
         slot.append(len(names))
-        if tops[i] == 1:
+        if top == 1:
             names.append(name)
         else:
-            names.extend("%s%s" % (name, _COPY_SUFFIX[k]) for k in range(tops[i]))
+            free = (copy for copy in map(name.__add__, map(_letters, count())) if copy not in taken)
+            names.extend(islice(free, top))
+            taken.update(names[slot[-1] :])
     # exponent e of variable i becomes the copies slot[i] .. slot[i] + e - 1
     return MonomialIdeal.from_masks(names, [sum(((1 << e) - 1) << s for e, s in zip(g, slot)) for g in exps])
+
+
+def _letters(k):
+    """The k-th word, from 0, of a, ..., z, aa, ab, ..., az, ba, ..."""
+    return (_letters(k // 26 - 1) if k >= 26 else "") + "abcdefghijklmnopqrstuvwxyz"[k % 26]
 
 
 def component_ideal(ideal, d):
@@ -353,33 +358,26 @@ def power_ideal(ideal, k):
 
 
 def _colon_generated_linearly(prefix, nxt, graded):
-    """True when ((prefix) : nxt) is generated in degree 1 (graded: has indeg 1).
+    """True when ((prefix) : nxt) is generated in degree 1 (graded: has indeg 1), on
+    the support masks of a squarefree ideal.
 
-    The colon is generated by q_g = max(g - nxt, 0), never 1 for minimal
-    generators.  Its minimal generators are linear iff every q_g is divisible
-    by a linear one x_i; it has indeg 1 iff some q_g is linear.  On support
-    masks q_g is g & ~nxt, linear when it has one bit.
+    The colon is generated by q_g = g / gcd(g, nxt), never 1 for minimal generators.
+    Its minimal generators are linear iff every q_g is divisible by a linear one x_i;
+    it has indeg 1 iff some q_g is linear.  On masks q_g is g & ~nxt, linear when it
+    has one bit.  Both tests answer alike on I and on I^pol: if g, h have exponents
+    a, b, then g^pol & ~h^pol holds the copies b_i .. a_i - 1 of x_i wherever a_i > b_i.
+    Its bit count is deg(g / gcd(g, h)), so it is one bit iff g / gcd(g, h) is a
+    variable x_i, and that bit is copy b_i of x_i; it holds copy b_i iff x_i divides
+    g / gcd(g, h).
     """
     if not prefix:
         return True
-    if isinstance(nxt, int):
-        quotients = [g & ~nxt for g in prefix]
-        linear = 0
-        for q in quotients:
-            if not q & (q - 1):
-                linear |= q
-        return bool(linear) if graded else all(q & linear for q in quotients)
-    b = nxt.exps
-    supports = []
-    linear = set()
-    for g in prefix:
-        support = [i for i, (a, c) in enumerate(zip(g.exps, b)) if a > c]
-        if len(support) == 1 and g.exps[support[0]] - b[support[0]] == 1:
-            linear.add(support[0])
-        supports.append(support)
-    if graded:
-        return bool(linear)
-    return all(not linear.isdisjoint(support) for support in supports)
+    quotients = [g & ~nxt for g in prefix]
+    linear = 0
+    for q in quotients:
+        if not q & (q - 1):
+            linear |= q
+    return bool(linear) if graded else all(q & linear for q in quotients)
 
 
 def _first_fit_order(gens, candidates, graded):
@@ -439,8 +437,12 @@ def quotients_analysis(ideal):
     The graded walk is exact, and a linear order is a graded one, so the linear walk
     runs only when it finds one; the exhaustive search certifies a linear miss up to
     EXHAUSTIVE_QUOTIENT_LIMIT generators.  Past it any miss, even graded, is inconclusive.
+
+    The walks run on the masks of I^pol, which keeps each generator's degree and
+    minimalize's order (the k-th copy of x_i sorts below every copy of x_j for j > i),
+    so generator i of I is generator i of I^pol and both walks return the same indices.
     """
-    gens = _generators(ideal)
+    gens = polarize(ideal).masks
     m = len(gens)
     exhaustive = m <= EXHAUSTIVE_QUOTIENT_LIMIT
     # the generators come sorted by degree, so both orders start at a minimal one; past
@@ -465,6 +467,6 @@ def quotients_analysis(ideal):
 
 def ordered_colon_ideals(ideal, order_indices):
     """The successive colon ideals J_l for a given generator order (l >= 2)."""
-    gens = _generators(ideal)
+    gens = ideal.masks if ideal.squarefree else ideal.exponents()
     gens = [gens[i] for i in order_indices]
     return [_colon(ideal.names, gens[:l], gens[l]) for l in range(1, len(gens))]

@@ -60,12 +60,9 @@ class BettiTable(Frozen):
     def regularity(self):
         return max((j - i for i, j in self.entries), default=None)
 
-    def generator_degrees(self):
-        """Degree -> count read off homological index 0."""
-        return {j: v for (i, j), v in self.entries.items() if i == 0}
-
     def alternating_sum_poly(self):
-        """Coefficients of sum (-1)^i beta_{i,j} t^j, lowest degree first."""
+        """Coefficients of sum (-1)^i beta_{i,j} t^j, lowest degree first; an
+        oracle in tests/test_hilbert.py and tests/test_corpus.py, which src never calls."""
         top = max((j for _, j in self.entries), default=0)
         out = [0] * (top + 1)
         for (i, j), v in self.entries.items():

@@ -418,6 +418,21 @@ def test_ideal_kind_input():
     assert rep2["result"]["complete_intersection"] is True
 
 
+@pytest.mark.parametrize(
+    "variables, generators, betti",
+    [
+        (["x", "xa"], [[2, 0], [1, 1]], {"0,2": 2, "1,3": 1}),  # a copy of x would be named xa
+        (["x", "y"], [[27, 0], [1, 1]], {"0,2": 1, "0,27": 1, "1,28": 1}),  # 27 copies of x
+    ],
+    ids=["copy-name-taken", "exponent-27"],
+)
+def test_betti_polarizes_whatever_the_names_and_exponents(variables, generators, betti, capsys, monkeypatch):
+    doc = {"kind": "ideal", "payload": {"variables": variables, "generators": generators}}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert main(["betti", "-", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["betti"] == betti
+
+
 # -- one encoding: the deleted normalizer as the oracle ------------------------
 
 

@@ -86,7 +86,6 @@ def test_independence_complex(u24, golden):
 def test_independence_complex_loop_ghost():
     c = independence_complex(uniform_matroid(0, 1))
     assert c.facets == (frozenset(),)
-    assert c.ghost_vertices() == frozenset({1})
     assert c.dim == -1
 
 
@@ -274,7 +273,6 @@ def test_mask_complex_matches_brute_force(family):
     assert set(c.facets) == {
         frozenset(f) for f in facets if not any(frozenset(f) < frozenset(g) for g in facets)
     }
-    assert c.ghost_vertices() == frozenset(vertices) - frozenset().union(*facets)
     ideal = stanley_reisner_ideal(c)
     assert ideal == brute_stanley_reisner_ideal(c)
     # the same complex built from its nonfaces takes the K-polynomial route

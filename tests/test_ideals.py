@@ -75,19 +75,24 @@ def test_minimal_generators_maintained():
     )
 )
 def test_minimalize_matches_brute_force(exps):
+    kept = minimalize(exps)
     monomials = [Monomial(e) for e in exps]
-    kept = minimalize(monomials)
-    brute = {m for m in monomials if not any(n != m and n.divides(m) for n in monomials)}
+    brute = {m.exps for m in monomials if not any(n != m and n.divides(m) for n in monomials)}
     assert set(kept) == brute and len(kept) == len(brute)
-    word = lambda m: tuple(i for i, e in enumerate(m.exps) for _ in range(e))
-    assert list(kept) == sorted(kept, key=lambda m: (m.degree, word(m)))
+    word = lambda e: tuple(i for i, k in enumerate(e) for _ in range(k))
+    assert list(kept) == sorted(kept, key=lambda e: (sum(e), word(e)))
+
+
+def minimal_monomials(monomials):
+    """minimalize on the Monomials' exponent tuples, back as Monomials."""
+    return tuple(map(Monomial, minimalize(m.exps for m in monomials)))
 
 
 def colon_generated_linearly_oracle(prefix, nxt, graded):
     """Minimalize the colon generators g / gcd(g, nxt) and read their degrees."""
     if not prefix:
         return True
-    quotients = minimalize([g.div(g.gcd(nxt)) for g in prefix])
+    quotients = minimal_monomials([g.div(g.gcd(nxt)) for g in prefix])
     if graded:
         return quotients[0].degree == 1
     return all(q.degree == 1 for q in quotients)
@@ -100,11 +105,14 @@ def colon_generated_linearly_oracle(prefix, nxt, graded):
     st.randoms(use_true_random=False),
 )
 def test_colon_linearity_matches_minimalize_route(exps, rng):
-    gens = list(MonomialIdeal(["x%d" % i for i in range(len(exps[0]))], exps).gens)
-    rng.shuffle(gens)
+    # the mask test on the polarization answers as the oracle on the Monomials
+    i = MonomialIdeal(["x%d" % v for v in range(len(exps[0]))], exps)
+    pairs = list(zip(polarize(i).masks, i.gens))
+    rng.shuffle(pairs)
+    masks, gens = [p[0] for p in pairs], [p[1] for p in pairs]
     for l in range(len(gens)):
         for graded in (False, True):
-            assert _colon_generated_linearly(gens[:l], gens[l], graded) == (
+            assert _colon_generated_linearly(masks[:l], masks[l], graded) == (
                 colon_generated_linearly_oracle(gens[:l], gens[l], graded)
             )
 
@@ -257,7 +265,7 @@ def exhaustive_quotient_order_oracle(gens, graded):
         for i in range(m):
             if chosen_mask >> i & 1:
                 continue
-            if _colon_generated_linearly(prefix, gens[i], graded):
+            if colon_generated_linearly_oracle(prefix, gens[i], graded):
                 order.append(i)
                 got = extend(chosen_mask | (1 << i), order)
                 if got is not None:
@@ -281,11 +289,11 @@ def greedy_quotient_order_oracle(gens, graded):
         for i in ranked:
             if i in chosen:
                 continue
-            if _colon_generated_linearly(prefix, gens[i], graded):
+            if colon_generated_linearly_oracle(prefix, gens[i], graded):
                 if step == m - 1 or any(
                     j not in chosen
                     and j != i
-                    and _colon_generated_linearly(prefix + [gens[i]], gens[j], graded)
+                    and colon_generated_linearly_oracle(prefix + [gens[i]], gens[j], graded)
                     for j in ranked
                 ):
                     order.append(i)
@@ -436,7 +444,7 @@ def test_graded_walk_matches_subset_dp(ideal_, rng):
     rng.shuffle(candidates)
     first = min(candidates, key=lambda i: sub.gens[i].degree)
     candidates.remove(first)
-    order = _first_fit_order(sub.gens, [first] + candidates, True)
+    order = _first_fit_order(polarize(sub).masks, [first] + candidates, True)
     assert (order is not None) == exists
 
 
@@ -449,10 +457,12 @@ def test_graded_walk_matches_subset_dp(ideal_, rng):
     )
 )
 def test_linear_first_fit_order_is_the_exhaustive_order(ideal_):
-    gens = ideal_.gens[:EXHAUSTIVE_QUOTIENT_LIMIT]
-    order = _first_fit_order(gens, range(len(gens)), False)
+    masks = polarize(ideal_).masks[:EXHAUSTIVE_QUOTIENT_LIMIT]
+    order = _first_fit_order(masks, range(len(masks)), False)
     if order is not None:
-        assert tuple(order) == _exhaustive_quotient_order(gens, range(len(gens)))
+        assert tuple(order) == _exhaustive_quotient_order(masks, range(len(masks)))
+        gens = [ideal_.gens[k] for k in order]
+        assert all(colon_generated_linearly_oracle(gens[:l], gens[l], False) for l in range(len(gens)))
 
 
 def _exhaustive_search_forbidden(gens, candidates):
@@ -540,6 +550,12 @@ def test_polarize():
     p2 = polarize(ideal(("x1", "x2"), (2, 0), (1, 1)))
     assert p2.names == ("x1a", "x1b", "x2")
     assert set(p2.gens) == {Monomial((1, 1, 0)), Monomial((1, 0, 1))}
+    # a copy skips a name that is taken, and suffixes run on past z
+    taken = polarize(ideal(("x", "xa"), (2, 0), (1, 1)))
+    assert taken.names == ("xb", "xc", "xa") and taken.render() == "(xb*xc, xb*xa)"
+    assert polarize(ideal(("x", "y"), (27, 0), (1, 1))).names[24:] == ("xy", "xz", "xaa", "y")
+    with pytest.raises(BoundError, match="^polarization has 20001 copy variables, limit 20000$"):
+        polarize(ideal(("x", "y"), (20000, 0), (1, 1)))
 
 
 def test_component_ideal(golden_ideal):
@@ -636,7 +652,7 @@ def assert_exponent_view(i, gens):
     assert polarize(i) == polarize_oracle(i.names, gens)
     for k in (2, 3):
         products = (reduce(Monomial.mul, combo) for combo in combinations_with_replacement(gens, k))
-        assert power_ideal(i, k).gens == minimalize(products)
+        assert power_ideal(i, k).gens == minimal_monomials(products)
     indeg = gens[0].degree if gens else 0
     for d in range(max(indeg - 1, 0), indeg + 4):
         if comb(d + n - 1, d) > ENUMERATION_LIMIT:
@@ -658,10 +674,48 @@ def assert_exponent_view(i, gens):
 def test_exponent_view_matches_the_monomial_route(case):
     n, exps = case
     names = ["x%d" % v for v in range(n)]
-    gens = minimalize(map(Monomial, exps))
+    gens = minimal_monomials(map(Monomial, exps))
     i = MonomialIdeal(names, exps)
     assert i.gens == gens
     assert_exponent_view(i, gens)
+
+
+@settings(max_examples=150)
+@given(
+    # names whose copies collide with other names unless polarize skips them
+    st.lists(st.sampled_from(["x", "xa", "xb", "xaa", "y", "ya"]), min_size=1, max_size=6, unique=True).flatmap(
+        lambda names: st.tuples(
+            st.just(names),
+            st.lists(st.tuples(*[st.integers(0, 4)] * len(names)), min_size=1, max_size=14),
+            st.tuples(*[st.integers(0, 4)] * len(names)),
+        )
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_non_squarefree_ideal_walks_and_colons_as_the_monomial_route(case, rng):
+    names, exps, divisor = case
+    i = MonomialIdeal(names, exps)
+    assume(not i.squarefree)
+    polarized = polarize(i)
+    assert len(set(polarized.names)) == len(polarized.names)
+    tops = [max(column) for column in zip(*i.exponents())]
+    assert {name for name, top in zip(names, tops) if top <= 1} <= set(polarized.names)
+    report, polarized_report = quotients_analysis(i), quotients_analysis(polarized)
+    assert report["search"] == polarized_report["search"]
+    for key in ("linear_quotients", "graded_linear_quotients"):
+        assert report[key]["status"] == polarized_report[key]["status"]
+        assert report[key].get("order_indices") == polarized_report[key].get("order_indices")
+    if report["search"] == "exhaustive":
+        assert json.dumps(report) == json.dumps(quotients_report_oracle(i))
+    gens = i.gens
+    m = Monomial(divisor)
+    assert colon_ideal(i, m).gens == minimal_monomials(g.div(g.gcd(m)) for g in gens)
+    order = list(range(len(gens)))
+    rng.shuffle(order)
+    ordered = [gens[k] for k in order]
+    assert [c.gens for c in ordered_colon_ideals(i, order)] == [
+        minimal_monomials(g.div(g.gcd(ordered[l])) for g in ordered[:l]) for l in range(1, len(ordered))
+    ]
 
 
 # -- squarefree ideals on support masks against the Monomial route ------------
@@ -676,7 +730,7 @@ def test_mask_order_is_minimalize_order_not_numeric():
     five_cycle = MonomialIdeal.from_masks("abcde", [3, 6, 12, 24, 17])
     assert five_cycle.masks == (3, 17, 6, 12, 24)
     assert five_cycle.render() == "(a*b, a*e, b*c, c*d, d*e)"
-    assert five_cycle.gens == minimalize(monomial_of_mask(5, m) for m in (3, 6, 12, 24, 17))
+    assert five_cycle.gens == minimal_monomials(monomial_of_mask(5, m) for m in (3, 6, 12, 24, 17))
 
 
 @settings(max_examples=150)
@@ -692,7 +746,7 @@ def test_mask_order_is_minimalize_order_not_numeric():
 def test_mask_route_matches_the_monomial_route(case):
     n, masks, divisor = case
     names = ["x%d" % i for i in range(n)]
-    gens = minimalize(monomial_of_mask(n, m) for m in masks)  # the Monomial route's generators
+    gens = minimal_monomials(monomial_of_mask(n, m) for m in masks)  # the Monomial route's generators
     i = MonomialIdeal.from_masks(names, masks)
     assert i.squarefree and i.gens == gens
     assert i.render() == "(%s)" % ", ".join(g.render(names) for g in gens) if gens else i.render() == "(0)"
@@ -704,19 +758,16 @@ def test_mask_route_matches_the_monomial_route(case):
     for other in (MonomialIdeal(names, gens), MonomialIdeal(names, list(gens) + [g.mul(g) for g in gens[:1]])):
         assert other == i and hash(other) == hash(i) and other.masks == i.masks
     m = Monomial(divisor)
-    assert colon_ideal(i, m).gens == minimalize(g.div(g.gcd(m)) for g in gens)
+    assert colon_ideal(i, m).gens == minimal_monomials(g.div(g.gcd(m)) for g in gens)
     for d, component in (_squarefree_components(i) if gens else {}).items():
         # I_[d]: the squarefree degree-d monomials some generator divides
         brute = [monomial_of_mask(n, s) for s in range(1 << n) if s.bit_count() == d]
-        expected = minimalize(b for b in brute if any(g.divides(b) for g in gens))
+        expected = minimal_monomials(b for b in brute if any(g.divides(b) for g in gens))
         assert MonomialIdeal.from_masks(names, component).gens == expected
-    report = quotients_analysis(i)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ideals, "_generators", lambda ideal_: ideal_.gens)  # walk on Monomials
-        assert json.dumps(quotients_analysis(i)) == json.dumps(report)
+    assert json.dumps(quotients_analysis(i)) == json.dumps(quotients_report_oracle(i))
     order = list(range(len(gens)))
     ordered = [gens[k] for k in order[::-1]]
     colons = ordered_colon_ideals(i, order[::-1])
     assert [c.gens for c in colons] == [
-        minimalize(g.div(g.gcd(ordered[l])) for g in ordered[:l]) for l in range(1, len(ordered))
+        minimal_monomials(g.div(g.gcd(ordered[l])) for g in ordered[:l]) for l in range(1, len(ordered))
     ]

@@ -230,7 +230,7 @@ def test_beta0_counts_generators(golden_ideal):
             degs = {}
             for g in i.gens:
                 degs[g.degree] = degs.get(g.degree, 0) + 1
-            assert table.generator_degrees() == degs
+            assert {j: v for (i, j), v in table.entries.items() if i == 0} == degs
 
 
 def test_polarization_preserves_betti():
