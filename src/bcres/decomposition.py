@@ -362,7 +362,7 @@ def cross_validate(matroid, order=None, characteristic=0, max_power=3):
         "graded": quotients["graded_linear_quotients"]["status"],
     }
 
-    componentwise, certificates = componentwise_linear_check(ideal, characteristic)
+    componentwise, certificates = componentwise_linear_check(ideal, characteristic, table)
     report["componentwise_linear"] = componentwise
 
     colon_verdicts = None

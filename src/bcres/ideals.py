@@ -302,6 +302,16 @@ def complete_intersection_check(ideal):
     return pairwise_disjoint(ideal.support_masks())
 
 
+def _polarized_tops(exps):
+    """The number of copies of each variable in the polarization: max(1, top exponent)."""
+    return [max(1, *column) for column in zip(*exps)]
+
+
+def polarized_nvars(ideal):
+    """The variable count of polarize(ideal), without building the polarization."""
+    return ideal.nvars if ideal.squarefree else sum(_polarized_tops(ideal.exponents()))
+
+
 def polarize(ideal):
     """Betti-preserving squarefree reduction: exponent e of a variable becomes e copies.
 
@@ -313,7 +323,7 @@ def polarize(ideal):
     if ideal.squarefree:
         return ideal
     exps = ideal.exponents()
-    tops = [max(1, *column) for column in zip(*exps)]
+    tops = _polarized_tops(exps)
     check_enumeration("polarization", "copy variables", sum(tops))
     taken = {name for name, top in zip(ideal.names, tops) if top == 1}
     names, slot = [], []  # slot[i] = first new index for copies of variable i

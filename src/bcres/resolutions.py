@@ -7,7 +7,8 @@ Two independent routes are kept side by side and are never merged:
                      dual of the Stanley-Reisner complex (the dual form of
                      Hochster's formula; the hot path, kernel-backed),
                      each built from the generator supports, which are
-                     the complex's minimal nonfaces.
+                     the complex's minimal nonfaces; supports that share
+                     no variable are ranked apart and multiplied.
 * betti_taylor_oracle - any monomial ideal with few generators; homology
                      of the Taylor complex tensored down to the residue
                      field, split by multidegree.
@@ -19,8 +20,8 @@ generators), over characteristic 0 by default.
 from . import _kernel
 from .complexes import _check_characteristic
 from .errors import BoundError, InputError
-from .ideals import MonomialIdeal, component_ideal, polarize
-from .util import Frozen, bits
+from .ideals import MonomialIdeal, component_ideal, polarize, polarized_nvars
+from .util import Frozen, bits, connected_unions
 
 TAYLOR_GENERATOR_LIMIT = 12
 HOCHSTER_VARIABLE_LIMIT = 14
@@ -145,6 +146,15 @@ def betti_hochster(ideal, characteristic=0):
     by size, and no face of the complex is listed.  The summation runs over
     the lcm lattice of the generators only; every other vertex subset
     contributes zero.
+
+    Supports that share no variable, even through others, form separate
+    groups (util.connected_unions): then I = I_1 + ... + I_k in disjoint
+    variables, the minimal resolution of S/I is the tensor product of those
+    of the S/I_g (Miller-Sturmfels), and its Poincare series
+    1 + sum beta_{i,j} s^(i+1) t^j is the product of theirs, in every
+    characteristic.  Each group is ranked alone on its own lcm lattice, so
+    the subsets visited add over the groups instead of multiplying.  The
+    variable bound stays on the ideal's own variables.
     """
     _check_characteristic(characteristic)
     if not ideal.squarefree:
@@ -158,13 +168,27 @@ def betti_hochster(ideal, characteristic=0):
         return BettiTable({}, characteristic)
     if ideal.is_unit:
         return BettiTable({(0, 0): 1}, characteristic)  # the whole ring, free
-    nonfaces = [[] for _ in range(ideal.maxdeg() + 1)]
-    for g in ideal.masks:
+    groups = connected_unions(ideal.masks)
+    series = {(0, 0): 1}  # {(power of s, power of t): coefficient}
+    for group in groups:
+        part = _hochster_part(ideal.nvars, [g for g in ideal.masks if g & group], characteristic)
+        factor = {(i + 1, j): v for (i, j), v in part.items()}
+        factor[(0, 0)] = 1
+        product = {}
+        for (a, b), u in series.items():
+            for (c, d), v in factor.items():
+                key = (a + c, b + d)
+                product[key] = product.get(key, 0) + u * v
+        series = product
+    return BettiTable({(i - 1, j): v for (i, j), v in series.items() if i}, characteristic)
+
+
+def _hochster_part(nvars, masks, characteristic):
+    """The kernel's Betti entries of the ideal with these generator supports, over their lcm lattice."""
+    nonfaces = [[] for _ in range(max(m.bit_count() for m in masks) + 1)]
+    for g in masks:
         nonfaces[g.bit_count()].append(g)
-    entries = _kernel.hochster_betti(
-        ideal.nvars, nonfaces, _lcm_lattice_masks(ideal.masks), characteristic
-    )
-    return BettiTable(entries, characteristic)
+    return _kernel.hochster_betti(nvars, nonfaces, _lcm_lattice_masks(masks), characteristic)
 
 
 # -- Taylor oracle ---------------------------------------------------------------
@@ -230,27 +254,34 @@ def betti_taylor_oracle(ideal, characteristic=0):
 
 def betti_table(ideal, characteristic=0):
     """Betti table by the cheapest exact route: Hochster after polarization,
-    Taylor when the generator count allows but the variables do not."""
-    sf = ideal if ideal.squarefree else polarize(ideal)
-    if sf.nvars <= HOCHSTER_VARIABLE_LIMIT:
-        return betti_hochster(sf, characteristic)
-    return betti_taylor_oracle(ideal, characteristic)
+    Taylor when the generator count allows but the variables do not.
+
+    The route is chosen before polarizing: the polarization has
+    sum_i max(1, top exponent of x_i) variables (ideals.polarized_nvars),
+    so an ideal past the Hochster bound goes to Taylor unpolarized.
+    """
+    if polarized_nvars(ideal) > HOCHSTER_VARIABLE_LIMIT:
+        return betti_taylor_oracle(ideal, characteristic)
+    return betti_hochster(ideal if ideal.squarefree else polarize(ideal), characteristic)
 
 
 # -- componentwise linearity -------------------------------------------------------
 
 
-def _components_verdict(components, characteristic, betti):
+def _components_verdict(components, characteristic, betti, ideal, table):
     """Every (d, nonzero component) pair must have a d-linear resolution.
 
     A bound hit degrades the verdict to inconclusive (None), never to
-    False; the first component that is not d-linear settles False.
+    False; the first component that is not d-linear settles False.  table,
+    when given, is the ideal's own Betti table and stands for a component
+    equal to the ideal (the first one, when the ideal is equigenerated).
     """
     certificates = {}
     verdict = True
     for d, comp in components:
         try:
-            v = classify_linearity(betti(comp, characteristic))
+            known = table is not None and comp == ideal
+            v = classify_linearity(table if known else betti(comp, characteristic))
         except BoundError as exc:
             certificates[d] = "inconclusive: %s" % exc
             if verdict is True:
@@ -280,20 +311,35 @@ def _squarefree_components(ideal):
     return comps
 
 
-def _polarized_componentwise_check(ideal, characteristic=0):
+def _polarized_componentwise_check(ideal, characteristic=0, table=None):
     """Componentwise linearity of a nonzero monomial ideal through its full
     degree components I_<d>, d = indeg .. max(maxdeg, reg I), each
-    polarized by betti_table."""
+    polarized by betti_table; reg I is read off the ideal's table."""
     try:
-        reg = betti_table(ideal, characteristic).regularity()
+        if table is None:
+            table = betti_table(ideal, characteristic)
     except BoundError as exc:
         return None, {"full_ideal": "inconclusive: %s" % exc}
-    degrees = range(ideal.indeg(), max(ideal.maxdeg(), reg) + 1)
+    degrees = range(ideal.indeg(), max(ideal.maxdeg(), table.regularity()) + 1)
     components = ((d, component_ideal(ideal, d)) for d in degrees)
-    return _components_verdict(components, characteristic, betti_table)
+    return _components_verdict(components, characteristic, betti_table, ideal, table)
 
 
-def componentwise_linear_check(ideal, characteristic=0):
+def _check_own_table(ideal, characteristic, table):
+    """InputError unless table can be the ideal's Betti table over this characteristic."""
+    if table.characteristic != characteristic:
+        raise InputError(
+            "Betti table over characteristic %d handed to a check over %d"
+            % (table.characteristic, characteristic)
+        )
+    row = {}
+    for d in ideal.degrees():
+        row[d] = row.get(d, 0) + 1
+    if {j: v for (i, j), v in table.entries.items() if i == 0} != row:
+        raise InputError("Betti table's beta_0 row does not count the ideal's generators")
+
+
+def componentwise_linear_check(ideal, characteristic=0, table=None):
     """Componentwise linearity: every degree component has a linear resolution.
 
     Returns (verdict, certificates keyed by degree); oracle limits degrade
@@ -308,11 +354,20 @@ def componentwise_linear_check(ideal, characteristic=0):
       (Eagon-Reiner), so higher degrees add nothing.
     * other ideals: every full degree component I_<d> for d = indeg ..
       max(maxdeg, reg I) is polarized and must be d-linear.
+
+    table, when given, must be the ideal's own Betti table over this
+    characteristic (cross_validate has one).  No component equal to the
+    ideal is ranked again: on an equigenerated ideal I_[indeg] = I_<indeg>
+    = I, and the polarized route reads reg I off it.  A table over another
+    characteristic, or whose beta_0 row does not count the ideal's
+    generators by degree, raises InputError.
     """
+    if table is not None:
+        _check_own_table(ideal, characteristic, table)
     if ideal.is_zero:
         return True, {}
     if not ideal.squarefree:
-        return _polarized_componentwise_check(ideal, characteristic)
+        return _polarized_componentwise_check(ideal, characteristic, table)
     if ideal.nvars > HOCHSTER_VARIABLE_LIMIT:  # every I_[d] stays on these variables
         return None, {
             "ideal": "inconclusive: squarefree components limited to %d variables, got %d"
@@ -322,4 +377,4 @@ def componentwise_linear_check(ideal, characteristic=0):
         (d, MonomialIdeal.from_masks(ideal.names, masks))
         for d, masks in _squarefree_components(ideal).items()
     )
-    return _components_verdict(components, characteristic, betti_hochster)
+    return _components_verdict(components, characteristic, betti_hochster, ideal, table)

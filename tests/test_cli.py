@@ -433,6 +433,22 @@ def test_betti_polarizes_whatever_the_names_and_exponents(variables, generators,
     assert json.loads(capsys.readouterr().out)["result"]["betti"] == betti
 
 
+def test_betti_answers_one_generator_past_the_polarization_bound(capsys, monkeypatch):
+    doc = {"kind": "ideal", "payload": {"variables": ["x"], "generators": [[20001]]}}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert main(["betti", "-", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["betti"] == {"0,20001": 1}
+
+
+def test_betti_of_a_sum_past_the_variable_bound_exits_2(capsys, monkeypatch):
+    # U(2,8)+U(2,8): 16 variables, past Hochster's bound on the whole ideal, and 42 generators
+    part = {"type": "uniform", "p": 2, "n": 8}
+    doc = {"kind": "matroid", "payload": {"type": "direct_sum", "parts": [part, part]}}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert main(["betti", "-"]) == 2
+    assert "Taylor oracle limited to 12 generators, got 42" in capsys.readouterr().err
+
+
 # -- one encoding: the deleted normalizer as the oracle ------------------------
 
 

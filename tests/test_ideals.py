@@ -30,6 +30,7 @@ from bcres.ideals import (
     minimalize,
     ordered_colon_ideals,
     polarize,
+    polarized_nvars,
     power_ideal,
     quotients_analysis,
     stanley_reisner_ideal,
@@ -554,6 +555,9 @@ def test_polarize():
     taken = polarize(ideal(("x", "xa"), (2, 0), (1, 1)))
     assert taken.names == ("xb", "xc", "xa") and taken.render() == "(xb*xc, xb*xa)"
     assert polarize(ideal(("x", "y"), (27, 0), (1, 1))).names[24:] == ("xy", "xz", "xaa", "y")
+    # the count betti_table reads before it polarizes is the polarization's
+    for i in (sf, ideal(("x1",), (2,)), ideal(("x", "y", "z"), (27, 0, 0), (1, 1, 0))):
+        assert polarized_nvars(i) == polarize(i).nvars
     with pytest.raises(BoundError, match="^polarization has 20001 copy variables, limit 20000$"):
         polarize(ideal(("x", "y"), (20000, 0), (1, 1)))
 

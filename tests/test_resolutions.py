@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcres import _kernel
+from bcres import _kernel, resolutions
 from bcres.complexes import bc_complex
 from bcres.corpus import standard_corpus
 from bcres.decomposition import cross_validate
@@ -27,7 +27,7 @@ from bcres.ideals import (
     quotients_analysis,
     stanley_reisner_ideal,
 )
-from bcres.matroid import uniform_matroid
+from bcres.matroid import direct_sum, uniform_matroid
 from bcres.resolutions import (
     HOCHSTER_VARIABLE_LIMIT,
     TAYLOR_GENERATOR_LIMIT,
@@ -42,7 +42,7 @@ from bcres.resolutions import (
     componentwise_linear_check,
     rows_consecutive_only,
 )
-from bcres.util import nonface_sieve
+from bcres.util import connected_unions, nonface_sieve
 
 V4 = tuple("x%d" % i for i in range(1, 5))
 V6 = tuple("x%d" % i for i in range(1, 7))
@@ -104,23 +104,66 @@ def test_hochster_rejects_nonsquarefree():
 
 
 def test_hochster_kernel_gets_generator_supports(monkeypatch):
-    # 14 variables: a face list would hold thousands of masks, the supports are five
+    # 14 variables: a face list would hold thousands of masks, the supports are
+    # five, in four groups that share no variable, so the kernel runs once per group
     names = tuple("x%d" % i for i in range(1, 15))
     i = ideal_from_supports(names, [{0, 1}, {1, 2}, {3, 4, 5}, {6, 7, 8, 9}, {10, 11, 12, 13}])
     calls = []
     real = _kernel.hochster_betti
     monkeypatch.setattr(_kernel, "hochster_betti", lambda *args: calls.append(args) or real(*args))
     table = betti_hochster(i)
-    (args,) = calls
-    assert [g for level in args[1] for g in level] == i.support_masks()
+    supports = [[g for level in args[1] for g in level] for args in calls]
+    assert len(calls) == 4
+    assert all(len(connected_unions(group)) == 1 for group in supports)
+    assert [g for group in supports for g in group] == i.support_masks()
+    assert all(args[2] == _lcm_lattice_masks(group) for args, group in zip(calls, supports))
     assert table == betti_taylor_oracle(i)
+
+
+@pytest.mark.parametrize("p", [0, 2, 32003])
+def test_sum_of_two_u24_is_the_squared_veronese_table(p):
+    # the bc ideal of U(2,4) is the squarefree Veronese of degree 2 in 3
+    # variables, with table C(3, 2+i) * C(1+i, i); the sum's is its square
+    # as a Poincare series
+    i = broken_circuit_ideal(direct_sum([uniform_matroid(2, 4), uniform_matroid(2, 4)]))
+    assert len(connected_unions(i.masks)) == 2
+    squared = {(0, 2): 6, (1, 3): 4, (1, 4): 9, (2, 5): 12, (3, 6): 4}
+    assert betti_hochster(i, p).entries == squared
+    assert betti_taylor_oracle(i, p).entries == squared
+
+
+@st.composite
+def disjoint_sums(draw):
+    """2-3 random squarefree ideals on disjoint blocks of variables, at most 12 in all."""
+    sizes = draw(st.lists(st.integers(2, 4), min_size=2, max_size=3))
+    supports, start = [], 0
+    for n in sizes:
+        block = st.sets(st.integers(start, start + n - 1), min_size=1, max_size=3)
+        supports += draw(st.lists(block, min_size=1, max_size=4))
+        start += n
+    return ideal_from_supports(tuple("x%d" % k for k in range(start)), supports)
+
+
+@settings(max_examples=150, deadline=None)
+@given(disjoint_sums(), st.sampled_from([0, 2, 32003]))
+def test_split_table_matches_the_unsplit_kernel(i, p):
+    nonfaces = [[g for g in i.masks if g.bit_count() == k] for k in range(i.maxdeg() + 1)]
+    whole = _kernel.hochster_betti(i.nvars, nonfaces, _lcm_lattice_masks(i.masks), p)
+    table = betti_hochster(i, p)
+    assert table == BettiTable(whole)
+    if len(i.masks) <= TAYLOR_GENERATOR_LIMIT:
+        assert table == betti_taylor_oracle(i, p)
 
 
 def test_taylor_generator_limit():
     gens = [tuple(1 if j == i else 0 for j in range(13)) for i in range(13)]
     big = MonomialIdeal(tuple("x%d" % i for i in range(13)), [Monomial(g) for g in gens])
-    with pytest.raises(BoundError):
+    with pytest.raises(BoundError, match="^Taylor oracle limited to 12 generators, got 13$"):
         betti_taylor_oracle(big)
+    # squares of 13 variables polarize to 26: past both routes, refused by Taylor's bound
+    squares = MonomialIdeal(big.names, [tuple(2 * e for e in g) for g in gens])
+    with pytest.raises(BoundError, match="^Taylor oracle limited to 12 generators, got 13$"):
+        betti_table(squares)
 
 
 def tuple_taylor_oracle(ideal, characteristic=0):
@@ -443,6 +486,58 @@ def test_alternating_sum_matches_power_route():
     tri = ideal(V4, (0, 1, 1, 0), (0, 1, 0, 1), (0, 0, 1, 1))
     p2 = power_ideal(tri, 2)
     assert betti_taylor_oracle(p2).entries == betti_hochster(polarize(p2)).entries
+
+
+@pytest.mark.parametrize(
+    "i, polarized",
+    [
+        (ideal(("x",), (20001,)), False),  # 20001 copies: past the enumeration limit
+        (ideal(("x", "y"), (8, 0), (0, 8)), False),  # 16 copy variables
+        (ideal(("x", "y"), (7, 0), (0, 7), (1, 1)), True),  # 14 copy variables
+        (ideal(V4, (2, 0, 0, 0), (1, 1, 0, 0)), True),
+    ],
+)
+def test_betti_table_polarizes_only_for_hochster(i, polarized, monkeypatch):
+    seen = []
+    real = polarize
+    monkeypatch.setattr(resolutions, "polarize", lambda j: seen.append(j) or real(j))
+    table = betti_table(i)
+    assert seen == ([i] if polarized else [])
+    assert table == betti_taylor_oracle(i)
+
+
+def test_cross_validate_ranks_the_ideal_once(monkeypatch):
+    # U(2,5)'s bc ideal is equigenerated, so I_[2] = I: the componentwise
+    # check reads cross_validate's table instead of ranking I again
+    m = uniform_matroid(2, 5)
+    i = broken_circuit_ideal(m)
+    assert i.indeg() == i.maxdeg()
+    ranked = []
+    real = resolutions.betti_hochster
+    monkeypatch.setattr(resolutions, "betti_hochster", lambda j, p=0: ranked.append(j) or real(j, p))
+    report = cross_validate(m, max_power=2)
+    assert ranked.count(i) == 1
+    assert report["componentwise_linear"] is True
+
+
+@pytest.mark.parametrize("p", [0, 2])
+def test_componentwise_check_with_the_table_matches_without(p):
+    for _, m in CORPUS:
+        i = broken_circuit_ideal(m)
+        try:
+            table = betti_table(i, p)
+        except BoundError:
+            table = None
+        assert componentwise_linear_check(i, p, table) == componentwise_linear_check(i, p), i.render()
+
+
+def test_componentwise_check_refuses_a_table_that_is_not_the_ideals():
+    i = broken_circuit_ideal(uniform_matroid(2, 5))
+    with pytest.raises(InputError, match="characteristic 0 handed to a check over 2"):
+        componentwise_linear_check(i, 2, betti_table(i))
+    other = broken_circuit_ideal(uniform_matroid(2, 4))
+    with pytest.raises(InputError, match="beta_0 row"):
+        componentwise_linear_check(i, 0, betti_table(other))
 
 
 def test_betti_table_dispatch(golden_ideal):
