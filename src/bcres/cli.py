@@ -28,7 +28,7 @@ from .decomposition import (
     two_term_decomposition,
 )
 from .errors import BoundError, InputError, LoopError
-from .graphs import Graph, build_gnr, check_cycle_space, cycle_matroid, gnr_report
+from .graphs import Graph, build_gnr, cycle_matroid, gnr_report
 from .hilbert import binomial_form_fit, h_binomial_fit, hilbert_function, linear_value_criterion
 from .ideals import (
     MonomialIdeal,
@@ -303,7 +303,6 @@ def _cmd_graph(doc, options):
     if doc.kind != "graph":
         raise InputError("the graph command needs kind=graph input")
     g = materialize(doc)
-    check_cycle_space(g)
     m = cycle_matroid(g)
     return {
         "vertices": [repr(v) if not isinstance(v, (int, str)) else v for v in g.vertices],
@@ -327,7 +326,6 @@ def _cmd_gnr(doc, options):
     sizes = _int_list("--cycles", options.cycles)
     bridges = _int_list("--bridges", options.bridges) if options.bridges else None
     g = build_gnr(sizes, bridges)
-    check_cycle_space(g)
     return {
         "edges": [[lab, u, v] for lab, u, v in g.edges],
         "report": gnr_report(cycle_matroid(g)),

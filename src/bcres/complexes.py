@@ -1,19 +1,20 @@
 """Simplicial complexes: broken-circuit and independence complexes, f/h-vectors,
 induced subcomplexes and exact reduced homology ranks.
 
-A complex is its vertex tuple plus one antichain of bitmasks over vertex
-positions: its facets, or its minimal nonfaces when it was built from them
-(complex_from_nonfaces: broken-circuit complexes and Stanley-Reisner
-complexes of ideals).  Faces are the facets' submasks, so no 2^n table is
-built.  Vertices missing from every facet are legal (ghost vertices); the
-empty complex {()} and the void complex (no faces at all) are
-distinguished because reduced homology in dimension -1 matters downstream.
+A complex is its vertex tuple plus antichains of bitmasks over vertex
+positions: its facets, its minimal nonfaces when it was built from them
+(complex_from_nonfaces: Stanley-Reisner complexes of ideals), or both
+(broken-circuit complexes, whose facets are the nbc bases).  Faces are the
+facets' submasks, so no 2^n table is built.  Vertices missing from every
+facet are legal (ghost vertices); the empty complex {()} and the void
+complex (no faces at all) are distinguished because reduced homology in
+dimension -1 matters downstream.
 Both Stanley-Reisner directions are one Alexander-duality step through
 util.minimal_transversals: facets are the complements of the minimal
 transversals of the minimal nonfaces, and minimal nonfaces are the minimal
-transversals of the facet complements.  A complex held as nonfaces takes
-that step only when its facets are read; its f- and h-vectors come from the
-K-polynomial of the nonfaces (util.k_polynomial) without it.  Reduced
+transversals of the facet complements.  A complex held as nonfaces alone
+takes that step only when its facets are read; its f- and h-vectors come
+from the K-polynomial of the nonfaces (util.k_polynomial) without it.  Reduced
 homology hands the facets to the kernel, which strongly collapses them
 before listing faces.  The Betti route needs no complex at all: it hands
 the generator supports, the minimal nonfaces, straight to the kernel.
@@ -22,7 +23,7 @@ the generator supports, the minimal nonfaces, straight to the kernel.
 from itertools import accumulate
 
 from . import _kernel
-from .errors import InputError, LoopError
+from .errors import BoundError, InputError, LoopError
 from .util import Frozen, binom, bits, faces_by_size, k_polynomial, minimal_masks, minimal_transversals, sorted_sets
 
 
@@ -30,7 +31,7 @@ class SimplicialComplex(Frozen):
     """Complex on a vertex tuple; facets=[frozenset()] is the empty complex, [] the void one.
 
     Built from facets, or (complex_from_nonfaces) from minimal nonfaces,
-    whose facets are then derived on first read and cached.
+    whose facets, unless given, are then derived on first read and cached.
     """
 
     __slots__ = ("vertices", "_facet_masks", "_nonface_masks")
@@ -122,23 +123,24 @@ class FHVectors(Frozen):
         return "FHVectors(f=%s, h=%s)" % (self.f, self.h)
 
 
-def complex_from_nonfaces(vertices, nonfaces):
+def complex_from_nonfaces(vertices, nonfaces, facets=None):
     """Complex whose faces contain none of the nonface masks (an empty nonface: void).
 
-    The complex keeps the minimal nonfaces; its facets are found only when read.
+    The complex keeps the minimal nonfaces; its facets, unless given, are found only when read.
     """
     complex_ = object.__new__(SimplicialComplex)
     object.__setattr__(complex_, "vertices", tuple(vertices))
-    object.__setattr__(complex_, "_facet_masks", None)
+    object.__setattr__(complex_, "_facet_masks", None if facets is None else tuple(sorted(facets)))
     object.__setattr__(complex_, "_nonface_masks", tuple(minimal_masks(nonfaces)))
     return complex_
 
 
 def bc_complex(matroid, order=None):
-    """Broken-circuit complex: all subsets containing no broken circuit."""
+    """Broken-circuit complex: all subsets containing no broken circuit.  It holds the
+    minimal broken circuits as its nonfaces and the nbc bases as its facets."""
     if not matroid.is_loopless:
         raise LoopError("broken-circuit complex needs a loopless matroid")
-    return complex_from_nonfaces(matroid.ground, matroid.broken_circuit_masks(order))
+    return complex_from_nonfaces(matroid.ground, matroid.broken_circuit_masks(order), matroid.nbc_basis_masks(order))
 
 
 def independence_complex(matroid):
@@ -212,13 +214,24 @@ def reduced_homology_ranks(complex_, characteristic=0):
 
 
 def _check_characteristic(characteristic):
+    """InputError unless the characteristic is 0 or a prime, decided by Miller-Rabin on
+    the prime bases up to 37, which is exact below 318665857834031151167461 (Sorenson-
+    Webster, Math. Comp. 86 (2017)); BoundError for a larger characteristic."""
     if characteristic == 0:
         return
-    if not isinstance(characteristic, int) or characteristic < 2:
+    if isinstance(characteristic, int) and characteristic >= 318665857834031151167461:
+        raise BoundError("primality is decided only below 318665857834031151167461, got %d" % characteristic)
+    if not isinstance(characteristic, int) or characteristic < 2 or not _strong_probable_prime(characteristic):
         raise InputError("characteristic must be 0 or a prime")
-    n = characteristic
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            raise InputError("characteristic must be 0 or a prime")
-        k += 1
+
+
+def _strong_probable_prime(n):
+    """Whether n >= 2 passes Miller-Rabin on every prime base up to 37."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % a == 0:
+            return n == a
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << k, n) != n - 1 for k in range(s)):
+            return False  # a witnesses that n is composite
+    return True

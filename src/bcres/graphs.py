@@ -1,18 +1,15 @@
 """Graph front-end: cycle matroids, construction of n-edge r-cycle graphs,
-their facet complexes, and the complete-intersection report.
+and the complete-intersection report with its one-edge-per-cycle facet ideal.
 
 The r-cycle construction realizes the requested cycles edge-disjoint
 (optionally chained by bridge paths), which is the regime where the
 minimal broken circuits of the cycle matroid are pairwise disjoint.
 """
 
-from itertools import product
-
-from .complexes import SimplicialComplex
-from .errors import BoundError, InputError
-from .ideals import broken_circuit_ideal, complete_intersection_check, facet_ideal
+from .errors import InputError
+from .ideals import MonomialIdeal, broken_circuit_ideal, complete_intersection_check
 from .matroid import graphic_matroid
-from .util import Frozen, connected_unions
+from .util import Frozen
 
 
 class Graph(Frozen):
@@ -87,60 +84,24 @@ def build_gnr(cycle_sizes, bridges=None):
     return Graph(edges)
 
 
-# facets of gnr_complex, one per choice of an edge in every cycle; the facet
-# ideal's minimalization is quadratic in their number
-GNR_FACET_LIMIT = 2048
-
-
-def check_cycle_space(graph):
-    """BoundError, before any cycle walk, when the gnr facets of a loopless graph pass GNR_FACET_LIMIT.
-
-    The d = |E| - |V| + (components) fundamental cycles are distinct
-    simple cycles of at least two edges, so gnr_complex has at least 2^d
-    edge choices.  A graph with a self-loop passes: gnr_report builds no
-    facets for it.
-    """
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    ends = [1 << index[u] | 1 << index[v] for _, u, v in graph.edges]
-    if any(e.bit_count() == 1 for e in ends):
-        return
-    d = len(ends) - len(index) + len(connected_unions(ends))
-    if 1 << d > GNR_FACET_LIMIT:
-        raise BoundError(
-            "a cycle space of dimension %d gives at least 2^%d edge choices, above the limit %d"
-            % (d, d, GNR_FACET_LIMIT)
-        )
-
-
-def gnr_complex(labels, cycles):
-    """Facet family from removing one edge of every cycle, over all choices.
-
-    The choices number the product of the cycle lengths; once that product
-    passes GNR_FACET_LIMIT this raises BoundError, before enumerating any
-    and without forming the rest of the product.
-    """
-    choices = 1
-    for c in cycles:
-        choices *= len(c)
-        if choices > GNR_FACET_LIMIT:
-            raise BoundError(
-                "%d cycles give more than %d edge choices" % (len(cycles), GNR_FACET_LIMIT)
-            )
-    all_edges = set(labels)
-    facets = []
-    for choice in product(*[sorted(c, key=repr) for c in cycles]):
-        facets.append(all_edges - set(choice))
-    return SimplicialComplex(labels, facets)
-
-
 def gnr_report(matroid, order=None):
     """Complete-intersection report for the cycle matroid of an r-cycle graph.
 
-    Builds the broken-circuit ideal and the CI verdict;
-    separately builds the one-edge-per-cycle facet complex and reports
-    whether its facet ideal coincides with the broken-circuit ideal (an
-    identity that is checked per instance, never assumed).  The
-    Cohen-Macaulay flag copies the CI answer, so it reads False on
+    Builds the broken-circuit ideal and the CI verdict, and reports whether
+    the facet ideal of the one-edge-per-cycle complex (the maximal sets
+    E - T, over every choice T of one edge in each cycle) coincides with
+    the broken-circuit ideal (an identity that is checked per instance,
+    never assumed).  Those maximal sets are the bases of the cycle matroid,
+    so the facet ideal is read off Matroid.basis_masks:
+
+    * E - T contains no circuit, because T meets every circuit; so every
+      E - T is independent.
+    * Every basis B is E - T for the choice T = E - B: each circuit meets
+      T, since B holds none, and the fundamental circuit C(e, B) of each e
+      in T meets T in e alone, so it must choose e.
+    * Therefore the maximal sets E - T are the bases.
+
+    The Cohen-Macaulay flag copies the CI answer, so it reads False on
     Cohen-Macaulay rings that are not complete intersections, although
     every broken-circuit complex is shellable, so its ring is Cohen-Macaulay.
     """
@@ -160,7 +121,7 @@ def gnr_report(matroid, order=None):
     report["complete_intersection"] = ci
     report["cohen_macaulay"] = ci  # the CI answer, not a CM test: False misses CM rings
     if cycles:
-        fideal = facet_ideal(gnr_complex(matroid.ground, cycles))
+        fideal = MonomialIdeal.from_masks(ideal.names, matroid.basis_masks())
         report["facet_ideal_generators"] = len(fideal.masks)
         report["facet_ideal_degree"] = fideal.maxdeg()
         report["facet_ideal_equals_bc_ideal"] = fideal == ideal

@@ -15,6 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+from . import util
 from .errors import BoundError, CircuitAxiomError, InputError, LoopError
 from ._kernel import echelon_residue, rank_int
 from .linalg import integer_primitive
@@ -186,23 +187,12 @@ class Matroid(Frozen):
                 raise InputError("unknown element label %r" % (e,))
         return subset
 
-    def _closes_circuit(self, i, cand):
-        """Whether cand, an independent set plus i, holds a circuit: one through i and no
-        larger than cand, so the walk stops at the first larger (fewest elements first)."""
-        size = cand.bit_count()
-        for m in self._by_elem[i]:
-            if m.bit_count() > size:
-                return False
-            if m & cand == m:
-                return True
-        return False
-
     def _greedy_rank(self, positions):
         mask = 0
         count = 0
         for i in positions:
             cand = mask | 1 << i
-            if not self._closes_circuit(i, cand):
+            if not _holds_one(self._by_elem[i], cand):
                 mask = cand
                 count += 1
         return count
@@ -291,18 +281,34 @@ class Matroid(Frozen):
         return self.delete(deleted).contract(contracted)
 
     def basis_masks(self):
-        """All maximal independent sets, as ground-position masks."""
+        """All maximal independent sets, as ground-position masks; BoundError past util.ENUMERATION_LIMIT."""
+        return self._rank_faces(self._by_elem, "bases")
+
+    def nbc_basis_masks(self, order=None):
+        """The bases holding no broken circuit under the order: the facets of the
+        broken-circuit complex, which is pure of dimension rank - 1 (Bjorner 1992).
+        A set holding no broken circuit holds no circuit, so the basis walk finds
+        them with the minimal broken circuits as the forbidden sets."""
+        bcs = self.broken_circuit_masks(order)  # fewest elements first, as the walk needs
+        return self._rank_faces([[m for m in bcs if m >> i & 1] for i in range(len(self.ground))], "nbc bases")
+
+    def _rank_faces(self, through, what):
+        """The rank-many-element sets holding none of the forbidden masks, where
+        through[i] lists those through position i, fewest elements first."""
         out = []
         n = len(self.ground)
         r = self.rank
+        limit = util.ENUMERATION_LIMIT  # read per walk, so a test may lower it
 
         def extend(start, mask, size):
             if size == r:
                 out.append(mask)
+                if len(out) > limit:
+                    raise BoundError("a rank-%d matroid on %d elements has more than %d %s" % (r, n, limit, what))
                 return
             for i in range(start, n - (r - size) + 1):
                 cand = mask | 1 << i
-                if not self._closes_circuit(i, cand):
+                if not _holds_one(through[i], cand):
                     extend(i + 1, cand, size + 1)
 
         extend(0, 0, 0)
@@ -329,8 +335,10 @@ class Matroid(Frozen):
         return tuple(len(level) for level in faces_by_size(self.basis_masks()))
 
     def tutte_polynomial(self):
-        """Tutte polynomial by deletion-contraction of position 0, memoized on (size, circuit masks)."""
+        """Tutte polynomial by deletion-contraction of position 0, memoized on (size, circuit
+        masks); BoundError once the memo holds more than util.ENUMERATION_LIMIT minors."""
         memo = {}
+        limit = util.ENUMERATION_LIMIT
 
         def rec(n, masks):
             if not n:
@@ -347,9 +355,24 @@ class Matroid(Frozen):
                 contracted = frozenset(minimal_masks(m >> 1 for m in masks))
                 result = rec(n - 1, deleted) + rec(n - 1, contracted)
             memo[n, masks] = result
+            if len(memo) > limit:
+                raise BoundError("deletion-contraction on a rank-%d matroid on %d elements meets more than"
+                                 " %d distinct minors" % (self.rank, len(self.ground), limit))
             return result
 
         return rec(len(self.ground), frozenset(self.circuit_masks))
+
+
+def _holds_one(masks, cand):
+    """Whether cand (a set holding none of the masks, plus i) holds one of the masks through
+    i, listed fewest elements first, so the scan stops at the first larger than cand."""
+    size = cand.bit_count()
+    for m in masks:
+        if m.bit_count() > size:
+            return False
+        if m & cand == m:
+            return True
+    return False
 
 
 def _positions(ground):

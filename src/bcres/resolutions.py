@@ -362,6 +362,7 @@ def componentwise_linear_check(ideal, characteristic=0, table=None):
     characteristic, or whose beta_0 row does not count the ideal's
     generators by degree, raises InputError.
     """
+    _check_characteristic(characteristic)
     if table is not None:
         _check_own_table(ideal, characteristic, table)
     if ideal.is_zero:

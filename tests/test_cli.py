@@ -130,38 +130,42 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "inconclusive" in err
 
 
-def test_graph_command_exits_2_on_k5(tmp_path, capsys):
+def test_graph_command_answers_k5(tmp_path, capsys):
     k5 = tmp_path / "k5.json"
     edges = [list(e) for e in combinations(range(5), 2)]
     k5.write_text(json.dumps({"kind": "graph", "payload": {"edges": edges}}))
-    assert main(["graph", str(k5)]) == 2
-    assert "edge choices" in capsys.readouterr().err
+    assert main(["graph", str(k5), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)["result"]["report"]
+    assert report["cycles"] == 37
+    assert (report["facet_ideal_generators"], report["facet_ideal_degree"]) == (125, 4)
+
+
+def ladder_edges(rungs):
+    return [[2 * i, 2 * i + 1] for i in range(rungs)] + [[i, i + 2] for i in range(2 * rungs - 2)]
 
 
 def test_graph_command_refuses_a_long_cycle_walk_at_once(tmp_path, capsys):
     # a 21-rung ladder: 42 vertices, 61 edges, cycle space dimension 20
-    rungs = [[2 * i, 2 * i + 1] for i in range(21)]
-    rails = [[i, i + 2] for i in range(40)]
     ladder = tmp_path / "ladder.json"
-    ladder.write_text(json.dumps({"kind": "graph", "payload": {"edges": rungs + rails}}))
+    ladder.write_text(json.dumps({"kind": "graph", "payload": {"edges": ladder_edges(21)}}))
     start = time.perf_counter()
     assert main(["graph", str(ladder)]) == 2
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
-    assert "a cycle space of dimension 20 gives at least 2^20 edge choices, above the limit 2048" in err
+    assert "cycle walk needs 2^20 x 42 vertices = 44040192 edge tests, limit 4000000" in err
 
 
 @pytest.mark.parametrize(
-    "edges, code, walks",
+    "edges, code, seconds",
     [
-        ([[0, 1], [1, 2], [2, 0], [2, 3], [3, 4], [4, 2]], 0, 1),
-        # a 17-rung ladder: 2^16 edge choices at least, so its gnr facets are
-        # refused before the walk
-        ([[2 * i, 2 * i + 1] for i in range(17)] + [[i, i + 2] for i in range(32)], 2, 0),
+        ([[0, 1], [1, 2], [2, 0], [2, 3], [3, 4], [4, 2]], 0, 0.2),
+        # a 17-rung ladder: 2^16 cycle-space elements to walk, then millions
+        # of spanning trees, refused at the basis bound (about 3 s unloaded)
+        (ladder_edges(17), 2, 10),
     ],
     ids=["two-triangles", "ladder-17"],
 )
-def test_graph_command_walks_the_cycle_space_once(edges, code, walks, tmp_path, capsys, monkeypatch):
+def test_graph_command_walks_the_cycle_space_once(edges, code, seconds, tmp_path, capsys, monkeypatch):
     import bcres.matroid
 
     calls = []
@@ -171,19 +175,29 @@ def test_graph_command_walks_the_cycle_space_once(edges, code, walks, tmp_path, 
     doc.write_text(json.dumps({"kind": "graph", "payload": {"edges": edges}}))
     start = time.perf_counter()
     assert main(["graph", str(doc)]) == code
-    assert time.perf_counter() - start < 0.2
-    assert len(calls) == walks
+    assert time.perf_counter() - start < seconds
+    assert len(calls) == 1
+    if code:
+        assert "a rank-33 matroid on 49 elements has more than 20000 bases" in capsys.readouterr().err
 
 
-def test_gnr_command_refuses_before_the_cycle_walk(tmp_path, capsys, monkeypatch):
-    import bcres.matroid
-
-    monkeypatch.setattr(bcres.matroid, "simple_cycle_edge_sets", mock.Mock(side_effect=AssertionError))
+def test_gnr_command_answers_twelve_two_cycles(tmp_path, capsys):
     doc = tmp_path / "u24.json"
     doc.write_text(U24_DOC)
-    # twelve 2-cycles on 12 components: d = 24 - 24 + 12
-    assert main(["gnr", str(doc), "--cycles", ",".join(["2"] * 12)]) == 2
-    assert "a cycle space of dimension 12" in capsys.readouterr().err
+    # twelve 2-cycles on 12 components: 2^12 edge choices, each a spanning forest
+    assert main(["gnr", str(doc), "--cycles", ",".join(["2"] * 12), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)["result"]["report"]
+    assert (report["cycles"], report["facet_ideal_generators"]) == (12, 4096)
+
+
+@pytest.mark.parametrize("rungs", [12, 17])
+def test_info_command_bounds_the_tutte_recursion(rungs, tmp_path, capsys):
+    doc = tmp_path / "ladder.json"
+    doc.write_text(json.dumps({"kind": "graph", "payload": {"edges": ladder_edges(rungs)}}))
+    start = time.perf_counter()
+    assert main(["info", str(doc)]) == 2
+    assert time.perf_counter() - start < 5
+    assert "matroid on %d elements meets more than 20000 distinct minors" % (3 * rungs - 2) in capsys.readouterr().err
 
 
 def test_arrangement_past_the_stratify_bound_is_inconclusive(tmp_path, capsys):

@@ -5,16 +5,18 @@ circuits and take maximal survivors.  Homology is pinned on complexes
 whose answers are classical.
 """
 
+import time
 from itertools import combinations
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bcres import complexes
+from bcres import complexes, util
 from bcres.complexes import (
     SimplicialComplex,
     bc_complex,
+    complex_from_nonfaces,
     f_h_vectors,
     f_to_h,
     h_to_f,
@@ -22,7 +24,8 @@ from bcres.complexes import (
     induced_subcomplex,
     reduced_homology_ranks,
 )
-from bcres.errors import InputError, LoopError
+from bcres.corpus import standard_corpus
+from bcres.errors import BoundError, InputError, LoopError
 from bcres.hilbert import hilbert_function
 from bcres.ideals import (
     Monomial,
@@ -73,6 +76,60 @@ def test_bc_facets_match_bruteforce_more():
 def test_bc_complex_rejects_loops():
     with pytest.raises(LoopError):
         bc_complex(uniform_matroid(0, 2))
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["ground-order", "reversed"])
+def test_bc_facets_are_the_berge_routes(reverse):
+    # the nbc bases against the facets Alexander duality derives from the minimal broken circuits
+    for name, m in standard_corpus(0):
+        if not m.is_loopless:
+            continue
+        order = m.ground[::-1] if reverse else None
+        berge = complex_from_nonfaces(m.ground, m.broken_circuit_masks(order)).facet_masks
+        assert bc_complex(m, order).facet_masks == berge, name
+
+
+def test_bc_complex_bounds_its_nbc_bases(monkeypatch):
+    # U(3,6): C(5,2) = 10 nbc bases, the bases through the least element
+    u36 = uniform_matroid(3, 6)
+    monkeypatch.setattr(util, "ENUMERATION_LIMIT", 10)
+    assert len(bc_complex(u36).facet_masks) == 10
+    monkeypatch.setattr(util, "ENUMERATION_LIMIT", 9)
+    with pytest.raises(BoundError, match="^a rank-3 matroid on 6 elements has more than 9 nbc bases$"):
+        bc_complex(u36)
+
+
+def _trial_division_prime(n):
+    return n > 1 and all(n % k for k in range(2, int(n**0.5) + 1))
+
+
+def _accepts(characteristic):
+    try:
+        complexes._check_characteristic(characteristic)
+    except InputError:
+        return False
+    return True
+
+
+def test_characteristic_check_agrees_with_trial_division():
+    assert [n for n in range(2, 10**5) if _accepts(n) != _trial_division_prime(n)] == []
+
+
+def test_characteristic_check_rejects_strong_pseudoprimes():
+    assert not _accepts(3215031751)  # strong pseudoprime to the bases 2, 3, 5, 7
+    assert not _accepts(3825123056546413051)  # ... to every prime base up to 31
+
+
+def test_characteristic_check_accepts_a_large_prime_at_once():
+    start = time.perf_counter()
+    assert _accepts(2**61 - 1)
+    assert time.perf_counter() - start < 0.1
+    assert reduced_homology_ranks(SimplicialComplex((1, 2), [{1}, {2}]), 2**61 - 1) == [0, 1]
+
+
+def test_characteristic_check_refuses_past_its_proven_range():
+    with pytest.raises(BoundError, match="318665857834031151167461"):
+        complexes._check_characteristic(318665857834031151167461 + 2)
 
 
 def test_independence_complex(u24, golden):

@@ -1,14 +1,23 @@
-"""Cycle matroids, r-cycle graph construction, complete-intersection reports."""
+"""Cycle matroids, r-cycle graph construction, complete-intersection reports.
+
+Oracle for the gnr facet ideal: the one-edge-per-cycle choices themselves,
+whose maximal complements gnr_report reads off the bases instead.
+"""
 
 import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bcres import graphs
+from bcres import util
+from bcres.complexes import SimplicialComplex
 from bcres.errors import BoundError, InputError
-from bcres.graphs import Graph, build_gnr, check_cycle_space, cycle_matroid, gnr_complex, gnr_report
+from bcres.graphs import Graph, build_gnr, cycle_matroid, gnr_report
+from bcres.ideals import MonomialIdeal, broken_circuit_ideal, facet_ideal
 from bcres.matroid import uniform_matroid
+from bcres.util import bits
 
 
 def test_cycle_matroid_triangle():
@@ -153,21 +162,75 @@ def test_selfloop_report():
     assert rep["verdict"].startswith("not applicable")
 
 
+def gnr_facet_oracle(matroid):
+    """The brute force that gnr_report no longer runs: the facet ideal of the maximal
+    sets E - T, over every choice T of one element in each circuit."""
+    choices = {0}  # the sets T chosen so far, as masks
+    for c in matroid.circuit_masks:
+        choices = {t | 1 << i for t in choices for i in bits(c)}
+    full = (1 << len(matroid.ground)) - 1
+    return facet_ideal(SimplicialComplex.from_masks(matroid.ground, [full ^ t for t in choices]))
+
+
+def _assert_facet_ideal_is_the_oracles(matroid):
+    rep = gnr_report(matroid)
+    oracle = gnr_facet_oracle(matroid)
+    # what gnr_report reads its three entries off
+    assert MonomialIdeal.from_masks(oracle.names, matroid.basis_masks()) == oracle
+    assert rep["facet_ideal_generators"] == len(oracle.masks)
+    assert rep["facet_ideal_degree"] == oracle.maxdeg()
+    assert rep["facet_ideal_equals_bc_ideal"] == (oracle == broken_circuit_ideal(matroid))
+    return rep
+
+
+@st.composite
+def loopless_multigraphs(draw):
+    """At most 9 edges on 1-4 components, each a random spanning tree plus random
+    further edges, parallel ones allowed."""
+    edges = []
+    base = 0
+    for _ in range(draw(st.integers(1, 4))):
+        size = draw(st.integers(1, min(4, 10 - len(edges))))
+        for j in range(1, size):
+            edges.append((base + draw(st.integers(0, j - 1)), base + j))
+        if size > 1:
+            ends = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)).filter(lambda e: e[0] != e[1])
+            edges += [(base + u, base + v) for u, v in draw(st.lists(ends, max_size=9 - len(edges)))]
+        base += size
+    return Graph(edges)
+
+
+@given(loopless_multigraphs())
+@settings(max_examples=80, deadline=None)
+def test_gnr_facet_ideal_is_the_edge_choice_oracles(graph):
+    matroid = cycle_matroid(graph)
+    if matroid.circuits:  # a forest has no choice to make; the report holds None
+        _assert_facet_ideal_is_the_oracles(matroid)
+
+
 def test_gnr_report_bounds_the_cycle_product():
-    # K5 has 37 cycles; one facet per edge choice would be about 1.5e22 facets
-    k5 = Graph(list(combinations(range(5), 2)))
+    # K5 has 37 cycles and 125 spanning trees; the edge choices number about 1.5e22
     start = time.perf_counter()
-    with pytest.raises(BoundError, match="edge choices"):
-        gnr_report(cycle_matroid(k5))
+    rep = _assert_facet_ideal_is_the_oracles(cycle_matroid(Graph(list(combinations(range(5), 2)))))
     assert time.perf_counter() - start < 5.0
+    assert rep["facet_ideal_generators"] == 125
+    assert rep["facet_ideal_degree"] == 4
+    assert rep["facet_ideal_equals_bc_ideal"] is False
 
 
-def test_gnr_refusal_names_the_limit_not_the_product():
-    # a 17-rung ladder: 136 cycles whose lengths multiply to a 150-digit number
-    ladder = Graph([(2 * i, 2 * i + 1) for i in range(17)] + [(i, i + 2) for i in range(32)])
-    with pytest.raises(BoundError) as err:
-        gnr_report(cycle_matroid(ladder))
-    assert str(err.value) == "136 cycles give more than %d edge choices" % graphs.GNR_FACET_LIMIT
+def test_gnr_report_on_twelve_two_cycles():
+    rep = _assert_facet_ideal_is_the_oracles(cycle_matroid(build_gnr([2] * 12)))
+    assert rep["facet_ideal_generators"] == 2**12
+    assert rep["facet_ideal_degree"] == 12
+
+
+def test_gnr_report_basis_bound_is_inclusive(monkeypatch):
+    k5 = cycle_matroid(Graph(list(combinations(range(5), 2))))
+    monkeypatch.setattr(util, "ENUMERATION_LIMIT", 125)
+    assert gnr_report(k5)["facet_ideal_generators"] == 125
+    monkeypatch.setattr(util, "ENUMERATION_LIMIT", 124)
+    with pytest.raises(BoundError, match="^a rank-4 matroid on 10 elements has more than 124 bases$"):
+        gnr_report(k5)
 
 
 def ladder(rungs):
@@ -175,37 +238,12 @@ def ladder(rungs):
     return Graph([(2 * i, 2 * i + 1) for i in range(rungs)] + [(i, i + 2) for i in range(2 * rungs - 2)])
 
 
-def test_check_cycle_space_admits_exactly_the_limit():
-    assert graphs.GNR_FACET_LIMIT == 2**11
-    check_cycle_space(ladder(12))  # d = 11
-    check_cycle_space(build_gnr([2] * 11))  # 11 components, d = 11
-    with pytest.raises(BoundError, match="^a cycle space of dimension 12 gives at least 2\\^12 edge choices"):
-        check_cycle_space(ladder(13))
-    with pytest.raises(BoundError, match="dimension 12"):
-        check_cycle_space(build_gnr([2] * 12))
-    # a self-loop keeps the not-applicable route, however large the cycle space
-    check_cycle_space(Graph(ladder(17).edges + ((0, 5, 5),)))
-
-
-@pytest.mark.parametrize(
-    "graph",
-    [
-        build_gnr([3, 3]),
-        build_gnr([3, 4], [2]),
-        Graph(list(combinations(range(4), 2))),
-        Graph([(0, 1), (0, 1), (1, 2), (3, 4), (4, 5), (5, 3)]),
-        Graph([(1, 2), (2, 3)]),
-    ],
-    ids=["two-triangles", "bridged", "K4", "multigraph-two-components", "path"],
-)
-def test_check_cycle_space_dimension_is_the_nullity(graph, monkeypatch):
-    # the bound is 2^d for d = |E| - rank of the cycle matroid
-    d = len(graph.edges) - cycle_matroid(graph).rank
-    monkeypatch.setattr(graphs, "GNR_FACET_LIMIT", 2**d)
-    check_cycle_space(graph)
-    monkeypatch.setattr(graphs, "GNR_FACET_LIMIT", 2**d - 1)
-    with pytest.raises(BoundError, match="dimension %d" % d):
-        check_cycle_space(graph)
+def test_gnr_refusal_names_the_limit_not_the_product():
+    # a 17-rung ladder: 136 cycles whose lengths multiply to a 150-digit number,
+    # and millions of spanning trees
+    with pytest.raises(BoundError) as err:
+        gnr_report(cycle_matroid(ladder(17)))
+    assert str(err.value) == "a rank-33 matroid on 49 elements has more than 20000 bases"
 
 
 def test_gnr_report_many_edges_few_cycles():
@@ -216,13 +254,3 @@ def test_gnr_report_many_edges_few_cycles():
     assert time.perf_counter() - start < 2.0
     assert rep["edges"] == 20
     assert rep["complete_intersection"] is True
-
-
-def test_gnr_complex_limit_is_inclusive(monkeypatch):
-    g = build_gnr([3, 3])
-    cycles = cycle_matroid(g).circuits
-    monkeypatch.setattr(graphs, "GNR_FACET_LIMIT", 9)
-    assert len(gnr_complex(g.edge_labels, cycles).facets) == 9
-    monkeypatch.setattr(graphs, "GNR_FACET_LIMIT", 8)
-    with pytest.raises(BoundError):
-        gnr_complex(g.edge_labels, cycles)

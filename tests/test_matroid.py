@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_cli import Options
 
+from bcres import util
 from bcres.cli import parse_input, run_command
 from bcres.complexes import f_h_vectors, f_to_h, independence_complex
 from bcres.corpus import standard_corpus
@@ -540,6 +541,25 @@ def test_tutte_deletion_contraction_consistency(golden):
         if e in coloops or e in loops:
             continue
         assert t == golden.delete({e}).tutte_polynomial() + golden.contract({e}).tutte_polynomial()
+
+
+def test_tutte_recursion_bound_is_inclusive(u24, monkeypatch):
+    # U(2,4) meets eight distinct minors: U(2,4), U(2,3), U(1,3), U(2,2), U(1,2),
+    # U(0,2), U(1,1) and U(0,1)
+    monkeypatch.setattr(util, "ENUMERATION_LIMIT", 8)
+    assert u24.tutte_polynomial().evaluate(1, 1) == 6
+    monkeypatch.setattr(util, "ENUMERATION_LIMIT", 7)
+    with pytest.raises(BoundError, match="^deletion-contraction on a rank-2 matroid on 4 elements meets more than 7 distinct minors$"):
+        u24.tutte_polynomial()
+
+
+def test_basis_bound_is_inclusive(u24, monkeypatch):
+    monkeypatch.setattr(util, "ENUMERATION_LIMIT", 6)
+    assert len(u24.basis_masks()) == 6
+    monkeypatch.setattr(util, "ENUMERATION_LIMIT", 5)
+    for query in (u24.basis_masks, u24.bases, u24.dual, u24.independence_profile):
+        with pytest.raises(BoundError, match="^a rank-2 matroid on 4 elements has more than 5 bases$"):
+            query()
 
 
 def test_tutte_basis_count(u24, golden):

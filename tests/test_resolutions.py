@@ -474,6 +474,14 @@ def test_componentwise_unit_and_zero():
     assert componentwise_linear_check(ideal(V4, (0, 0, 0, 0))) == (True, {0: "0-linear"})
 
 
+def test_componentwise_check_checks_the_characteristic_first():
+    for i in (MonomialIdeal(V4, []), ideal(V4, (0, 0, 0, 0)), ideal(("x1", "x2"), (1, 1))):
+        with pytest.raises(InputError, match="characteristic must be 0 or a prime"):
+            componentwise_linear_check(i, 4)
+        with pytest.raises(InputError, match="characteristic must be 0 or a prime"):
+            betti_table(i, 4)
+
+
 def test_componentwise_variable_bound_is_inconclusive():
     names = tuple("x%d" % i for i in range(15))
     i = ideal_from_supports(names, [{0, 1}])
