@@ -113,7 +113,7 @@ def materialize(doc):
     raise InputError("unsupported kind %r" % doc.kind)
 
 
-def _matroid_of(doc, options):
+def _matroid_of(doc):
     if doc.kind == "matroid":
         return materialize(doc)
     if doc.kind == "arrangement":
@@ -123,17 +123,17 @@ def _matroid_of(doc, options):
     raise InputError("command needs a matroid-like input, got kind=%r" % doc.kind)
 
 
-def _bc_ideal(doc, options):
+def _bc_ideal(doc):
     if doc.kind == "ideal":
         return materialize(doc)
-    return broken_circuit_ideal(_matroid_of(doc, options), doc.order)
+    return broken_circuit_ideal(_matroid_of(doc), doc.order)
 
 
 # -- command handlers -------------------------------------------------------
 
 
 def _cmd_info(doc, options):
-    m = _matroid_of(doc, options)
+    m = _matroid_of(doc)
     parts, coloops = m.components_and_coloops()
     t = m.tutte_polynomial()
     return {
@@ -152,7 +152,7 @@ def _cmd_info(doc, options):
 
 
 def _cmd_bc(doc, options):
-    m = _matroid_of(doc, options)
+    m = _matroid_of(doc)
     order = normalize_order(m, doc.order)
     complex_ = bc_complex(m, order)
     fh_bc = f_h_vectors(complex_)
@@ -173,7 +173,7 @@ def _cmd_bc(doc, options):
 
 
 def _cmd_ideal(doc, options):
-    ideal = _bc_ideal(doc, options)
+    ideal = _bc_ideal(doc)
     return {
         "variables": list(ideal.names),
         "generators": ideal.render_generators(),
@@ -185,7 +185,7 @@ def _cmd_ideal(doc, options):
 
 
 def _cmd_betti(doc, options):
-    ideal = _bc_ideal(doc, options)
+    ideal = _bc_ideal(doc)
     table = betti_table(ideal, options.characteristic)
     verdict = classify_linearity(table)
     return {
@@ -200,7 +200,7 @@ def _cmd_betti(doc, options):
 
 
 def _cmd_hilbert(doc, options):
-    m = _matroid_of(doc, options) if doc.kind != "ideal" else None
+    m = _matroid_of(doc) if doc.kind != "ideal" else None
     ideal = materialize(doc) if m is None else broken_circuit_ideal(m, doc.order)
     hd = hilbert_function(ideal)
     out = {
@@ -224,7 +224,7 @@ def _cmd_hilbert(doc, options):
 
 
 def _cmd_decompose(doc, options):
-    m = _matroid_of(doc, options)
+    m = _matroid_of(doc)
     cert = two_term_decomposition(m)
     s = expected_s(m)
     return {
@@ -237,7 +237,7 @@ def _cmd_decompose(doc, options):
 
 
 def _cmd_stratify(doc, options):
-    m = _matroid_of(doc, options)
+    m = _matroid_of(doc)
     strat = stratify(m)
     return {
         "stratification": strat.as_dict(m),
@@ -246,7 +246,7 @@ def _cmd_stratify(doc, options):
 
 
 def _cmd_ci(doc, options):
-    ideal = _bc_ideal(doc, options)
+    ideal = _bc_ideal(doc)
     return {
         "ideal": ideal.render(),
         "complete_intersection": complete_intersection_check(ideal),
@@ -272,7 +272,7 @@ def _cmd_cross_validate(doc, options):
                 tallies[key][value] += 1
             instances.append({"name": name, "consistency": rep["consistency"]})
         return {"corpus_size": len(corpus), "seed": options.seed, "tallies": tallies, "instances": instances}
-    m = _matroid_of(doc, options)
+    m = _matroid_of(doc)
     return cross_validate(
         m, order=doc.order, characteristic=options.characteristic, max_power=options.max_power
     )

@@ -168,7 +168,7 @@ def f_h_vectors(complex_):
     multiplicity of the root t = 1, and f follows from h.  A complex built
     from facets (independence_complex, explicit facet lists) counts the
     facets' submasks; the library's own In(X) counts skip the complex and
-    read Matroid.independence_profile, the faces of the bases.
+    read Matroid.independence_profile, which lists no face either.
     """
     if complex_.is_void:
         raise InputError("void complex has no f-vector")

@@ -362,7 +362,12 @@ def cross_validate(matroid, order=None, characteristic=0, max_power=3):
         "graded": quotients["graded_linear_quotients"]["status"],
     }
 
-    componentwise, certificates = componentwise_linear_check(ideal, characteristic, table)
+    is_lin = verdict.is_linear if verdict else None
+    if ideal.indeg() == ideal.maxdeg():
+        # zero, or generated in one degree d: componentwise linear iff d-linear
+        componentwise = is_lin
+    else:
+        componentwise = componentwise_linear_check(ideal, characteristic)[0]
     report["componentwise_linear"] = componentwise
 
     colon_verdicts = None
@@ -379,7 +384,6 @@ def cross_validate(matroid, order=None, characteristic=0, max_power=3):
 
     # consistency matrix; an unknown premise or conclusion leaves an entry
     # inconclusive, except that a false premise confirms an implication
-    is_lin = verdict.is_linear if verdict else None
     is_graded = verdict.is_graded_linear if verdict else None
     report["graded_linear"] = is_graded
     matrix = {

@@ -66,10 +66,6 @@ class Monomial(Frozen):
     def is_squarefree(self):
         return _is_squarefree(self.exps)
 
-    @property
-    def is_one(self):
-        return self.degree == 0
-
     def render(self, names):
         return _render(self.exps, names)
 

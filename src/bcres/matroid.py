@@ -16,10 +16,11 @@ from itertools import combinations
 from math import comb
 
 from . import util
-from .errors import BoundError, CircuitAxiomError, InputError, LoopError
 from ._kernel import echelon_residue, rank_int
+from .complexes import h_to_f
+from .errors import BoundError, CircuitAxiomError, InputError, LoopError
 from .linalg import integer_primitive
-from .util import Frozen, bits, check_enumeration, connected_unions, faces_by_size, minimal_masks
+from .util import Frozen, bits, check_enumeration, connected_unions, minimal_masks
 from .util import minimal_transversals, nonface_sieve, sorted_masks, sorted_sets
 
 ELIMINATION_EXHAUSTIVE_LIMIT = 12
@@ -331,8 +332,24 @@ class Matroid(Frozen):
         return sorted_sets(self._labels(u) for u in unions), self.coloops()
 
     def independence_profile(self):
-        """Counts (I_0, ..., I_r) of independent subsets by size: the faces of the bases."""
-        return tuple(len(level) for level in faces_by_size(self.basis_masks()))
+        """Counts (I_0, ..., I_r) of independent subsets by size, from h of the lexicographic
+        shelling of the bases (Bjorner 1992): h_i counts the bases B with i elements v such
+        that B - v + e is a basis for some e < v outside B.  No face is listed."""
+        bases = self.basis_masks()
+        lookup = set(bases)
+        h = [0] * (self.rank + 1)
+        for b in bases:
+            restricted = 0
+            for v in bits(b):
+                below = ~b & (1 << v) - 1
+                while below:  # each e < v outside b, lowest first
+                    e = below & -below
+                    if b ^ 1 << v | e in lookup:
+                        restricted += 1
+                        break
+                    below ^= e
+            h[restricted] += 1
+        return h_to_f(h, self.rank - 1)
 
     def tutte_polynomial(self):
         """Tutte polynomial by deletion-contraction of position 0, memoized on (size, circuit

@@ -268,20 +268,17 @@ def betti_table(ideal, characteristic=0):
 # -- componentwise linearity -------------------------------------------------------
 
 
-def _components_verdict(components, characteristic, betti, ideal, table):
+def _components_verdict(components, characteristic, betti):
     """Every (d, nonzero component) pair must have a d-linear resolution.
 
     A bound hit degrades the verdict to inconclusive (None), never to
-    False; the first component that is not d-linear settles False.  table,
-    when given, is the ideal's own Betti table and stands for a component
-    equal to the ideal (the first one, when the ideal is equigenerated).
+    False; the first component that is not d-linear settles False.
     """
     certificates = {}
     verdict = True
     for d, comp in components:
         try:
-            known = table is not None and comp == ideal
-            v = classify_linearity(table if known else betti(comp, characteristic))
+            v = classify_linearity(betti(comp, characteristic))
         except BoundError as exc:
             certificates[d] = "inconclusive: %s" % exc
             if verdict is True:
@@ -311,35 +308,24 @@ def _squarefree_components(ideal):
     return comps
 
 
-def _polarized_componentwise_check(ideal, characteristic=0, table=None):
+def _polarized_componentwise_check(ideal, characteristic=0):
     """Componentwise linearity of a nonzero monomial ideal through its full
     degree components I_<d>, d = indeg .. max(maxdeg, reg I), each
-    polarized by betti_table; reg I is read off the ideal's table."""
+    polarized by betti_table; reg I is read off the ideal's table, which
+    alone decides an ideal generated in one degree d: I_<d> = I, and if I
+    is d-linear then reg I = d ends the range."""
     try:
-        if table is None:
-            table = betti_table(ideal, characteristic)
+        table = betti_table(ideal, characteristic)
     except BoundError as exc:
         return None, {"full_ideal": "inconclusive: %s" % exc}
+    if ideal.indeg() == ideal.maxdeg():  # ranked above: I_<indeg> = I
+        return _components_verdict([(ideal.indeg(), ideal)], characteristic, lambda comp, p: table)
     degrees = range(ideal.indeg(), max(ideal.maxdeg(), table.regularity()) + 1)
     components = ((d, component_ideal(ideal, d)) for d in degrees)
-    return _components_verdict(components, characteristic, betti_table, ideal, table)
+    return _components_verdict(components, characteristic, betti_table)
 
 
-def _check_own_table(ideal, characteristic, table):
-    """InputError unless table can be the ideal's Betti table over this characteristic."""
-    if table.characteristic != characteristic:
-        raise InputError(
-            "Betti table over characteristic %d handed to a check over %d"
-            % (table.characteristic, characteristic)
-        )
-    row = {}
-    for d in ideal.degrees():
-        row[d] = row.get(d, 0) + 1
-    if {j: v for (i, j), v in table.entries.items() if i == 0} != row:
-        raise InputError("Betti table's beta_0 row does not count the ideal's generators")
-
-
-def componentwise_linear_check(ideal, characteristic=0, table=None):
+def componentwise_linear_check(ideal, characteristic=0):
     """Componentwise linearity: every degree component has a linear resolution.
 
     Returns (verdict, certificates keyed by degree); oracle limits degrade
@@ -354,21 +340,12 @@ def componentwise_linear_check(ideal, characteristic=0, table=None):
       (Eagon-Reiner), so higher degrees add nothing.
     * other ideals: every full degree component I_<d> for d = indeg ..
       max(maxdeg, reg I) is polarized and must be d-linear.
-
-    table, when given, must be the ideal's own Betti table over this
-    characteristic (cross_validate has one).  No component equal to the
-    ideal is ranked again: on an equigenerated ideal I_[indeg] = I_<indeg>
-    = I, and the polarized route reads reg I off it.  A table over another
-    characteristic, or whose beta_0 row does not count the ideal's
-    generators by degree, raises InputError.
     """
     _check_characteristic(characteristic)
-    if table is not None:
-        _check_own_table(ideal, characteristic, table)
     if ideal.is_zero:
         return True, {}
     if not ideal.squarefree:
-        return _polarized_componentwise_check(ideal, characteristic, table)
+        return _polarized_componentwise_check(ideal, characteristic)
     if ideal.nvars > HOCHSTER_VARIABLE_LIMIT:  # every I_[d] stays on these variables
         return None, {
             "ideal": "inconclusive: squarefree components limited to %d variables, got %d"
@@ -378,4 +355,4 @@ def componentwise_linear_check(ideal, characteristic=0, table=None):
         (d, MonomialIdeal.from_masks(ideal.names, masks))
         for d, masks in _squarefree_components(ideal).items()
     )
-    return _components_verdict(components, characteristic, betti_hochster, ideal, table)
+    return _components_verdict(components, characteristic, betti_hochster)

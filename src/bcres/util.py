@@ -140,25 +140,25 @@ def k_polynomial(masks):
     support masks: the Hilbert series of S/I is K(t) / (1-t)^n.
     Coefficients lowest first.
 
-    Bigatti's pivot recursion.  With x the variable in the most generators,
-    0 -> S/(I : x)(-1) -> S/I -> S/(I + x) -> 0 gives
-    K(I) = K(I + x) + t K(I : x), and K(I + x) = (1 - t) K(J) for J the
-    generators without x.  Pairwise disjoint generators are a regular
-    sequence: K = prod (1 - t^|g|).  Only the generators without x can
-    contain a shrunk generator of I : x, so only they are filtered.
-    Memoized within the call; the unit ideal gives 0.
+    Generators that share no variable, even through others, form groups
+    (connected_unions) whose K-polynomials multiply, S/I being the tensor
+    product of theirs; one generator g gives 1 - t^|g|.  A connected group
+    goes through Bigatti's pivot recursion, memoized within the call: with
+    x the variable in the most generators, 0 -> S/(I : x)(-1) -> S/I ->
+    S/(I + x) -> 0 gives K(I) = K(I + x) + t K(I : x), and K(I + x) =
+    (1 - t) K(J) for J the generators without x, the only ones that can
+    contain a shrunk generator of I : x.  The unit ideal gives 0.
     """
     memo = {}
 
     def k(gens):
-        union = total = 0
-        for g in gens:
-            union |= g
-            total += g.bit_count()
-        if union.bit_count() == total:
+        if len(gens) == 1:
+            return [1] + [0] * (gens[0].bit_count() - 1) + [-1]
+        groups = connected_unions(gens)
+        if len(groups) != 1:
             out = [1]
-            for g in gens:
-                out = poly_mul(out, [1] + [0] * (g.bit_count() - 1) + [-1])
+            for group in groups:
+                out = poly_mul(out, k([g for g in gens if g & group]))
             return out
         key = frozenset(gens)
         if key in memo:

@@ -181,11 +181,9 @@ def test_graph_command_walks_the_cycle_space_once(edges, code, seconds, tmp_path
         assert "a rank-33 matroid on 49 elements has more than 20000 bases" in capsys.readouterr().err
 
 
-def test_gnr_command_answers_twelve_two_cycles(tmp_path, capsys):
-    doc = tmp_path / "u24.json"
-    doc.write_text(U24_DOC)
+def test_gnr_command_answers_twelve_two_cycles(capsys):
     # twelve 2-cycles on 12 components: 2^12 edge choices, each a spanning forest
-    assert main(["gnr", str(doc), "--cycles", ",".join(["2"] * 12), "--format", "json"]) == 0
+    assert main(["gnr", "--cycles", ",".join(["2"] * 12), "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)["result"]["report"]
     assert (report["cycles"], report["facet_ideal_generators"]) == (12, 4096)
 
@@ -347,6 +345,127 @@ def test_cross_validate_max_power_below_1_exits_1(power, batch, tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.err == "error: --max-power must be at least 1, got %d\n" % power
     assert captured.out == ""
+
+
+def uniform(p, n):
+    return {"kind": "matroid", "payload": {"type": "uniform", "p": p, "n": n}}
+
+
+def ideal_doc(variables, generators):
+    return {"kind": "ideal", "payload": {"variables": list(variables), "generators": generators}}
+
+
+FIVE_CYCLE = ideal_doc("abcde", [[int(j in (i, (i + 1) % 5)) for j in range(5)] for i in range(5)])
+SQUARE = ideal_doc("ab", [[0, 2], [2, 0], [1, 1]])
+GRADED_NOT_LINEAR = {
+    ("quotients", "search"): "exhaustive",
+    ("quotients", "linear_quotients", "status"): "none",
+    ("quotients", "graded_linear_quotients", "status"): "found",
+}
+
+# Documents whose answers tier-1 otherwise reached only through the library:
+# (command, document, extra flags, {path into the result: expected value}),
+# a path step that is callable being applied to what the steps before reached.
+DOCUMENT_ANSWERS = {
+    # the bytes of every report are json.dumps(report, indent=2)'s, written in cli's own pass
+    "arrangement-with-a-rational-normal": (
+        "arrangement",
+        {"kind": "arrangement", "payload": {"normals": [[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, -1, "1/2"], [0, 0, 1]]}},
+        [],
+        {},
+    ),
+    # 10 generators, past the exhaustive limit: the graded walk of the greedy route must find an order
+    "U_2_6-ci": (
+        "ci",
+        uniform(2, 6),
+        [],
+        {("quotients", "search"): "greedy", ("quotients", "graded_linear_quotients", "status"): "found"},
+    ),
+    # 5 generators, a graded order but no linear one: only the exhaustive search answers the linear key
+    "graph-ci": (
+        "ci",
+        {"kind": "graph", "payload": {"edges": [[1, 2], [1, 3], [1, 4], [2, 4], [2, 5], [3, 4], [3, 5]]}},
+        [],
+        GRADED_NOT_LINEAR,
+    ),
+    # the squarefree Veronese of degree 3 in 7 variables: C(7, 3+i) * C(2+i, i), through the strong collapse
+    "U_3_8-betti": (
+        "betti", uniform(3, 8), [], {("betti",): {"0,3": 35, "1,4": 105, "2,5": 126, "3,6": 70, "4,7": 15}}
+    ),
+    # the Gorenstein codimension-3 resolution of the 5-cycle's edge ideal
+    "five-cycle-betti": ("betti", FIVE_CYCLE, [], {("betti",): {"0,2": 5, "1,3": 5, "2,5": 1}}),
+    # generators keep minimalize's order, not numeric mask order: a*e (mask 17) before b*c (mask 6)
+    "five-cycle-ci": (
+        "ci",
+        FIVE_CYCLE,
+        [],
+        {
+            **GRADED_NOT_LINEAR,
+            ("quotients", "graded_linear_quotients", "order"): ["a*b", "a*e", "b*c", "c*d", "d*e"],
+        },
+    ),
+    # not squarefree: exponents come back in generator order
+    "square-ideal": ("ideal", SQUARE, [], {("generator_exponents",): [[2, 0], [1, 1], [0, 2]]}),
+    # not squarefree: the table comes through polarization
+    "square-betti": ("betti", SQUARE, [], {("betti",): {"0,2": 3, "1,3": 2}}),
+    # the quotient walks run on the polarization
+    "polarized-ci": (
+        "ci",
+        ideal_doc("abc", [[2, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 2]]),
+        [],
+        {
+            **GRADED_NOT_LINEAR,
+            ("quotients", "graded_linear_quotients", "order"): ["a^2", "a*b", "b*c", "c^2"],
+        },
+    ),
+    # a sum in disjoint variables, ranked one part at a time: the square of C(3, 2+i) * C(1+i, i)
+    "U_2_4+U_2_4-betti": (
+        "betti",
+        {"kind": "matroid", "payload": {"type": "direct_sum", "parts": [uniform(2, 4)["payload"]] * 2}},
+        [],
+        {("betti",): {"0,2": 6, "1,3": 4, "1,4": 9, "2,5": 12, "3,6": 4}},
+    ),
+    # 2^61 - 1 is proven prime by Miller-Rabin at once
+    "mersenne-characteristic": (
+        "betti", uniform(2, 4), ["--char", str(2**61 - 1)], {("betti",): {"0,2": 3, "1,3": 2}}
+    ),
+    # C(14, 6) nbc bases, listed by the basis walk
+    "U_7_15-bc": ("bc", uniform(7, 15), [], {("facets", len): 3003}),
+}
+
+
+@pytest.mark.parametrize("command, doc, flags, want", DOCUMENT_ANSWERS.values(), ids=DOCUMENT_ANSWERS.keys())
+def test_document_answers(command, doc, flags, want, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert main([command, "-", "--format", "json", *flags]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    for path, value in want.items():
+        got = json.loads(out)["result"]
+        for step in path:
+            got = step(got) if callable(step) else got[step]
+        assert got == value, path
+
+
+PATH_60 = ideal_doc(["x%d" % j for j in range(60)], [[int(j in (i, i + 1)) for j in range(60)] for i in range(59)])
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        # the K-polynomial of a path: 2.9 s at 40 vertices when its groups were not split
+        ("hilbert", PATH_60),
+        # one basis with 2^26 subsets, which the independence counts once listed
+        ("info", uniform(26, 26)),
+    ],
+    ids=["hilbert-path-60", "info-U_26_26"],
+)
+def test_small_documents_answer_in_seconds(command, doc, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    start = time.perf_counter()
+    assert main([command, "-", "--format", "json"]) == 0
+    assert time.perf_counter() - start < 5
+    assert json.loads(capsys.readouterr().out)["result"]
 
 
 def test_hilbert_command():

@@ -8,6 +8,7 @@ every fast-path computation is checked against an exhaustive one.
 
 import json
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -33,7 +34,7 @@ from bcres.matroid import (
     simple_cycle_edge_sets,
     uniform_matroid,
 )
-from bcres.util import ENUMERATION_LIMIT, binom, bits, sorted_sets
+from bcres.util import ENUMERATION_LIMIT, binom, bits, faces_by_size, sorted_sets
 
 
 # -- oracles -------------------------------------------------------------
@@ -751,6 +752,20 @@ def test_mask_route_matches_frozenset_oracle(case, data):
     assert m.bases() == oracle_bases(ground, circuits)
     if len(ground) <= 8:
         assert m.tutte_polynomial() == oracle_tutte(ground, circuits)
+
+
+@settings(max_examples=200)
+@given(st.one_of(linear_cases(), graphic_cases(), sum_cases()))
+def test_independence_profile_matches_the_faces_of_the_bases(case):
+    m = case[0]
+    assert m.independence_profile() == tuple(len(level) for level in faces_by_size(m.basis_masks()))
+
+
+def test_independence_profile_of_a_free_matroid_lists_no_face():
+    # U(26,26) has one basis, whose 2^26 subsets the face listing held at once
+    start = time.perf_counter()
+    assert uniform_matroid(26, 26).independence_profile() == tuple(binom(26, k) for k in range(27))
+    assert time.perf_counter() - start < 1
 
 
 def _some_subsets(ground):

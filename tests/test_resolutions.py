@@ -16,6 +16,7 @@ from bcres.complexes import bc_complex
 from bcres.corpus import standard_corpus
 from bcres.decomposition import cross_validate
 from bcres.errors import BoundError, InputError
+from bcres.graphs import Graph, cycle_matroid
 from bcres.ideals import (
     Monomial,
     MonomialIdeal,
@@ -515,8 +516,8 @@ def test_betti_table_polarizes_only_for_hochster(i, polarized, monkeypatch):
 
 
 def test_cross_validate_ranks_the_ideal_once(monkeypatch):
-    # U(2,5)'s bc ideal is equigenerated, so I_[2] = I: the componentwise
-    # check reads cross_validate's table instead of ranking I again
+    # U(2,5)'s bc ideal is generated in one degree, so cross_validate reads
+    # its componentwise entry off the verdict instead of ranking I again
     m = uniform_matroid(2, 5)
     i = broken_circuit_ideal(m)
     assert i.indeg() == i.maxdeg()
@@ -529,23 +530,39 @@ def test_cross_validate_ranks_the_ideal_once(monkeypatch):
 
 
 @pytest.mark.parametrize("p", [0, 2])
-def test_componentwise_check_with_the_table_matches_without(p):
+def test_cross_validate_componentwise_entry_matches_the_check(p):
     for _, m in CORPUS:
-        i = broken_circuit_ideal(m)
-        try:
-            table = betti_table(i, p)
-        except BoundError:
-            table = None
-        assert componentwise_linear_check(i, p, table) == componentwise_linear_check(i, p), i.render()
+        want = componentwise_linear_check(broken_circuit_ideal(m), p)[0]
+        assert cross_validate(m, characteristic=p, max_power=2)["componentwise_linear"] is want
 
 
-def test_componentwise_check_refuses_a_table_that_is_not_the_ideals():
-    i = broken_circuit_ideal(uniform_matroid(2, 5))
-    with pytest.raises(InputError, match="characteristic 0 handed to a check over 2"):
-        componentwise_linear_check(i, 2, betti_table(i))
-    other = broken_circuit_ideal(uniform_matroid(2, 4))
-    with pytest.raises(InputError, match="beta_0 row"):
-        componentwise_linear_check(i, 0, betti_table(other))
+@pytest.mark.parametrize(
+    "i, want",
+    [
+        (ideal(("x", "y"), (2, 0), (0, 2)), (False, {2: "not linear (LinearityVerdict(graded-linear, rows=(2, 3)))"})),
+        (ideal(("x", "y"), (2, 0), (1, 1), (0, 2)), (True, {2: "2-linear"})),
+    ],
+    ids=["complete-intersection", "square-of-the-maximal-ideal"],
+)
+def test_componentwise_check_ranks_an_ideal_in_one_degree_once(i, want, monkeypatch):
+    ranked = []
+    real = resolutions.betti_table
+    monkeypatch.setattr(resolutions, "betti_table", lambda j, p=0: ranked.append(j) or real(j, p))
+    assert componentwise_linear_check(i) == want
+    assert ranked == [i]
+
+
+def test_five_disjoint_triangles_get_an_exact_componentwise_entry():
+    # 15 variables, past the squarefree components' bound, but 5 generators
+    # for Taylor: I is a complete intersection of quadrics, not 2-linear
+    edges = [(3 * k + a, 3 * k + b) for k in range(5) for a, b in ((0, 1), (1, 2), (0, 2))]
+    m = cycle_matroid(Graph(edges))
+    i = broken_circuit_ideal(m)
+    assert (i.nvars, len(i.degrees()), i.indeg(), i.maxdeg()) == (15, 5, 2, 2)
+    assert componentwise_linear_check(i)[0] is None
+    report = cross_validate(m, max_power=2)
+    assert report["componentwise_linear"] is False
+    assert report["consistency"]["componentwise_implies_graded"] == "confirmed"
 
 
 def test_betti_table_dispatch(golden_ideal):
