@@ -23,11 +23,15 @@ subset sigma it ranks the link of sigma's complement in the Alexander dual,
 never the induced subcomplex.  The link goes to `homology_ranks` as its
 facets, one per minimal nonface inside sigma; the minimal nonfaces are the
 caller's generator supports, grouped by size, so no 2^n table is built.
-Collapsed cores repeat across the sigmas of one call once their vertices
-are renumbered, so `hochster_betti` hands `homology_ranks` a dict that
-lives for that call only: each distinct core, keyed by its facets
-renumbered to 0..v-1 in vertex order, is listed, coreduced and ranked
-once.  Nothing is kept between calls.
+Each vertex holds the bitset of the nonfaces through it, built once per
+call, so the nonfaces inside sigma are picked by masking out those through
+the vertices outside sigma, not by testing each one.  Collapsed cores
+repeat across the sigmas of one call once their vertices are renumbered,
+so `hochster_betti` hands `homology_ranks` a dict that lives for that call
+only: each distinct core, keyed by its facets renumbered to 0..v-1 in
+vertex order, is listed, coreduced and ranked once.  A core of isolated
+points is answered from its size, without a key.  Nothing is kept between
+calls.
 """
 
 from math import gcd
@@ -330,18 +334,26 @@ def homology_ranks(facets, characteristic, memo=None):
     collapse have rank 0.  A core that could have more faces than
     util.ENUMERATION_LIMIT raises BoundError before any face is listed.
 
+    A core of k >= 2 facets that are all single vertices is k points,
+    whose only reduced homology is H_0 of rank k - 1 in every
+    characteristic: it is answered at once, with no face listed and no
+    memo entry.
+
     memo, a dict owned by the caller for calls in one characteristic,
-    holds the ranks of the cores already seen.  A core of two or more
-    facets is looked up under its facets renumbered to vertices 0..v-1 in
-    vertex order, as a sorted tuple: homology does not depend on vertex
-    names.  The padding to the largest facet is applied after the lookup.
+    holds the ranks of the cores already seen.  Any other core of two or
+    more facets is looked up under its facets renumbered to vertices
+    0..v-1 in vertex order, as a sorted tuple: homology does not depend on
+    vertex names.  The padding to the largest facet is applied after the
+    lookup.
     """
     if not facets:
         return []
-    top = max(f.bit_count() for f in facets) + 1
+    top = max(map(int.bit_count, facets)) + 1
     core = _strong_core(facets)
     if len(core) == 1:
         return [0 if core[0] else 1] + [0] * (top - 1)
+    if all(not f & (f - 1) for f in core):
+        return [0, len(core) - 1] + [0] * (top - 2)
     if memo is None:
         out = _core_ranks(core, characteristic)
     else:
@@ -359,21 +371,45 @@ def hochster_betti(nvars, nonfaces_by_size, sigmas, characteristic):
     variable i): the generator supports of a minimal generating set.  sigmas
     lists the vertex-subset masks to visit (the caller restricts to the lcm
     lattice, where all Betti multidegrees live).
-    nvars is unread; it stays first to keep the argument layout callers use.
+    nvars is unread; it stays first because the benchmark's tracer
+    (perfbench/tracing.py) reads the nonfaces and sigmas by position.
     Each sigma is ranked by the dual Hochster formula (Miller-Sturmfels):
     the link L = {sigma - N : N a nonface inside sigma} of sigma's
     complement in the Alexander dual has reduced homology in dimension
     i - 1 equal to beta_{i, sigma}.  The facets of L are sigma - N for the
-    minimal nonfaces N inside sigma, which can only sit on the levels up to
-    |sigma|, and go to homology_ranks with a memo of the cores ranked so
-    far in this call.  A sigma that is a face holds no nonface: its link is
-    void and contributes nothing.
+    minimal nonfaces N inside sigma, which go to homology_ranks with a memo
+    of the cores ranked so far in this call.  A sigma that is a face holds
+    no nonface: its link is void and contributes nothing.
+
+    The nonfaces are numbered in level order, and each vertex gets the
+    bitset of the numbers of the nonfaces through it, once per call.  The
+    nonfaces inside sigma are then all of them but those through a vertex
+    outside sigma, and the link lists them in number order: the order of a
+    scan of the levels, without testing every nonface.
     """
+    nonfaces = [n for level in nonfaces_by_size for n in level]
+    through = {}  # vertex bit -> bitset of the numbers of the nonfaces holding it
+    for i, n in enumerate(nonfaces):
+        bit = 1 << i
+        while n:
+            low = n & (-n)
+            through[low] = through.get(low, 0) | bit
+            n ^= low
+    every = (1 << len(nonfaces)) - 1
     betti = {}
     memo = {}
     for sigma in sigmas:
+        blocked = 0
+        for v, held in through.items():
+            if not v & sigma:
+                blocked |= held
+        inside = every & ~blocked
+        link = []
+        while inside:
+            low = inside & (-inside)
+            link.append(sigma ^ nonfaces[low.bit_length() - 1])
+            inside ^= low
         size = sigma.bit_count()
-        link = [sigma ^ n for level in nonfaces_by_size[: size + 1] for n in level if not n & ~sigma]
         for i, rk in enumerate(homology_ranks(link, characteristic, memo)):
             if rk:
                 betti[(i, size)] = betti.get((i, size), 0) + rk

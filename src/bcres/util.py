@@ -163,11 +163,13 @@ def k_polynomial(masks):
         key = frozenset(gens)
         if key in memo:
             return memo[key]
-        counts = {}
+        counts = {}  # variable bit -> generators holding it
         for g in gens:
-            for i in bits(g):
-                counts[i] = counts.get(i, 0) + 1
-        x = 1 << max(counts, key=counts.get)
+            while g:
+                low = g & (-g)
+                counts[low] = counts.get(low, 0) + 1
+                g ^= low
+        x = max(counts, key=counts.get)
         without = [g for g in gens if not g & x]
         shrunk = [g ^ x for g in gens if g & x]
         colon = shrunk + [h for h in without if not any(s & h == s for s in shrunk)]

@@ -7,7 +7,8 @@ ideal, and with the reference route below (every link built cell by cell
 from a submask walk, free faces collapsed, the rest ranked densely).  The
 kernel takes minimal nonfaces; tests derive them from face lists by brute
 force at the call site.  `homology_ranks` without a memo is the oracle for
-the per-call memo of collapsed cores that the Hochster sum uses.
+the per-call memo of collapsed cores that the Hochster sum uses, and a scan
+of the nonface levels is the oracle for its bitset link selection.
 """
 
 import random
@@ -15,11 +16,11 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bcres import _kernel
-from bcres._kernel.pykernel import _core_key, _strong_core
+from bcres._kernel.pykernel import _core_key, _core_ranks, _strong_core
 from bcres.complexes import SimplicialComplex, reduced_homology_ranks
 from bcres.errors import BoundError
 from bcres.ideals import ideal_from_supports, stanley_reisner_ideal
@@ -656,7 +657,8 @@ def test_hochster_betti_matches_taylor_oracle():
 def test_hochster_lists_each_renumbered_core_once_per_call(monkeypatch):
     # test_hochster_betti_matches_reference_route and _matches_taylor_oracle
     # check the memo route on these complexes; here its face listings are
-    # counted: one per distinct renumbered core in each call
+    # counted: one per distinct renumbered core in each call, and none for a
+    # core of isolated points, whose ranks are read off its facet count
     listed = []
     real = _kernel.pykernel.faces_by_size
 
@@ -671,11 +673,64 @@ def test_hochster_lists_each_renumbered_core_once_per_call(monkeypatch):
         sigmas = list(range(1, 1 << nverts))
         links = ([s ^ n for level in nonfaces for n in level if not n & ~s] for s in sigmas)
         cores = [core for core in (_strong_core(link) for link in links if link) if len(core) > 1]
+        cores = [core for core in cores if any(f & (f - 1) for f in core)]
         del listed[:]
         _kernel.hochster_betti(nverts, nonfaces, sigmas, 0)
         assert sorted(listed) == sorted({_core_key(core) for core in cores})
         saved += len(cores) - len(listed)
     assert saved > 0
+
+
+def level_scan_link(nonfaces_by_size, sigma):
+    """The link's facets by a scan of the levels up to |sigma| that tests every nonface."""
+    return [sigma ^ n for level in nonfaces_by_size[: sigma.bit_count() + 1] for n in level if not n & ~sigma]
+
+
+@st.composite
+def nonface_levels(draw):
+    """An antichain of masks on 8 vertices, by size in drawn order; sizes may skip levels."""
+    masks = list(dict.fromkeys(draw(st.lists(st.integers(1, 255), min_size=1, max_size=10))))
+    levels = [[] for _ in range(9)]
+    for m in masks:
+        if not any(g != m and g & m == g for g in masks):
+            levels[m.bit_count()].append(m)
+    return levels
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonface_levels(), st.lists(st.integers(0, 255), max_size=12))
+@example([[], [4], [], [11], [240, 120], [], [], [], []], [0, 1, 3, 255])  # faces 0, 1, 3
+def test_links_from_vertex_bitsets_match_the_level_scan(levels, extra):
+    sigmas = _lcm_lattice_masks([n for level in levels for n in level]) + extra
+    links = []
+
+    def record(facets, characteristic, memo=None):
+        links.append(facets)
+        return []
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernel.pykernel, "homology_ranks", record)
+        _kernel.hochster_betti(8, levels, sigmas, 0)
+    assert links == [level_scan_link(levels, sigma) for sigma in sigmas]
+
+
+@pytest.mark.parametrize("p", [0, 2, 32003])
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=2, max_size=6))
+def test_a_core_of_isolated_points_is_ranked_by_its_count(p, sizes):
+    # k disjoint simplices collapse to k points; the padding runs to the largest simplex
+    facets, start = [], 0
+    for n in sizes:
+        facets.append(((1 << n) - 1) << start)
+        start += n
+    core = _strong_core(facets)
+    assert len(core) == len(sizes) and not any(f & (f - 1) for f in core)
+    expected = _core_ranks(core, p)
+    expected += [0] * (max(sizes) + 1 - len(expected))
+    memo = {}
+    assert _kernel.homology_ranks(facets, p, memo) == expected == [0, len(sizes) - 1] + [0] * (max(sizes) - 1)
+    assert _kernel.homology_ranks(facets, p) == expected
+    assert memo == {}
 
 
 @settings(max_examples=100)

@@ -392,6 +392,16 @@ def test_lcm_lattice_is_every_union_of_a_nonempty_subset(supports):
     assert _lcm_lattice_masks(supports) == sorted(unions)
 
 
+@settings(max_examples=200)
+@given(st.lists(st.integers(0, 1023), max_size=14))
+def test_lcm_lattice_folded_in_ascending_order_equals_the_fold_in_given_order(supports):
+    closure = set()
+    for s in supports:
+        closure |= {u | s for u in closure}
+        closure.add(s)
+    assert _lcm_lattice_masks(supports) == sorted(closure)
+
+
 def beyond_both_routes(component):
     """True when betti_table can take the component by neither route."""
     return (
