@@ -5,12 +5,13 @@ A matroid is an ordered ground tuple plus the antichain of its circuits
 canonical order of their label sets (util.sorted_masks).  Every
 construction route (uniform, explicit circuits, graphic, linear over the
 rationals, direct sums) and every minor builds the masks directly; rank,
-minors, duality, connectivity, broken circuits, Tutte polynomials and
-independence counts are all computed from them.  Labels enter only through
-Matroid(ground, circuits) and leave only through the label views
-(circuits, broken_circuits, bases).
+minors, connectivity, broken circuits and bases come from them, and the
+dual, Tutte polynomial and independence counts from the bases by one
+exchange test.  Labels enter only through Matroid(ground, circuits) and
+leave only through the label views (circuits, broken_circuits, bases).
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -21,7 +22,7 @@ from .complexes import h_to_f
 from .errors import BoundError, CircuitAxiomError, InputError, LoopError
 from .linalg import integer_primitive
 from .util import Frozen, bits, check_enumeration, connected_unions, minimal_masks
-from .util import minimal_transversals, nonface_sieve, sorted_masks, sorted_sets
+from .util import nonface_sieve, pairwise_disjoint, sorted_masks, sorted_sets
 
 ELIMINATION_EXHAUSTIVE_LIMIT = 12
 # edge tests the simple-cycle walk may make: 2^d combinations of a cycle basis
@@ -36,13 +37,6 @@ class TuttePolynomial(Frozen):
 
     def __init__(self, coeffs=None):
         object.__setattr__(self, "coeffs", {k: v for k, v in (coeffs or {}).items() if v})
-
-    @classmethod
-    def one(cls):
-        return cls({(0, 0): 1})
-
-    def shifted(self, dx, dy):
-        return TuttePolynomial({(i + dx, j + dy): c for (i, j), c in self.coeffs.items()})
 
     def __add__(self, other):
         out = dict(self.coeffs)
@@ -161,6 +155,8 @@ class Matroid(Frozen):
         can accept a family that is not a matroid.
         """
         masks = self.circuit_masks
+        if pairwise_disjoint(masks):
+            return  # no two circuits meet, so elimination holds vacuously
         n = len(self.ground)
         if n > ELIMINATION_EXHAUSTIVE_LIMIT:
             raise BoundError(
@@ -320,10 +316,20 @@ class Matroid(Frozen):
         return sorted_sets(self._labels(b) for b in self.basis_masks())
 
     def dual(self):
-        """Dual matroid: bases are the complements of bases; involutive."""
-        # a set is dependent in the dual iff it meets every basis, so the
-        # dual circuits are the minimal transversals of the basis family
-        return Matroid.from_masks(self.ground, minimal_transversals(self.basis_masks()))
+        """Dual matroid: its circuits are the fundamental cocircuits {v} + {e outside B : B - v + e is a basis},
+        v in a basis B; every cocircuit C* is one (extend a basis of E - C* by v in C* to B: only C* avoids B - v)."""
+        bases = self.basis_masks()
+        lookup = set(bases)
+        full = (1 << len(self.ground)) - 1
+        cocircuits = set()
+        for b in bases:
+            for v in bits(b):
+                cocircuit, base, rest = 1 << v, b ^ 1 << v, full ^ b
+                while e := _exchange(lookup, base, rest):
+                    cocircuit |= e
+                    rest &= -e << 1  # the candidates above e
+                cocircuits.add(cocircuit)
+        return Matroid.from_masks(self.ground, cocircuits)
 
     def components_and_coloops(self):
         """Connected components (transitive closure of circuit co-membership) and coloops;
@@ -333,51 +339,43 @@ class Matroid(Frozen):
 
     def independence_profile(self):
         """Counts (I_0, ..., I_r) of independent subsets by size, from h of the lexicographic
-        shelling of the bases (Bjorner 1992): h_i counts the bases B with i elements v such
-        that B - v + e is a basis for some e < v outside B.  No face is listed."""
+        shelling of the bases (Bjorner 1992): h_i counts the bases with i internally passive
+        elements, which make up the restriction set R(B).  No face is listed."""
         bases = self.basis_masks()
         lookup = set(bases)
         h = [0] * (self.rank + 1)
         for b in bases:
-            restricted = 0
-            for v in bits(b):
-                below = ~b & (1 << v) - 1
-                while below:  # each e < v outside b, lowest first
-                    e = below & -below
-                    if b ^ 1 << v | e in lookup:
-                        restricted += 1
-                        break
-                    below ^= e
-            h[restricted] += 1
+            h[_internally_passive(lookup, b)] += 1
         return h_to_f(h, self.rank - 1)
 
     def tutte_polynomial(self):
-        """Tutte polynomial by deletion-contraction of position 0, memoized on (size, circuit
-        masks); BoundError once the memo holds more than util.ENUMERATION_LIMIT minors."""
-        memo = {}
-        limit = util.ENUMERATION_LIMIT
+        """T(x, y) = sum over the bases B of x^i(B) y^e(B) (Tutte 1954; Crapo 1969): v in B is internally
+        active unless B - v + e is a basis for some e < v outside B, and f outside B externally active unless
+        B - e + f is one for some e < f in B, that is, f is internally passive in E - B among the dual's bases."""
+        bases, n, r, full = self.basis_masks(), len(self.ground), self.rank, (1 << len(self.ground)) - 1
+        lookup, co_lookup = set(bases), {full ^ b for b in bases}
+        passive = ((_internally_passive(lookup, b), _internally_passive(co_lookup, full ^ b)) for b in bases)
+        return TuttePolynomial(Counter((r - i, n - r - e) for i, e in passive))
 
-        def rec(n, masks):
-            if not n:
-                return TuttePolynomial.one()
-            got = memo.get((n, masks))
-            if got is not None:
-                return got
-            deleted = frozenset(m >> 1 for m in masks if not m & 1)
-            if 1 in masks:
-                result = rec(n - 1, deleted).shifted(0, 1)
-            elif not any(m & 1 for m in masks):
-                result = rec(n - 1, deleted).shifted(1, 0)
-            else:
-                contracted = frozenset(minimal_masks(m >> 1 for m in masks))
-                result = rec(n - 1, deleted) + rec(n - 1, contracted)
-            memo[n, masks] = result
-            if len(memo) > limit:
-                raise BoundError("deletion-contraction on a rank-%d matroid on %d elements meets more than"
-                                 " %d distinct minors" % (self.rank, len(self.ground), limit))
-            return result
 
-        return rec(len(self.ground), frozenset(self.circuit_masks))
+def _exchange(lookup, base, candidates):
+    """The lowest bit e of candidates for which base ^ e is one of the bases in lookup, or 0."""
+    while candidates:
+        e = candidates & -candidates
+        if base ^ e in lookup:
+            return e
+        candidates ^= e
+    return 0
+
+
+def _internally_passive(lookup, b):
+    """How many v in the basis b have b - v + e in lookup for some e < v outside b."""
+    count = 0
+    for v in bits(b):
+        below = ~b & (1 << v) - 1
+        if below and _exchange(lookup, b ^ 1 << v, below):
+            count += 1
+    return count
 
 
 def _holds_one(masks, cand):

@@ -189,13 +189,14 @@ def test_gnr_command_answers_twelve_two_cycles(capsys):
 
 
 @pytest.mark.parametrize("rungs", [12, 17])
-def test_info_command_bounds_the_tutte_recursion(rungs, tmp_path, capsys):
+def test_info_command_refuses_the_ladder_at_the_basis_bound(rungs, tmp_path, capsys):
     doc = tmp_path / "ladder.json"
     doc.write_text(json.dumps({"kind": "graph", "payload": {"edges": ladder_edges(rungs)}}))
     start = time.perf_counter()
     assert main(["info", str(doc)]) == 2
     assert time.perf_counter() - start < 5
-    assert "matroid on %d elements meets more than 20000 distinct minors" % (3 * rungs - 2) in capsys.readouterr().err
+    message = "a rank-%d matroid on %d elements has more than 20000 bases" % (2 * rungs - 1, 3 * rungs - 2)
+    assert message in capsys.readouterr().err
 
 
 def test_arrangement_past_the_stratify_bound_is_inconclusive(tmp_path, capsys):
@@ -526,6 +527,17 @@ def test_unvalidatable_circuit_family_exits_2(tmp_path, capsys):
     doc.write_text(json.dumps({"kind": "matroid", "payload": {"type": "circuits", "n": 13, "circuits": circuits}}))
     assert main(["info", str(doc)]) == 2
     assert "circuit validation limited" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, circuits", [(13, []), (20, [[1, 2, 3], [4, 5]])])
+def test_disjoint_circuit_family_needs_no_elimination_check(n, circuits, tmp_path, capsys):
+    # no two circuits meet, so elimination holds vacuously at any ground size
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"kind": "matroid", "payload": {"type": "circuits", "n": n, "circuits": circuits}}))
+    assert main(["info", str(doc), "--format", "json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert sorted(result["circuits"]) == circuits
+    assert result["rank"] == n - len(circuits)  # each disjoint circuit drops one element
 
 
 def test_hilbert_builds_the_matroid_once(monkeypatch):

@@ -2,8 +2,9 @@
 
 The independent oracles here are brute-force subset enumeration (for rank
 and independence counts), a depth-first walk over independent sets (for
-the profile read off the bases) and the corank-nullity sum (for Tutte), so
-every fast-path computation is checked against an exhaustive one.
+the profile read off the bases), the corank-nullity sum (for Tutte) and the
+minimal transversals of the bases (for the dual's circuits), so every
+fast-path computation is checked against an exhaustive one.
 """
 
 import json
@@ -34,7 +35,7 @@ from bcres.matroid import (
     simple_cycle_edge_sets,
     uniform_matroid,
 )
-from bcres.util import ENUMERATION_LIMIT, binom, bits, faces_by_size, sorted_sets
+from bcres.util import ENUMERATION_LIMIT, binom, bits, faces_by_size, minimal_transversals, sorted_sets
 
 
 # -- oracles -------------------------------------------------------------
@@ -544,21 +545,11 @@ def test_tutte_deletion_contraction_consistency(golden):
         assert t == golden.delete({e}).tutte_polynomial() + golden.contract({e}).tutte_polynomial()
 
 
-def test_tutte_recursion_bound_is_inclusive(u24, monkeypatch):
-    # U(2,4) meets eight distinct minors: U(2,4), U(2,3), U(1,3), U(2,2), U(1,2),
-    # U(0,2), U(1,1) and U(0,1)
-    monkeypatch.setattr(util, "ENUMERATION_LIMIT", 8)
-    assert u24.tutte_polynomial().evaluate(1, 1) == 6
-    monkeypatch.setattr(util, "ENUMERATION_LIMIT", 7)
-    with pytest.raises(BoundError, match="^deletion-contraction on a rank-2 matroid on 4 elements meets more than 7 distinct minors$"):
-        u24.tutte_polynomial()
-
-
 def test_basis_bound_is_inclusive(u24, monkeypatch):
     monkeypatch.setattr(util, "ENUMERATION_LIMIT", 6)
     assert len(u24.basis_masks()) == 6
     monkeypatch.setattr(util, "ENUMERATION_LIMIT", 5)
-    for query in (u24.basis_masks, u24.bases, u24.dual, u24.independence_profile):
+    for query in (u24.basis_masks, u24.bases, u24.dual, u24.independence_profile, u24.tutte_polynomial):
         with pytest.raises(BoundError, match="^a rank-2 matroid on 4 elements has more than 5 bases$"):
             query()
 
@@ -759,6 +750,24 @@ def test_mask_route_matches_frozenset_oracle(case, data):
 def test_independence_profile_matches_the_faces_of_the_bases(case):
     m = case[0]
     assert m.independence_profile() == tuple(len(level) for level in faces_by_size(m.basis_masks()))
+
+
+@settings(max_examples=120)
+@given(st.one_of(linear_cases(max_cols=5), graphic_cases(max_edges=5)), st.integers(0, 2), st.integers(0, 2), st.data())
+def test_tutte_and_dual_read_off_the_bases_match_their_oracles(case, loops, coloops, data):
+    # loops and coloops join the drawn matroid at drawn positions of the ground order
+    total = direct_sum([case[0], uniform_matroid(0, loops), uniform_matroid(coloops, coloops)])
+    m = Matroid(data.draw(st.permutations(total.ground)), total.circuits)
+    assert m.tutte_polynomial() == corank_nullity_tutte(m)
+    assert m.dual() == Matroid.from_masks(m.ground, minimal_transversals(m.basis_masks()))
+    assert m.dual().dual() == m
+
+
+def test_dual_of_a_uniform_matroid_reads_its_bases_once():
+    # Berge's transversal expansion over the 6435 bases of U(7,15) took seconds
+    start = time.perf_counter()
+    assert uniform_matroid(7, 15).dual() == uniform_matroid(8, 15)
+    assert time.perf_counter() - start < 1
 
 
 def test_independence_profile_of_a_free_matroid_lists_no_face():
