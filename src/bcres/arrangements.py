@@ -44,7 +44,7 @@ class Arrangement(Frozen):
 
     @classmethod
     def _from_matroid(cls, normals, labels, matroid):
-        """Arrangement with a known matroid on its labels (trusted, as Matroid._from_sorted)."""
+        """Arrangement with a known matroid on its labels (trusted, as Matroid.from_masks)."""
         arrangement = object.__new__(cls)
         arrangement._init(normals, labels, matroid)
         return arrangement

@@ -16,7 +16,7 @@ import sys
 
 from . import __version__
 from .arrangements import Arrangement, detect_product, koszul_report, os_ot_generators
-from .complexes import bc_complex, f_h_vectors, f_to_h
+from .complexes import bc_complex, f_h_vectors, f_to_h, h_to_f
 from .corpus import standard_corpus
 from .decomposition import (
     cross_validate,
@@ -136,6 +136,10 @@ def _cmd_info(doc, options):
     m = _matroid_of(doc)
     parts, coloops = m.components_and_coloops()
     t = m.tutte_polynomial()
+    # h_k counts the bases with k internally passive elements: the terms x^(r-k) y^j
+    h = [0] * (m.rank + 1)
+    for (i, _), c in t.coeffs.items():
+        h[m.rank - i] += c
     return {
         "ground": list(m.ground),
         "rank": m.rank,
@@ -146,7 +150,7 @@ def _cmd_info(doc, options):
         "coloops": sorted(coloops, key=repr),
         "tutte": t.render(),
         "tutte_coefficients": {"%d,%d" % k: v for k, v in t.items()},
-        "independence_profile": list(m.independence_profile()),
+        "independence_profile": list(h_to_f(h, m.rank - 1)),
         "bases": t.evaluate(1, 1),
     }
 
@@ -283,14 +287,15 @@ def _cmd_arrangement(doc, options):
         raise InputError("the arrangement command needs kind=arrangement input")
     arr = materialize(doc)
     m = arr.matroid
+    essential = arr.is_essential  # ranks the normals on every read
     out = {
         "hyperplanes": arr.size,
         "dimension": arr.dimension,
-        "essential": arr.is_essential,
+        "essential": essential,
         "matroid_rank": m.rank,
         "circuits": [sorted(c, key=repr) for c in m.circuits],
     }
-    if arr.is_essential:
+    if essential:
         out["generators"] = os_ot_generators(arr, doc.order)
         out["koszul"] = koszul_report(arr, doc.order)
         out["factors"] = [

@@ -85,12 +85,7 @@ def hilbert_function(ideal, horizon=None):
         horizon = n + (ideal.maxdeg() or 0) + 2
     numerator = poly_trim(list(fh.h))
     values = series_values_from_numerator(numerator, dim, horizon)
-    coefficients = None
-    width = None
-    try:
-        coefficients, width = _basis_coefficients(numerator, dim, codim)
-    except InputError:
-        pass
+    coefficients, width = _basis_coefficients(numerator, dim, codim) if codim >= dim else (None, None)
     return HilbertData(values, dim, codim, numerator, coefficients, width)
 
 

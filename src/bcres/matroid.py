@@ -1,14 +1,16 @@
 """Matroids stored as circuit bitmasks.
 
 A matroid is an ordered ground tuple plus the antichain of its circuits
-(minimal dependent sets) as bitmasks over ground positions, kept in the
-canonical order of their label sets (util.sorted_masks).  Every
-construction route (uniform, explicit circuits, graphic, linear over the
-rationals, direct sums) and every minor builds the masks directly; rank,
-minors, connectivity, broken circuits and bases come from them, and the
+(minimal dependent sets) as bitmasks over ground positions, fewest
+elements first, then by value.  Explicit circuit lists are validated by
+Matroid(ground, circuits); every other construction route (uniform,
+graphic, linear over the rationals, direct sums) and every minor builds
+the masks directly and passes them to Matroid.from_masks.  Rank, minors,
+connectivity, broken circuits and bases come from the masks, and the
 dual, Tutte polynomial and independence counts from the bases by one
 exchange test.  Labels enter only through Matroid(ground, circuits) and
-leave only through the label views (circuits, broken_circuits, bases).
+leave only through the label views (circuits, broken_circuits, bases,
+repr), which sort by labels when read (util.sorted_sets).
 """
 
 from collections import Counter
@@ -22,7 +24,7 @@ from .complexes import h_to_f
 from .errors import BoundError, CircuitAxiomError, InputError, LoopError
 from .linalg import integer_primitive
 from .util import Frozen, bits, check_enumeration, connected_unions, minimal_masks
-from .util import nonface_sieve, pairwise_disjoint, sorted_masks, sorted_sets
+from .util import nonface_sieve, pairwise_disjoint, sorted_sets
 
 ELIMINATION_EXHAUSTIVE_LIMIT = 12
 # edge tests the simple-cycle walk may make: 2^d combinations of a cycle basis
@@ -92,7 +94,7 @@ class Matroid(Frozen):
     def __init__(self, ground, circuits, validate=True):
         ground = tuple(ground)
         pos = _positions(ground)
-        masks = set()
+        labelled = set()
         for c in circuits:
             c = list(c)
             cs = frozenset(c)
@@ -101,28 +103,27 @@ class Matroid(Frozen):
             if not cs <= pos.keys():
                 unknown = [e for e in c if e not in pos]
                 raise InputError("circuit %r uses unknown labels %r" % (c, unknown))
-            masks.add(sum(1 << pos[e] for e in cs))
-        self._init(ground, pos, sorted_masks(ground, masks))
+            labelled.add(cs)
+        # checked in the canonical label order, so a refusal names the same pair for any input order
+        masks = [sum(1 << pos[e] for e in c) for c in sorted_sets(labelled)]
+        self._init(ground, pos, masks)
         if validate:
-            self._check_antichain()
-            self._check_elimination()
+            self._check_antichain(masks)
+            self._check_elimination(masks)
 
     @classmethod
     def from_masks(cls, ground, masks):
         """Matroid whose circuits are the given bitmasks over ground positions (trusted)."""
         ground = tuple(ground)
-        return cls._from_sorted(ground, sorted_masks(ground, set(masks)))
-
-    @classmethod
-    def _from_sorted(cls, ground, masks):
         matroid = object.__new__(cls)
-        matroid._init(ground, _positions(ground), masks)
+        matroid._init(ground, _positions(ground), set(masks))
         return matroid
 
     def _init(self, ground, pos, masks):
+        masks = tuple(sorted(sorted(masks), key=int.bit_count))  # fewest elements first, as _holds_one needs
         by_elem = [[m for m in masks if m >> i & 1] for i in range(len(ground))]
         object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "circuit_masks", tuple(masks))
+        object.__setattr__(self, "circuit_masks", masks)
         object.__setattr__(self, "_pos", pos)
         object.__setattr__(self, "_by_elem", by_elem)
         object.__setattr__(self, "rank", self._greedy_rank(range(len(ground))))
@@ -130,7 +131,7 @@ class Matroid(Frozen):
     @property
     def circuits(self):
         """Circuits as label frozensets, smallest first, ties by repr-sorted labels."""
-        return tuple(self._labels(m) for m in self.circuit_masks)
+        return sorted_sets(self._labels(m) for m in self.circuit_masks)
 
     def _labels(self, mask):
         return frozenset(self.ground[i] for i in bits(mask))
@@ -141,20 +142,19 @@ class Matroid(Frozen):
 
     # -- construction checks ---------------------------------------------
 
-    def _check_antichain(self):
-        for a, b in combinations(self.circuit_masks, 2):
+    def _check_antichain(self, masks):
+        for a, b in combinations(masks, 2):
             if a & b in (a, b):
                 raise InputError(
                     "circuits %r and %r are nested" % (self._label_list(a), self._label_list(b))
                 )
 
-    def _check_elimination(self):
+    def _check_elimination(self, masks):
         """Check elimination exactly on every pair of circuits, or raise BoundError.
 
         Past the limit the subset sieve is too large, and a sample of pairs
         can accept a family that is not a matroid.
         """
-        masks = self.circuit_masks
         if pairwise_disjoint(masks):
             return  # no two circuits meet, so elimination holds vacuously
         n = len(self.ground)
@@ -223,7 +223,7 @@ class Matroid(Frozen):
         return "Matroid(n=%d, r=%d, circuits=%s)" % (
             len(self.ground),
             self.rank,
-            [self._label_list(m) for m in self.circuit_masks],
+            list(sorted_sets(self._label_list(m) for m in self.circuit_masks)),
         )
 
     # -- broken circuits ---------------------------------------------------
@@ -251,10 +251,8 @@ class Matroid(Frozen):
         """Restriction X|S: circuits of X contained in S, ground order inherited."""
         keep = self._mask(self._validated(subset))
         pack = _packer(len(self.ground), keep)
-        # the canonical circuit order depends on labels only, so filtering keeps it
-        return Matroid._from_sorted(
-            tuple(self.ground[i] for i in bits(keep)),
-            [pack(m) for m in self.circuit_masks if m & keep == m],
+        return Matroid.from_masks(
+            [self.ground[i] for i in bits(keep)], [pack(m) for m in self.circuit_masks if m & keep == m]
         )
 
     def delete(self, subset):

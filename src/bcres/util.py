@@ -75,18 +75,11 @@ def _mixed_set_key(labels):
 
 def sorted_sets(sets):
     """Canonical deterministic ordering for a family of element sets."""
+    sets = list(sets)  # the fallback sort needs them again
     try:
         return tuple(sorted(sets, key=_set_key))
     except TypeError:  # two sets first differ at labels that do not compare
         return tuple(sorted(sets, key=_mixed_set_key))
-
-
-def sorted_masks(labels, masks):
-    """Bitmasks over label positions, in the sorted_sets order of their label sets."""
-    try:
-        return sorted(masks, key=lambda m: _set_key([labels[i] for i in bits(m)]))
-    except TypeError:  # two sets first differ at labels that do not compare
-        return sorted(masks, key=lambda m: _mixed_set_key([labels[i] for i in bits(m)]))
 
 
 def connected_unions(masks):

@@ -552,6 +552,26 @@ def test_hilbert_builds_the_matroid_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_info_reads_the_independence_profile_off_the_tutte_polynomial(monkeypatch):
+    import bcres.cli
+    from bcres.corpus import standard_corpus
+    from bcres.matroid import Matroid, graphic_matroid, uniform_matroid
+
+    looped = graphic_matroid([(1, 1), (1, 2), (1, 2), (2, 3), (3, 1)])
+    cases = [m for _, m in standard_corpus(0)]
+    cases += [uniform_matroid(0, 3), uniform_matroid(26, 26), looped, Matroid((), ())]
+    calls = []
+    real = Matroid.basis_masks
+    monkeypatch.setattr(Matroid, "basis_masks", lambda self: calls.append(1) or real(self))
+    doc = parse_input(U24_DOC)
+    for m in cases:
+        monkeypatch.setattr(bcres.cli, "_matroid_of", lambda doc, m=m: m)
+        calls.clear()
+        profile = run_command("info", doc, Options())["result"]["independence_profile"]
+        assert len(calls) == 1  # the Tutte polynomial's walk; the profile needs no second
+        assert profile == list(m.independence_profile())
+
+
 def test_ideal_kind_input():
     doc = parse_input(
         '{"kind":"ideal","payload":{"variables":["x1","x2","x3","x4"],'

@@ -9,6 +9,7 @@ fast-path computation is checked against an exhaustive one.
 
 import json
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -873,6 +874,52 @@ def test_elimination_witness_matches_circuit_scan(family):
         assert exc.witness == expected
     else:
         assert expected is None
+
+
+MIXED_POOL = (2, "b", 10, "a", 1, "c", 12, 3)
+
+
+def label_sorted_masks(labels, masks):
+    """Masks in the order of their label sets, smallest first, ties by repr-sorted labels;
+    where two sets first differ at labels that do not compare, by (type name, repr) pairs."""
+    try:
+        return sorted(masks, key=lambda m: (m.bit_count(), tuple(sorted((labels[i] for i in bits(m)), key=repr))))
+    except TypeError:
+        mixed = [(type(v).__name__, repr(v)) for v in labels]
+        return sorted(masks, key=lambda m: (m.bit_count(), sorted(mixed[i] for i in bits(m))))
+
+
+@settings(max_examples=300)
+@given(circuit_families(), st.data())
+def test_construction_does_not_depend_on_input_order(family, data):
+    ground, circuits = family
+    names = data.draw(st.permutations(MIXED_POOL))[: len(ground)]
+    relabel = dict(zip(ground, names))
+    ground = tuple(names)
+    circuits = [[relabel[e] for e in c] for c in circuits]
+    shuffled = [data.draw(st.permutations(c)) for c in data.draw(st.permutations(circuits))]
+    try:
+        m = Matroid(ground, circuits)
+    except InputError as exc:
+        with pytest.raises(type(exc), match="^%s$" % re.escape(str(exc))):
+            Matroid(ground, shuffled)
+        return
+    masks = data.draw(st.permutations(m.circuit_masks))
+    order = data.draw(st.permutations(ground))
+    assert list(m.circuit_masks) == sorted(m.circuit_masks, key=lambda c: (c.bit_count(), c))
+    assert m.circuits == tuple(m._labels(c) for c in label_sorted_masks(ground, m.circuit_masks))
+    assert m.bases() == tuple(m._labels(b) for b in label_sorted_masks(ground, m.basis_masks()))
+    assert repr(m) == "Matroid(n=%d, r=%d, circuits=%s)" % (
+        len(ground), m.rank, [[e for e in ground if e in c] for c in m.circuits]
+    )
+    for copy in (Matroid(ground, shuffled), Matroid.from_masks(ground, masks)):
+        assert copy == m and hash(copy) == hash(m)
+        assert copy.circuit_masks == m.circuit_masks
+        assert copy.circuits == m.circuits
+        assert repr(copy) == repr(m)
+        assert copy.bases() == m.bases()
+        if m.is_loopless:
+            assert copy.broken_circuits(order) == m.broken_circuits(order)
 
 
 def test_u5_12_validates_quickly():
