@@ -68,6 +68,7 @@ from .resolutions import (
     betti_taylor_oracle,
     classify_linearity,
     componentwise_linear_check,
+    linearity_verdict,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -27,6 +27,7 @@ from .resolutions import (
     betti_table,
     classify_linearity,
     componentwise_linear_check,
+    linearity_verdict,
     rows_consecutive_only,
 )
 from .util import Frozen, binom, bits
@@ -286,6 +287,12 @@ def cross_validate(matroid, order=None, characteristic=0, max_power=3):
     Each criterion pair is marked confirmed, refuted, or inconclusive;
     component failures (oracle bounds) degrade to inconclusive instead of
     propagating.
+
+    A power I^k of an s-linear bc ideal is generated in degree k * s, and
+    resolutions.linearity_verdict reads it "(k * s)-linear" without a table when
+    first fit orders it by linear quotients inside the Hochster bound; on a miss,
+    or past the bound, it is ranked by its table, so every entry is the one the
+    table gives.
     """
     order = normalize_order(matroid, order)
     report = {"n": len(matroid.ground), "rank": matroid.rank}
@@ -346,7 +353,7 @@ def cross_validate(matroid, order=None, characteristic=0, max_power=3):
                 continue
             try:
                 pk = power_ideal(ideal, k)
-                pv = classify_linearity(betti_table(pk, characteristic))
+                pv = linearity_verdict(pk, characteristic)
                 want = k * verdict.s
                 ok = pv.kind == "s-linear" and pv.s == want
                 powers[k] = "%d-linear" % want if ok else "not linear (%r)" % pv

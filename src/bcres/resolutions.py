@@ -20,7 +20,7 @@ generators), over characteristic 0 by default.
 from . import _kernel
 from .complexes import _check_characteristic
 from .errors import BoundError, InputError
-from .ideals import MonomialIdeal, component_ideal, polarize, polarized_nvars
+from .ideals import MonomialIdeal, _first_fit_order, component_ideal, polarize, polarized_nvars
 from .util import Frozen, bits, connected_unions
 
 TAYLOR_GENERATOR_LIMIT = 12
@@ -265,6 +265,33 @@ def betti_table(ideal, characteristic=0):
     if polarized_nvars(ideal) > HOCHSTER_VARIABLE_LIMIT:
         return betti_taylor_oracle(ideal, characteristic)
     return betti_hochster(ideal if ideal.squarefree else polarize(ideal), characteristic)
+
+
+def linearity_verdict(ideal, characteristic=0):
+    """classify_linearity(betti_table(ideal, characteristic)), with no table built
+    when the ideal is generated in one degree d and, on the Hochster route, first fit
+    orders its polarization by linear quotients (candidates in generator order).
+
+    Such an ideal has a d-linear resolution in every characteristic (iterated mapping
+    cones of Koszul complexes, Herzog-Takayama 2002), and the colon tests answer alike
+    on I and I^pol (ideals._colon_generated_linearly).  A miss proves nothing
+    (ideals._first_fit_order), so the polarization is ranked by betti_hochster.
+
+    Past the Hochster bound betti_table goes to the Taylor oracle, and no walk runs, so
+    every verdict is the one the table gives: U(4,8)^2 (357 generators on 15
+    polarized variables) has linear quotients, yet the oracle refuses it.  Answering
+    it there moves the xval-corpus digest and conclusive_ratio of perfbench, so that
+    belongs with a benchmark change.
+    """
+    if polarized_nvars(ideal) > HOCHSTER_VARIABLE_LIMIT:
+        return classify_linearity(betti_table(ideal, characteristic))
+    polarized = ideal if ideal.squarefree else polarize(ideal)
+    degrees = set(ideal.degrees())
+    masks = polarized.masks
+    if len(degrees) == 1 and _first_fit_order(masks, range(len(masks)), False) is not None:
+        (d,) = degrees
+        return LinearityVerdict("s-linear", s=d, row_set=(d,))
+    return classify_linearity(betti_hochster(polarized, characteristic))
 
 
 # -- componentwise linearity -------------------------------------------------------

@@ -1,10 +1,13 @@
 """Two-term decomposition, f-vector bounds, stratification, cross-validation."""
 
+from itertools import combinations
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_matroid import graphic_cases, linear_cases, sum_cases
 
+from bcres import decomposition, resolutions
 from bcres.corpus import standard_corpus
 from bcres.decomposition import (
     STRATIFY_SIZE_LIMIT,
@@ -21,7 +24,23 @@ from bcres.decomposition import (
     two_term_decomposition,
 )
 from bcres.errors import BoundError, LoopError
+from bcres.ideals import (
+    _first_fit_order,
+    broken_circuit_ideal,
+    ideal_from_supports,
+    polarize,
+    polarized_nvars,
+    power_ideal,
+)
 from bcres.matroid import direct_sum, uniform_matroid
+from bcres.resolutions import (
+    HOCHSTER_VARIABLE_LIMIT,
+    TAYLOR_GENERATOR_LIMIT,
+    betti_hochster,
+    betti_taylor_oracle,
+    classify_linearity,
+    linearity_verdict,
+)
 from bcres.util import bits
 
 
@@ -328,3 +347,103 @@ def test_cube_past_the_enumeration_limit_is_inconclusive():
     # 56 broken circuits of size 3: the cube would form C(58, 3) = 30856 products
     rep = cross_validate(uniform_matroid(3, 9), max_power=3)
     assert rep["powers"][3] == "inconclusive: power 3 of 56 generators has 30856 products, limit 20000"
+
+
+# -- powers certified by linear quotients ----------------------------------------
+
+
+@st.composite
+def linear_ideal_powers(draw):
+    """(I^k, k * s) for an ideal I generated in degree s: a squarefree Veronese ideal,
+    the bc ideal of U(r, n) + free under a random order (both s-linear), or some of the
+    s-subsets, whose powers need not be linear, so that a wrong certificate shows;
+    k = 2, 3 on few enough variables that the certificate's Hochster bound mostly holds."""
+    k = draw(st.sampled_from((2, 3)))
+    kind = draw(st.sampled_from(("veronese", "bc", "subsets")))
+    n = draw(st.integers(3 if kind != "subsets" else 4, 6 if k == 2 else 4))
+    if kind == "bc":
+        r = draw(st.integers(1, n - 1))
+        m = direct_sum([uniform_matroid(r, n), uniform_matroid(2, 2)][: draw(st.integers(1, 2))])
+        ideal = broken_circuit_ideal(m, draw(st.permutations(m.ground)))
+    else:
+        d = draw(st.integers(1, n - 1) if kind == "veronese" else st.integers(2, n - 2))
+        supports = list(combinations(range(n), d))
+        if kind == "subsets":  # sparse families, which are rarely linear
+            rng = draw(st.randoms(use_true_random=False))
+            supports = rng.sample(supports, rng.randint(2, len(supports) // 2 + 1))
+        ideal = ideal_from_supports(["x%d" % i for i in range(n)], supports)
+    return power_ideal(ideal, k), k * ideal.indeg()
+
+
+# the square of the edge ideal of a path on 5 vertices has a graded order, but no
+# linear resolution, so a certificate that only asked for a graded order fails here
+PATH_SQUARE = power_ideal(
+    ideal_from_supports(["x%d" % i for i in range(5)], [(4, 0), (0, 3), (3, 1), (1, 2)]), 2
+)
+
+
+def certified(power):
+    """Whether linearity_verdict reads the power off a first-fit order, without a table."""
+    if polarized_nvars(power) > HOCHSTER_VARIABLE_LIMIT:
+        return False
+    masks = polarize(power).masks
+    return _first_fit_order(masks, range(len(masks)), False) is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(linear_ideal_powers())
+@example((PATH_SQUARE, 4))
+def test_linearity_verdict_is_the_tables_in_every_characteristic(case):
+    # a certified power has the one row k * s; a miss falls back to the same table
+    power, d = case
+    assume(polarized_nvars(power) <= HOCHSTER_VARIABLE_LIMIT)
+    one_row = certified(power)
+    for characteristic in (0, 2, 32003):
+        table = betti_hochster(polarize(power), characteristic)
+        assert linearity_verdict(power, characteristic) == classify_linearity(table)
+        if one_row:
+            assert table.rows() == [d]
+            if len(power.degrees()) <= TAYLOR_GENERATOR_LIMIT:
+                assert betti_taylor_oracle(power, characteristic).rows() == [d]
+
+
+def test_certificate_leaves_every_power_entry_as_the_table_reads_it(monkeypatch):
+    found = []
+
+    def recording(gens, candidates, graded):
+        found.append(_first_fit_order(gens, candidates, graded) is not None)
+        return [] if found[-1] else None
+
+    monkeypatch.setattr(resolutions, "_first_fit_order", recording)
+    with_certificate = [cross_validate(m, max_power=2)["powers"] for _, m in standard_corpus(0)]
+    assert True in found  # a miss inside the bound is ranked as before: see the property above
+    monkeypatch.setattr(resolutions, "_first_fit_order", lambda gens, candidates, graded: None)
+    assert [cross_validate(m, max_power=2)["powers"] for _, m in standard_corpus(0)] == with_certificate
+
+
+def test_square_past_the_hochster_bound_stays_inconclusive():
+    # first fit would certify U(4,8)^2, but it has 15 polarized variables, and the
+    # Taylor oracle refuses 357 generators
+    power = power_ideal(broken_circuit_ideal(uniform_matroid(4, 8)), 2)
+    assert polarized_nvars(power) == HOCHSTER_VARIABLE_LIMIT + 1
+    masks = polarize(power).masks
+    assert len(masks) == 357 and _first_fit_order(masks, range(357), False) is not None
+    rep = cross_validate(uniform_matroid(4, 8), max_power=2)
+    assert rep["powers"] == {2: "inconclusive: Taylor oracle limited to 12 generators, got 357"}
+    assert rep["consistency"]["powers_linear"] == "inconclusive"
+
+
+def test_certified_square_is_never_ranked(monkeypatch):
+    # U(2,7)^2: 90 generators on 12 polarized variables, certified by first fit
+    ideal = broken_circuit_ideal(uniform_matroid(2, 7))
+    square = polarize(power_ideal(ideal, 2))
+    ranked = []
+
+    def counting(ideal_, characteristic=0):
+        ranked.append(ideal_)
+        return betti_hochster(ideal_, characteristic)
+
+    monkeypatch.setattr(resolutions, "betti_hochster", counting)
+    rep = cross_validate(uniform_matroid(2, 7), max_power=2)
+    assert rep["powers"] == {2: "4-linear"}
+    assert ideal in ranked and square not in ranked

@@ -33,6 +33,7 @@ from bcres.resolutions import (
     HOCHSTER_VARIABLE_LIMIT,
     TAYLOR_GENERATOR_LIMIT,
     BettiTable,
+    LinearityVerdict,
     _lcm_lattice_masks,
     _polarized_componentwise_check,
     _squarefree_components,
@@ -40,6 +41,7 @@ from bcres.resolutions import (
     betti_table,
     betti_taylor_oracle,
     classify_linearity,
+    linearity_verdict,
     componentwise_linear_check,
     rows_consecutive_only,
 )
@@ -579,3 +581,12 @@ def test_betti_table_dispatch(golden_ideal):
     assert betti_table(golden_ideal).entries == betti_hochster(golden_ideal).entries
     sq = ideal(("x1", "x2"), (2, 2))
     assert betti_table(sq).entries == betti_taylor_oracle(sq).entries
+
+
+def test_linearity_verdict_ranks_mixed_degrees_with_linear_quotients():
+    # (x, yz) has linear quotients in the order x, yz, but two rows: the certificate
+    # needs an ideal generated in one degree
+    i = ideal_from_supports(("x", "y", "z"), [(0,), (1, 2)])
+    assert quotients_analysis(i)["linear_quotients"]["status"] == "found"
+    verdict = LinearityVerdict("graded-linear", row_set=(1, 2))
+    assert linearity_verdict(i) == classify_linearity(betti_hochster(i)) == verdict
